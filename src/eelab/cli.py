@@ -48,8 +48,8 @@ def main(argv=None) -> int:
             config = load_config(args.config, experiment=args.experiment)
         else:
             config = validate_config({"experiment": args.experiment})
-        if args.seed is not None:
-            config.seed = int(args.seed)
+        if args.seed is not None:  # the override is validated like a config key
+            config = validate_config({**config.to_dict(), "seed": args.seed})
         out = run_experiment(config, out_dir=args.out, force=args.force)
     except ConfigError as exc:
         print(f"eelab: config error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ EXPERIMENTS = (
 
 def _require(cond: bool, path: str, msg: str) -> None:
     if not cond:
-        raise ConfigError(f"{path}: {msg}")
+        raise ConfigError(f"{path}: {msg}" if path else msg)
 
 
 def _check_keys(d: dict, allowed: set[str], path: str) -> None:
@@ -38,17 +38,18 @@ def _check_keys(d: dict, allowed: set[str], path: str) -> None:
 
 def _get_num(d: dict, key: str, path: str, lo=None, hi=None, integer=False):
     v = d[key]
+    where = f"{path}.{key}" if path else key
     if integer:
         _require(isinstance(v, int) and not isinstance(v, bool),
-                 f"{path}.{key}", f"expected an integer, got {v!r}")
+                 where, f"expected an integer, got {v!r}")
     else:
         _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                 f"{path}.{key}", f"expected a number, got {v!r}")
+                 where, f"expected a number, got {v!r}")
         v = float(v)
     if lo is not None:
-        _require(v >= lo, f"{path}.{key}", f"must be >= {lo}, got {v}")
+        _require(v >= lo, where, f"must be >= {lo}, got {v}")
     if hi is not None:
-        _require(v <= hi, f"{path}.{key}", f"must be <= {hi}, got {v}")
+        _require(v <= hi, where, f"must be <= {hi}, got {v}")
     return v
 
 
@@ -97,48 +98,47 @@ class LadderSection:
         allowed = set(cls.__dataclass_fields__)
         _check_keys(d, allowed, path)
         sec = cls(**d)
-        for name in ("n_levels", "burn_in", "macro_steps", "steps_per_level"):
-            v = getattr(sec, name)
-            _require(isinstance(v, int) and not isinstance(v, bool),
-                     f"{path}.{name}", f"expected an integer, got {v!r}")
-        for name in ("temperature_ratio", "truncation_min", "truncation_step",
-                     "p_jump"):
-            v = getattr(sec, name)
-            _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                     f"{path}.{name}", f"expected a number, got {v!r}")
+        v = vars(sec)
+        _get_num(v, "n_levels", path, lo=1, integer=True)
+        for name in ("burn_in", "macro_steps", "steps_per_level"):
+            _get_num(v, name, path, lo=0, integer=True)
+        for name in ("temperature_ratio", "truncation_min", "truncation_step"):
+            _get_num(v, name, path)
+        _get_num(v, "p_jump", path, lo=0.0, hi=1.0)
         for name in ("max_records", "init_state"):
-            v = getattr(sec, name)
-            _require(v is None or (isinstance(v, int) and not isinstance(v, bool)),
-                     f"{path}.{name}", f"expected an integer or null, got {v!r}")
+            if v[name] is not None:
+                _get_num(v, name, path, lo=0, integer=True)
+        _get_choice(v, "jump_mode", path, ("restricted", "unrestricted"))
+        _get_choice(v, "schedule", path, ("parallel", "serial"))
         if sec.ring_boundaries is not None:
-            _require(isinstance(sec.ring_boundaries, list) and
-                     all(isinstance(b, (int, float)) for b in sec.ring_boundaries),
+            b = sec.ring_boundaries
+            _require(isinstance(b, list) and
+                     all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                         for x in b),
                      f"{path}.ring_boundaries", "expected a list of numbers")
+            _require(all(x <= y for x, y in zip(b, b[1:])),
+                     f"{path}.ring_boundaries", f"must be sorted ascending, got {b}")
         for name in ("temperatures", "truncations"):
-            v = getattr(sec, name)
-            _require(v is None or isinstance(v, list), f"{path}.{name}",
-                     f"expected a list or null, got {v!r}")
-        _require(sec.n_levels >= 1, f"{path}.n_levels", "must be >= 1")
+            _require(v[name] is None or isinstance(v[name], list), f"{path}.{name}",
+                     f"expected a list or null, got {v[name]!r}")
         if sec.temperatures is not None:
+            _require(len(sec.temperatures) >= 1, f"{path}.temperatures",
+                     "must list at least the level-0 temperature")
             for i, t in enumerate(sec.temperatures):
-                _require(isinstance(t, (int, float)) and t >= 1.0,
-                         f"{path}.temperatures[{i}]",
+                _require(isinstance(t, (int, float)) and not isinstance(t, bool)
+                         and t >= 1.0, f"{path}.temperatures[{i}]",
                          f"temperature must be >= 1, got {t!r}")
             _require(sec.temperatures[0] == 1.0, f"{path}.temperatures[0]",
                      "level-0 temperature must be exactly 1")
+            if "n_levels" in d:
+                _require(sec.n_levels == len(sec.temperatures), f"{path}.n_levels",
+                         f"is {sec.n_levels} but temperatures lists "
+                         f"{len(sec.temperatures)} levels")
+            sec.n_levels = len(sec.temperatures)
         if sec.truncations is not None:
-            for i, v in enumerate(sec.truncations):
-                _require(isinstance(v, (int, float)) and math.isfinite(v),
-                         f"{path}.truncations[{i}]", f"must be finite, got {v!r}")
-        _require(0.0 <= sec.p_jump <= 1.0, f"{path}.p_jump", "must be in [0, 1]")
-        _require(sec.burn_in >= 0, f"{path}.burn_in", "must be >= 0")
-        _require(sec.jump_mode in ("restricted", "unrestricted"),
-                 f"{path}.jump_mode", f"unknown mode {sec.jump_mode!r}")
-        _require(sec.schedule in ("parallel", "serial"),
-                 f"{path}.schedule", f"unknown schedule {sec.schedule!r}")
-        _require(sec.macro_steps >= 0, f"{path}.macro_steps", "must be >= 0")
-        _require(sec.steps_per_level >= 0, f"{path}.steps_per_level",
-                 "must be >= 0")
+            for i, x in enumerate(sec.truncations):
+                _require(isinstance(x, (int, float)) and math.isfinite(x),
+                         f"{path}.truncations[{i}]", f"must be finite, got {x!r}")
         return sec
 
     def levels(self) -> list[LadderLevel]:
@@ -190,16 +190,20 @@ class ImageSection:
     def from_dict(cls, d: dict, path: str) -> "ImageSection":
         _check_keys(d, set(cls.__dataclass_fields__), path)
         sec = cls(**d)
-        _require(sec.kind in ("two_region", "pgm"), f"{path}.kind",
-                 f"unknown image kind {sec.kind!r}")
+        v = vars(sec)
+        _get_choice(v, "kind", path, ("two_region", "pgm"))
         if sec.kind == "pgm":
             _require(bool(sec.path), f"{path}.path", "required for kind 'pgm'")
         else:
-            _require(sec.width >= 1 and sec.height >= 1, f"{path}.width",
-                     "dimensions must be >= 1")
-            _require(sec.noise_sd >= 0, f"{path}.noise_sd", "must be >= 0")
-            _require(sec.layout in ("halves", "disk"), f"{path}.layout",
-                     f"unknown layout {sec.layout!r}")
+            for name in ("width", "height"):
+                _get_num(v, name, path, lo=1, integer=True)
+            _get_num(v, "noise_sd", path, lo=0.0)
+            _get_num(v, "image_seed", path, lo=0, integer=True)
+            _require(isinstance(sec.means, list) and len(sec.means) >= 2 and
+                     all(isinstance(m, (int, float)) and not isinstance(m, bool)
+                         for m in sec.means),
+                     f"{path}.means", "expected a list of at least 2 numbers")
+            _get_choice(v, "layout", path, ("halves", "disk"))
         return sec
 
 
@@ -231,33 +235,25 @@ class SegmentationSection:
             sec.image = ImageSection.from_dict(
                 _merge(asdict(ImageSection()), img), f"{path}.image"
             )
-        for name in ("n_labels", "sweeps", "order"):
-            v = getattr(sec, name)
-            _require(isinstance(v, int) and not isinstance(v, bool),
-                     f"{path}.{name}", f"expected an integer, got {v!r}")
-        for name in ("beta", "p_max", "p_min", "scale", "sigma"):
-            v = getattr(sec, name)
-            _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                     f"{path}.{name}", f"expected a number, got {v!r}")
+        v = vars(sec)
+        _get_num(v, "n_labels", path, lo=2, integer=True)
+        _get_num(v, "sweeps", path, lo=0, integer=True)
+        _get_num(v, "order", path, lo=0, hi=2, integer=True)
+        _get_num(v, "beta", path, lo=0.0)
+        for name in ("p_max", "p_min", "scale", "sigma"):
+            _get_num(v, name, path)
         _require(isinstance(sec.means, list) and
-                 all(isinstance(m, (int, float)) for m in sec.means),
+                 all(isinstance(m, (int, float)) and not isinstance(m, bool)
+                     for m in sec.means),
                  f"{path}.means", "expected a list of numbers")
-        _require(sec.n_labels >= 2, f"{path}.n_labels", "must be >= 2")
-        _require(sec.beta >= 0, f"{path}.beta", "must be >= 0")
         _require(0 < sec.p_min <= sec.p_max < 1, f"{path}.p_max",
                  "need 0 < p_min <= p_max < 1")
         _require(sec.scale > 0, f"{path}.scale", "must be > 0")
-        _require(sec.region_mode in ("fixed_means", "poly_fit"),
-                 f"{path}.region_mode", f"unknown mode {sec.region_mode!r}")
         _require(sec.sigma > 0, f"{path}.sigma", "must be > 0")
-        _require(sec.order in (0, 1, 2), f"{path}.order", "must be 0, 1 or 2")
-        _require(sec.sweeps >= 0, f"{path}.sweeps", "must be >= 0")
-        _require(sec.init in ("threshold", "random"), f"{path}.init",
-                 f"unknown init {sec.init!r}")
-        _require(sec.sampler in ("swcut", "gibbs"), f"{path}.sampler",
-                 f"unknown sampler {sec.sampler!r}")
-        _require(sec.cluster_pick in ("uniform", "pixel"), f"{path}.cluster_pick",
-                 f"unknown cluster_pick {sec.cluster_pick!r}")
+        _get_choice(v, "region_mode", path, ("fixed_means", "poly_fit"))
+        _get_choice(v, "init", path, ("threshold", "random"))
+        _get_choice(v, "sampler", path, ("swcut", "gibbs"))
+        _get_choice(v, "cluster_pick", path, ("uniform", "pixel"))
         if sec.region_mode == "fixed_means":
             _require(len(sec.means) >= sec.n_labels, f"{path}.means",
                      f"need {sec.n_labels} means")
@@ -321,6 +317,12 @@ class ExperimentConfig:
         }
 
 
+def _section(raw: dict, key: str) -> dict:
+    v = raw.get(key, {})
+    _require(isinstance(v, dict), key, f"must be an object, got {v!r}")
+    return v
+
+
 _TOP_KEYS = {
     "experiment", "seed", "out", "replicates", "tv_checkpoints",
     "model", "ladder", "segmentation", "q3", "q4", "mixing",
@@ -343,7 +345,7 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
             f"{experiment!r}"
         )
 
-    seed = int(_get_num(raw, "seed", "", integer=True)) if "seed" in raw else 20060815
+    seed = _get_num(raw, "seed", "", lo=0, integer=True) if "seed" in raw else 20060815
     out = raw.get("out")
     if out is not None:
         _require(isinstance(out, str), "out", "must be a string path")
@@ -352,32 +354,32 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
     tv_checkpoints = (int(_get_num(raw, "tv_checkpoints", "", lo=1, integer=True))
                       if "tv_checkpoints" in raw else 20)
 
-    model = _merge(_DEFAULT_MODEL, raw["model"]) if "model" in raw else dict(_DEFAULT_MODEL)
-    if "model" in raw and "kind" in raw["model"]:
+    model = _merge(_DEFAULT_MODEL, _section(raw, "model"))
+    if "kind" in raw.get("model", {}):
         model = dict(raw["model"])  # a new kind replaces the default params
 
-    ladder = LadderSection.from_dict(raw.get("ladder", {}))
-    seg = SegmentationSection.from_dict(raw.get("segmentation", {}))
+    ladder = LadderSection.from_dict(_section(raw, "ladder"))
+    seg = SegmentationSection.from_dict(_section(raw, "segmentation"))
 
-    q3 = _merge(_Q3_DEFAULTS, raw.get("q3", {}))
+    q3 = _merge(_Q3_DEFAULTS, _section(raw, "q3"))
     _check_keys(q3, set(_Q3_DEFAULTS), "q3")
     _require(isinstance(q3["ledger_sizes"], list) and
-             all(isinstance(v, int) and v >= 0 for v in q3["ledger_sizes"]),
+             all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
+                 for v in q3["ledger_sizes"]),
              "q3.ledger_sizes", "must be a list of non-negative integers")
-    _require(0.0 <= q3["p_jump"] <= 1.0, "q3.p_jump", "must be in [0, 1]")
+    _get_num(q3, "p_jump", "q3", lo=0.0, hi=1.0)
 
-    q4 = _merge(_Q4_DEFAULTS, raw.get("q4", {}))
+    q4 = _merge(_Q4_DEFAULTS, _section(raw, "q4"))
     _check_keys(q4, set(_Q4_DEFAULTS), "q4")
-    _require(0.0 <= q4["alpha"] <= 1.0, "q4.alpha", "must be in [0, 1]")
-    _require(isinstance(q4["coarse_cells"], int) and q4["coarse_cells"] >= 1,
-             "q4.coarse_cells", "must be an integer >= 1")
+    _get_num(q4, "alpha", "q4", lo=0.0, hi=1.0)
+    _get_num(q4, "coarse_cells", "q4", lo=1, integer=True)
 
-    mixing = _merge(_MIXING_DEFAULTS, raw.get("mixing", {}))
+    mixing = _merge(_MIXING_DEFAULTS, _section(raw, "mixing"))
     _check_keys(mixing, set(_MIXING_DEFAULTS), "mixing")
-    _require(mixing["max_sweeps"] >= 1, "mixing.max_sweeps", "must be >= 1")
-    _require(0.0 < mixing["target_agreement"] <= 1.0,
+    _get_num(mixing, "max_sweeps", "mixing", lo=1, integer=True)
+    _require(0.0 < _get_num(mixing, "target_agreement", "mixing", hi=1.0),
              "mixing.target_agreement", "must be in (0, 1]")
-    _require(mixing["check_every"] >= 1, "mixing.check_every", "must be >= 1")
+    _get_num(mixing, "check_every", "mixing", lo=1, integer=True)
 
     cfg = ExperimentConfig(
         experiment=exp, seed=seed, out=out, replicates=replicates,

@@ -62,7 +62,6 @@ class RingLedger:
         self.boundaries = b
         self.max_records = max_records
         self.rings: list[list[int]] = [[] for _ in range(len(b) + 1)]
-        self.ring_energies: list[list[float]] = [[] for _ in range(len(b) + 1)]
         self._flat: list[int] = []
 
     @property
@@ -81,12 +80,14 @@ class RingLedger:
         """The unique j with energy in [H_j, H_{j+1}) (left-closed)."""
         return bisect_right(self.boundaries, energy)
 
-    def record(self, state: int, energy: float) -> None:
-        if self.max_records is not None and self.total >= self.max_records:
+    def ring_table(self, energies) -> list[int]:
+        """ring_index of every state's energy, indexed by state."""
+        return [self.ring_index(float(e)) for e in energies]
+
+    def record(self, state: int, ring: int) -> None:
+        if self.max_records is not None and len(self._flat) >= self.max_records:
             return
-        j = self.ring_index(energy)
-        self.rings[j].append(state)
-        self.ring_energies[j].append(energy)
+        self.rings[ring].append(state)
         self._flat.append(state)
 
     def draw(self, mode: str, current_ring: int, rng: RandomStream) -> Optional[int]:
@@ -148,19 +149,9 @@ class LadderConfig:
         return [lv.truncation for lv in self.levels[1:]]
 
 
-@dataclass
-class ChainState:
-    """Per-level mutable state of a running ladder."""
-
-    states: list[int]
-    energies: list[float]
-    rngs: list[RandomStream]
-    steps: list[int]
-
-
 def ee_jump_step(
     x: int,
-    energy_x: float,
+    ring: int,
     ledger: RingLedger,
     mode: str,
     logd_lo,
@@ -170,14 +161,13 @@ def ee_jump_step(
 ) -> tuple[int, int, bool]:
     """One jump move at the lower level against the upper level's ledger.
 
-    Draws a recorded state from the ring of the current energy (or from
+    Draws a recorded state from the current state's energy ring (or from
     all records in unrestricted mode) and accepts it with
     min(1, [d_lo(y) d_hi(x)] / [d_lo(x) d_hi(y)]). An empty pool falls
     back to one local move; since the failed draw consumed no
     randomness, the fallback behaves exactly like a plain local step.
     Returns (new_state, move_type, accepted).
     """
-    ring = ledger.ring_index(energy_x)
     y = ledger.draw(mode, ring, rng)
     if y is None:
         new, acc = local_kernel.step(x, rng)
@@ -190,18 +180,16 @@ def ee_jump_step(
 
 @dataclass
 class LevelTrace:
-    """Columnar trace of one level's chain."""
+    """Columnar trace of one level's chain, one row per step. Energy and
+    ring are functions of the state: index them by ``states``."""
 
     level: int
-    steps: np.ndarray
     states: np.ndarray
-    energies: np.ndarray
-    rings: np.ndarray
     move_types: np.ndarray
     accepted: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.states)
 
 
 @dataclass
@@ -225,139 +213,66 @@ class TraceSet:
         return FiniteDistribution.from_weights(np.arange(n_states), counts)
 
 
-class _LadderRunner:
-    """Shared machinery of the parallel and serial schedules."""
+def _schedule(config: LadderConfig):
+    """The (level, step) pairs of a run in execution order, top level first.
 
-    def __init__(self, model: EnergyModel, config: LadderConfig, seed: int):
-        if not model.enumerable:
-            raise CapabilityError("ladder runs require an enumerable model")
-        self.model = model
-        self.config = config
-        self.n = model.size
-        self.h = model.energies().tolist()
-        self.logd = [level_logdensities(model, lv).tolist() for lv in config.levels]
-        self.local = [RandomWalkKernel(model, lv) for lv in config.levels]
-        boundaries = config.boundaries()
-        self.ledgers = [
-            RingLedger(i, boundaries, config.max_records)
-            for i in range(config.n_levels)
-        ]
-        rngs = RandomStream.from_seed(seed).spawn(config.n_levels)
-        states, energies = [], []
-        for i in range(config.n_levels):
-            s = config.init_state if config.init_state is not None else rngs[i].randint(self.n)
-            self.model.check_state(s)
-            states.append(s)
-            energies.append(self.h[s])
-        self.chain = ChainState(states, energies, rngs, [0] * config.n_levels)
-
-    def step_level(self, i: int) -> tuple[int, bool]:
-        """Advance level i by one transition; returns (move_type, accepted)."""
-        cfg = self.config
-        chain = self.chain
-        rng = chain.rngs[i]
-        x = chain.states[i]
-
-        if i < cfg.n_levels - 1 and cfg.p_jump > 0.0 and rng.uniform() < cfg.p_jump:
-            new, move, acc = ee_jump_step(
-                x, chain.energies[i], self.ledgers[i + 1], cfg.jump_mode,
-                self.logd[i], self.logd[i + 1], self.local[i], rng,
-            )
-        else:
-            new, acc = self.local[i].step(x, rng)
-            move = MOVE_LOCAL
-
-        chain.states[i] = new
-        chain.energies[i] = self.h[new]
-        chain.steps[i] += 1
-        return move, acc
-
-
-class _TraceBuilder:
-    """Accumulates one level's trace in plain lists (cheap appends)."""
-
-    def __init__(self, level: int):
-        self.level = level
-        self.states: list[int] = []
-        self.energies: list[float] = []
-        self.rings: list[int] = []
-        self.move_types: list[int] = []
-        self.accepted: list[bool] = []
-
-    def build(self) -> LevelTrace:
-        n = len(self.states)
-        return LevelTrace(
-            level=self.level,
-            steps=np.arange(n, dtype=np.int64),
-            states=np.asarray(self.states, dtype=np.int64),
-            energies=np.asarray(self.energies, dtype=np.float64),
-            rings=np.asarray(self.rings, dtype=np.int32),
-            move_types=np.asarray(self.move_types, dtype=np.int8),
-            accepted=np.asarray(self.accepted, dtype=np.int8),
-        )
-
-
-def run_parallel(model: EnergyModel, config: LadderConfig, seed: int) -> TraceSet:
-    """All levels advance once per macro step, top level first.
-
-    A level's post-burn-in states become available to the level below
-    within the same macro step.
+    parallel: every level advances once per macro step, so a level's
+    post-burn-in states reach the level below within the same macro step.
+    serial: each level runs to completion before the one below starts, so
+    the ledger a level reads is frozen.
     """
-    runner = _LadderRunner(model, config, seed)
-    K = config.n_levels
-    builders = [_TraceBuilder(i) for i in range(K)]
-    chain = runner.chain
-    ledgers = runner.ledgers
-    burn_in = config.burn_in
-    order = list(range(K - 1, -1, -1))
-    for t in range(config.macro_steps):
-        recording = t >= burn_in
-        for i in order:
-            move, acc = runner.step_level(i)
-            s, e = chain.states[i], chain.energies[i]
-            ledger = ledgers[i]
-            if recording:
-                ledger.record(s, e)
-            b = builders[i]
-            b.states.append(s)
-            b.energies.append(e)
-            b.rings.append(ledger.ring_index(e))
-            b.move_types.append(move)
-            b.accepted.append(acc)
-    return TraceSet([b.build() for b in builders], ledgers, burn_in)
-
-
-def run_serial(model: EnergyModel, config: LadderConfig, seed: int) -> TraceSet:
-    """Each level runs to completion before the one below starts.
-
-    The ledger a level reads is therefore frozen: the level above has
-    already finished writing it.
-    """
-    runner = _LadderRunner(model, config, seed)
-    K = config.n_levels
-    builders = [_TraceBuilder(i) for i in range(K)]
-    chain = runner.chain
-    burn_in = config.burn_in
-    for i in range(K - 1, -1, -1):
-        ledger = runner.ledgers[i]
-        b = builders[i]
-        for t in range(config.steps_per_level):
-            move, acc = runner.step_level(i)
-            s, e = chain.states[i], chain.energies[i]
-            if t >= burn_in:
-                ledger.record(s, e)
-            b.states.append(s)
-            b.energies.append(e)
-            b.rings.append(ledger.ring_index(e))
-            b.move_types.append(move)
-            b.accepted.append(acc)
-    return TraceSet([b.build() for b in builders], runner.ledgers, burn_in)
+    top_down = range(config.n_levels - 1, -1, -1)
+    if config.schedule == "serial":
+        return ((i, t) for i in top_down for t in range(config.steps_per_level))
+    return ((i, t) for t in range(config.macro_steps) for i in top_down)
 
 
 def run_ladder(model: EnergyModel, config: LadderConfig, seed: int) -> TraceSet:
-    if config.schedule == "serial":
-        return run_serial(model, config, seed)
-    return run_parallel(model, config, seed)
+    """Run every level's chain in the order config.schedule gives.
+
+    Each level-step is a jump against the ledger of the level above with
+    probability p_jump (never at the top level), else a local move; from
+    step burn_in on, the new state is recorded in the level's own ledger.
+    """
+    if not model.enumerable:
+        raise CapabilityError("ladder runs require an enumerable model")
+    K = config.n_levels
+    logd = [level_logdensities(model, lv).tolist() for lv in config.levels]
+    local = [RandomWalkKernel(model, lv) for lv in config.levels]
+    ledgers = [RingLedger(i, config.boundaries(), config.max_records) for i in range(K)]
+    ring_of = ledgers[0].ring_table(model.energies())
+    rngs = RandomStream.from_seed(seed).spawn(K)
+    states = []
+    for rng in rngs:
+        s = config.init_state if config.init_state is not None else rng.randint(model.size)
+        model.check_state(s)
+        states.append(s)
+
+    p_jump, mode, burn_in = config.p_jump, config.jump_mode, config.burn_in
+    can_jump = [i < K - 1 and p_jump > 0.0 for i in range(K)]
+    columns = [([], [], []) for _ in range(K)]  # states, move types, accepted
+    for i, t in _schedule(config):
+        rng = rngs[i]
+        x = states[i]
+        if can_jump[i] and rng.uniform() < p_jump:
+            x, move, acc = ee_jump_step(x, ring_of[x], ledgers[i + 1], mode,
+                                        logd[i], logd[i + 1], local[i], rng)
+        else:
+            x, acc = local[i].step(x, rng)
+            move = MOVE_LOCAL
+        states[i] = x
+        if t >= burn_in:
+            ledgers[i].record(x, ring_of[x])
+        visited, moves, accepted = columns[i]
+        visited.append(x)
+        moves.append(move)
+        accepted.append(acc)
+
+    traces = [LevelTrace(i, np.asarray(visited, dtype=np.int64),
+                         np.asarray(moves, dtype=np.int8),
+                         np.asarray(accepted, dtype=np.int8))
+              for i, (visited, moves, accepted) in enumerate(columns)]
+    return TraceSet(traces, ledgers, burn_in)
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +301,12 @@ def idealized_jump_matrix(
     logd_lo = level_logdensities(model, level_lo)
     logd_hi = level_logdensities(model, level_hi)
     q_hi = enumerate_distribution(model, level_hi)
-    b = [float(v) for v in boundaries]
-    ring_of = np.array([bisect_right(b, float(e)) for e in h])
+    rings = RingLedger(level_hi.index, boundaries)
+    ring_of = np.array(rings.ring_table(h))
 
     n = model.size
     K = np.zeros((n, n))
-    for r in range(len(b) + 1):
+    for r in range(rings.n_rings):
         members = np.nonzero(ring_of == r)[0]
         if len(members) == 0:
             continue
@@ -426,7 +341,7 @@ def empirical_jump_chain_matrix(
     """
     if not 0.0 <= p_jump <= 1.0:
         raise ConfigError("p_jump must be in [0, 1]")
-    h = model.energies()
+    ring_of = ledger.ring_table(model.energies())
     logd_lo = level_logdensities(model, level_lo)
     logd_hi = level_logdensities(model, level_hi)
     K_local = RandomWalkKernel(model, level_lo).exact_matrix()
@@ -443,7 +358,7 @@ def empirical_jump_chain_matrix(
     K_jump = np.zeros((n, n))
     for x in range(n):
         if jump_mode == "restricted":
-            pool = ledger.rings[ledger.ring_index(float(h[x]))]
+            pool = ledger.rings[ring_of[x]]
         else:
             pool = ledger.all_records
         if not pool:
@@ -473,9 +388,9 @@ def ledger_from_iid(
     dist = enumerate_distribution(model, level)
     cum = np.cumsum(dist.probs)
     cum[-1] = 1.0
-    h = model.energies()
     ledger = RingLedger(level.index, boundaries)
+    ring_of = ledger.ring_table(model.energies())
     draws = np.searchsorted(cum, rng.uniforms(n_records), side="right")
-    for s in draws:
-        ledger.record(int(s), float(h[s]))
+    for s in draws.tolist():
+        ledger.record(s, ring_of[s])
     return ledger

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -198,14 +199,15 @@ def exp_run(config: ExperimentConfig, out: Path) -> None:
     """Single ladder run with the full trace exported."""
     model = config.build_model()
     ts = run_ladder(model, config.ladder.build(), config.seed)
+    h = model.energies()
+    ring_of = np.asarray(ts.ledgers[0].ring_table(h))
     rows = []
     for tr in ts.levels:
-        for t in range(len(tr)):
-            rows.append((
-                int(tr.steps[t]), tr.level, int(tr.states[t]),
-                float(tr.energies[t]), int(tr.rings[t]),
-                MOVE_NAMES[int(tr.move_types[t])], int(tr.accepted[t]),
-            ))
+        rows.extend(zip(
+            range(len(tr)), repeat(tr.level), tr.states.tolist(),
+            h[tr.states].tolist(), ring_of[tr.states].tolist(),
+            [MOVE_NAMES[m] for m in tr.move_types.tolist()], tr.accepted.tolist(),
+        ))
     write_csv(out / "trace.csv",
               ["step", "level", "state_id", "energy", "ring", "move_type",
                "accepted"], rows)

@@ -80,6 +80,40 @@ class TestLoadConfig:
             load_config(path)
 
 
+    def test_temperatures_set_the_level_count(self, tmp_path):
+        path = write_config(tmp_path, {
+            "experiment": "run",
+            "ladder": {"temperatures": [1.0, 4.0, 16.0]},
+        })
+        cfg = load_config(path)
+        assert cfg.ladder.n_levels == 3
+        assert load_config(write_config(tmp_path, cfg.to_dict(), "echo.json")) == cfg
+
+
+MALFORMED = [
+    ({"mixing": {"max_sweeps": "x"}}, [], "mixing.max_sweeps"),
+    ({"q4": {"alpha": "x"}}, [], "q4.alpha"),
+    ({"q3": {"p_jump": None}}, [], "q3.p_jump"),
+    ({"q3": {"ledger_sizes": [True]}}, [], "q3.ledger_sizes"),
+    ({"segmentation": {"image": {"width": "8"}}}, [], "segmentation.image.width"),
+    ({"seed": -5}, [], "seed"),
+    ({}, ["--seed", "-5"], "seed"),
+    ({"ladder": {"n_levels": 3, "temperatures": [1.0, 4.0]}}, [], "ladder.n_levels"),
+    ({"ladder": {"ring_boundaries": [2.0, 1.0]}}, [], "ladder.ring_boundaries"),
+]
+
+
+@pytest.mark.parametrize("raw,extra,key_path", MALFORMED,
+                         ids=[m[2] + ("(cli)" if m[1] else "") for m in MALFORMED])
+def test_malformed_input_is_a_keyed_config_error(tmp_path, capsys, raw, extra,
+                                                 key_path):
+    cfg = write_config(tmp_path, {"experiment": "run", **raw})
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 *extra])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"eelab: config error: {key_path}: ")
+
+
 class TestCliExitCodes:
     def test_success_is_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

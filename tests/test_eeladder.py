@@ -14,8 +14,6 @@ from eelab.eeladder import (
     idealized_jump_matrix,
     ledger_from_iid,
     run_ladder,
-    run_parallel,
-    run_serial,
 )
 from eelab.errors import ConfigError
 from eelab.kernels import (
@@ -43,8 +41,8 @@ def two_mode_model(n=20, depth=2.0):
 
 def small_config(**kw):
     levels = geometric_ladder(2, ratio=4.0, h_min=0.5, dh=0.5)
-    defaults = dict(levels=levels, burn_in=100, p_jump=0.2, macro_steps=2000,
-                    steps_per_level=2000)
+    defaults = dict(levels=levels, burn_in=100, p_jump=0.2, schedule="parallel",
+                    macro_steps=2000, steps_per_level=2000)
     defaults.update(kw)
     return LadderConfig(**defaults)
 
@@ -62,22 +60,28 @@ class TestRingIndex:
             assert 0 <= led.ring_index(e) < led.n_rings
 
 
+    def test_ring_table_applies_ring_index_per_state(self):
+        led = RingLedger(0, [0.0, 1.0])
+        energies = np.array([-0.5, 0.0, 0.99, 1.0, 7.0])
+        assert led.ring_table(energies) == [0, 1, 1, 2, 2]
+
+
 class TestRecord:
     def test_totals_count_records(self):
         led = RingLedger(1, [1.0, 2.0])
         for k in range(10):
-            led.record(k, 0.3 * k)
+            led.record(k, led.ring_index(0.3 * k))
         assert led.total == 10
 
     def test_energy_routes_to_ring(self):
         led = RingLedger(1, [1.0, 2.0])
-        led.record(7, 1.5)
+        led.record(7, led.ring_index(1.5))
         assert led.rings[1] == [7]
 
     def test_max_records_cap(self):
         led = RingLedger(1, [1.0], max_records=3)
         for k in range(10):
-            led.record(k, 0.0)
+            led.record(k, 0)
         assert led.total == 3
         assert led.rings[0] == [0, 1, 2]  # nothing below the cap is dropped
 
@@ -85,19 +89,19 @@ class TestRecord:
 class TestDrawProposal:
     def test_restricted_empty_ring(self):
         led = RingLedger(1, [1.0, 2.0])
-        led.record(3, 1.5)  # populates ring 1 only
+        led.record(3, 1)  # populates ring 1 only
         rng = RandomStream.from_seed(0)
         assert led.draw("restricted", 0, rng) is None
 
     def test_unrestricted_finds_any_record(self):
         led = RingLedger(1, [1.0, 2.0])
-        led.record(3, 1.5)
+        led.record(3, 1)
         rng = RandomStream.from_seed(0)
         assert led.draw("unrestricted", 0, rng) == 3
 
     def test_single_state_point_mass(self):
         led = RingLedger(1, [1.0])
-        led.record(9, 0.5)
+        led.record(9, 0)
         rng = RandomStream.from_seed(0)
         for _ in range(5):
             assert led.draw("restricted", 0, rng) == 9
@@ -118,7 +122,7 @@ class TestJumpAcceptance:
         model = builtin_model("energy_table", energies=[0.5, 0.6])
         lv1 = LadderLevel(1, 2.0, 0.0)
         ledger = RingLedger(1, [])  # single ring
-        ledger.record(1, 0.6)
+        ledger.record(1, 0)
         K = empirical_jump_chain_matrix(model, LEVEL0, lv1, ledger, p_jump=1.0)
         assert K[0, 1] == pytest.approx(math.exp(-0.05), abs=1e-12)
 
@@ -128,7 +132,7 @@ class TestJumpAcceptance:
         model = builtin_model("energy_table", energies=[0.5, 0.6])
         lv1 = LadderLevel(1, 2.0, 0.0)
         ledger = RingLedger(1, [])
-        ledger.record(0, 0.5)  # proposing the lower-energy state from x=1
+        ledger.record(0, 0)  # proposing the lower-energy state from x=1
         K = empirical_jump_chain_matrix(model, LEVEL0, lv1, ledger, p_jump=1.0)
         assert K[1, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -156,8 +160,8 @@ class TestJumpAcceptance:
         b = RandomStream.from_seed(404)
         x = 5
         for _ in range(50):
-            xa, move, _ = ee_jump_step(x, float(h[x]), empty, "restricted",
-                                       logd0, logd1, kernel, a)
+            xa, move, _ = ee_jump_step(x, empty.ring_index(float(h[x])), empty,
+                                       "restricted", logd0, logd1, kernel, a)
             xb, _ = kernel.step(x, b)
             assert move == MOVE_JUMP_FALLBACK
             assert xa == xb
@@ -173,9 +177,9 @@ class TestJumpAcceptance:
         logd0 = level_logdensities(model, LEVEL0)
         logd1 = level_logdensities(model, lv1)
         ledger = RingLedger(1, [])
-        ledger.record(0, 0.5)
+        ledger.record(0, 0)
         rng = RandomStream.from_seed(1)
-        y, move, acc = ee_jump_step(1, 0.6, ledger, "restricted",
+        y, move, acc = ee_jump_step(1, ledger.ring_index(0.6), ledger, "restricted",
                                     logd0, logd1, kernel, rng)
         assert (y, move, acc) == (0, MOVE_JUMP, True)  # favorable ratio
 
@@ -184,20 +188,20 @@ class TestRuns:
     def test_traces_have_exactly_m_rows(self):
         model = two_mode_model()
         cfg = small_config(macro_steps=777)
-        ts = run_parallel(model, cfg, seed=5)
+        ts = run_ladder(model, cfg, seed=5)
         assert all(len(tr) == 777 for tr in ts.levels)
 
     def test_pjump_zero_gives_pure_local_chains(self):
         model = two_mode_model()
         cfg = small_config(p_jump=0.0, macro_steps=500)
-        ts = run_parallel(model, cfg, seed=5)
+        ts = run_ladder(model, cfg, seed=5)
         for tr in ts.levels:
             assert np.all(tr.move_types == MOVE_LOCAL)
 
     def test_empty_ledger_forces_fallback_moves(self):
         model = two_mode_model()
         cfg = small_config(p_jump=1.0, macro_steps=300, max_records=0)
-        ts = run_parallel(model, cfg, seed=5)
+        ts = run_ladder(model, cfg, seed=5)
         jumps = ts.levels[0].move_types
         assert np.all(jumps == MOVE_JUMP_FALLBACK)
 
@@ -205,7 +209,7 @@ class TestRuns:
         model = two_mode_model()
         cfg = LadderConfig(levels=[LEVEL0], burn_in=0, p_jump=0.5,
                            schedule="serial", steps_per_level=400)
-        ts = run_serial(model, cfg, seed=9)
+        ts = run_ladder(model, cfg, seed=9)
         assert np.all(ts.levels[0].move_types == MOVE_LOCAL)
 
     def test_seed_determinism_both_schedules(self):
@@ -222,19 +226,18 @@ class TestRuns:
     def test_ledger_partition_invariant(self):
         model = two_mode_model()
         cfg = small_config()
-        ts = run_parallel(model, cfg, seed=3)
+        ts = run_ladder(model, cfg, seed=3)
+        h = model.energies()
         for led in ts.ledgers:
-            for j, (states, energies) in enumerate(
-                zip(led.rings, led.ring_energies)
-            ):
-                for e in energies:
-                    assert led.ring_index(e) == j
-                assert len(states) == len(energies)
+            for j, states in enumerate(led.rings):
+                for s in states:
+                    assert led.ring_index(float(h[s])) == j
+            assert sum(len(states) for states in led.rings) == led.total
 
     def test_burn_in_states_absent_from_ledger(self):
         model = two_mode_model()
         cfg = small_config(burn_in=150, macro_steps=400)
-        ts = run_parallel(model, cfg, seed=3)
+        ts = run_ladder(model, cfg, seed=3)
         for led in ts.ledgers:
             assert led.total == 400 - 150
 
@@ -244,14 +247,14 @@ class TestRuns:
         trace's post-burn-in states."""
         model = two_mode_model()
         cfg = small_config(schedule="serial", steps_per_level=500, burn_in=50)
-        ts = run_serial(model, cfg, seed=13)
+        ts = run_ladder(model, cfg, seed=13)
         recorded = ts.ledgers[1].all_records
         assert recorded == list(ts.levels[1].states[50:])
 
     def test_init_state_honored(self):
         model = two_mode_model()
         cfg = small_config(init_state=4, p_jump=0.0, macro_steps=1)
-        ts = run_parallel(model, cfg, seed=1)
+        ts = run_ladder(model, cfg, seed=1)
         for tr in ts.levels:
             assert tr.states[0] in (3, 4, 5)  # one local move from 4
 
