@@ -317,6 +317,29 @@ class ExperimentConfig:
         }
 
 
+def _check_model(model: dict) -> None:
+    """Type-check the model parameters by key path; the value ranges are
+    checked where the model is built."""
+    kind = model.get("kind")
+    _require(kind is None or isinstance(kind, str), "model.kind",
+             f"must be a string, got {kind!r}")
+    for key in ("points", "width", "height", "labels"):
+        if key in model:
+            _get_num(model, key, "model", integer=True)
+    for key in ("depth", "beta"):
+        if key in model:
+            _get_num(model, key, "model")
+    for key in ("weights", "energies", "means", "sds", "bounds"):
+        v = model.get(key, [])
+        _require(isinstance(v, list) and
+                 all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                     for x in v),
+                 f"model.{key}", f"must be a list of numbers, got {v!r}")
+    if "bounds" in model:
+        _require(len(model["bounds"]) == 2, "model.bounds",
+                 f"must be [lo, hi], got {model['bounds']!r}")
+
+
 def _section(raw: dict, key: str) -> dict:
     v = raw.get(key, {})
     _require(isinstance(v, dict), key, f"must be an object, got {v!r}")
@@ -357,6 +380,7 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
     model = _merge(_DEFAULT_MODEL, _section(raw, "model"))
     if "kind" in raw.get("model", {}):
         model = dict(raw["model"])  # a new kind replaces the default params
+    _check_model(model)
 
     ladder = LadderSection.from_dict(_section(raw, "ladder"))
     seg = SegmentationSection.from_dict(_section(raw, "segmentation"))

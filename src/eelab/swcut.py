@@ -9,9 +9,13 @@ relabels it wholesale from candidate weights
 
     w(c) ~ prod_{e in Cut(V0,c)} (1 - p_e) * exp(log posterior of W with V0 -> c)
 
-which makes the Metropolis-Hastings acceptance ratio exactly 1; the
-ratio is still evaluated and asserted each step. A random-scan
-single-site Gibbs sampler over the same posterior is the baseline.
+which makes the Metropolis-Hastings acceptance ratio exactly 1 by
+construction (the in-loop check of it cannot fail for a consistent
+weight; criterion 7's long run against the enumerated posterior is what
+establishes exactness). A random-scan single-site Gibbs sampler over the
+same posterior is the baseline. Both samplers take their likelihood
+changes from one RegionLikelihood; region_loglik is the independent
+from-scratch recompute they are checked against.
 """
 
 from __future__ import annotations
@@ -290,30 +294,33 @@ def enumerate_posterior(
 # ---------------------------------------------------------------------------
 
 
-def _find(parent: list[int], i: int) -> int:
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
-
-
 def _components(
     n: int, ei: np.ndarray, ej: np.ndarray, on: np.ndarray
 ) -> list[list[int]]:
     """Connected components of the on-edge graph, in first-pixel order."""
+    # union-find with path halving; the larger root always hooks under the
+    # smaller, so parent[i] <= i and each root is its component's minimum
     parent = list(range(n))
-    find = _find
-    ei_on = ei[on].tolist()
-    ej_on = ej[on].tolist()
-    for a, b in zip(ei_on, ej_on):
-        ra = find(parent, a)
-        rb = find(parent, b)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[int, list[int]] = {}
+    for a, b in zip(ei[on].tolist(), ej[on].tolist()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # in increasing i, parent[parent[i]] is already i's root
+    comps: list[list[int]] = []
+    members: dict[int, list[int]] = {}
     for i in range(n):
-        groups.setdefault(find(parent, i), []).append(i)
-    return list(groups.values())
+        root = parent[i] = parent[parent[i]]
+        if root == i:
+            members[i] = [i]
+            comps.append(members[i])
+        else:
+            members[root].append(i)
+    return comps
 
 
 def form_clusters(
@@ -331,6 +338,149 @@ def form_clusters(
         Cluster(np.asarray(members, dtype=np.int64), int(lab[members[0]]))
         for members in _components(len(lab), ei, ej, on)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Region likelihood changes
+# ---------------------------------------------------------------------------
+
+# Reciprocal condition of a region's normal matrix X'X below which its
+# residual sum is refit by lstsq on its pixels: the sum taken from the
+# normal equations loses about eps / rcond of its accuracy.
+_RCOND_MIN = 1e-5
+
+
+class RegionLikelihood:
+    """Region log-likelihood changes of relabeling moves (both samplers).
+
+    fixed_means keeps the per-pixel table
+    lik[i, c] = -(I_i - mean_c)^2 / (2 sigma^2).
+
+    poly_fit keeps each label's sufficient statistics for the
+    least-squares surface fit over its pixels -- the Gram matrix of
+    [X, y], which holds the count, X'X, X'y and y'y for the monomial
+    design X (p <= 6 columns, the first all ones) -- and its residual sum
+    of squares (SSR). A move's candidate statistics cost O(|pixels| p^2)
+    and each candidate SSR one p x p symmetric eigensolve, whatever the
+    image size. The SSR follows _region_ssr: a region with fewer pixels
+    than coefficients is fit by its mean, and one whose normal equations
+    are singular or nearly so (collinear pixels, a zero design column) is
+    refit with lstsq on its pixels, which keeps lstsq's min-norm SSR
+    wherever the rank is in doubt.
+
+    The statistics describe a private copy of the labels last seen. The
+    samplers accept any label array, so one that differs from that copy
+    (changed by anything but commit) triggers a rebuild.
+    """
+
+    def __init__(self, image: Image, n_labels: int, cfg: RegionModelConfig):
+        self.n_labels = n_labels
+        self.sigma = cfg.sigma
+        if cfg.mode == "fixed_means":
+            if len(cfg.means) < n_labels:
+                raise ConfigError(
+                    f"fixed_means needs {n_labels} means, got {len(cfg.means)}"
+                )
+            means = np.asarray(cfg.means[:n_labels])
+            I = image.flat
+            self.lik = -((I[:, None] - means[None, :]) ** 2) / (2.0 * cfg.sigma ** 2)
+            self._lik_rows = [tuple(row) for row in self.lik.tolist()]
+            return
+        self.lik = None
+        design = _poly_design(image.width, image.height, cfg.order)
+        self._z = np.column_stack([design, image.flat])
+        p = design.shape[1]
+        # row k: the moved pixels leave label k + 1 and join every other label
+        self._signs = 1.0 - 2.0 * np.eye(n_labels)
+        self._labels: Optional[np.ndarray] = None
+        self._gram = np.zeros((n_labels, p + 1, p + 1))
+        self._ssr = np.zeros(n_labels)
+        self._pending = None
+
+    def cluster_deltas(self, lab: np.ndarray, v0: list[int], l_cur: int) -> list[float]:
+        """Log-likelihood change of relabeling the pixels v0 (all labeled
+        l_cur) to each label 1..L; the entry of l_cur is 0."""
+        if self.lik is None:
+            return self._poly_deltas(lab, np.asarray(v0), l_cur).tolist()
+        L = self.n_labels
+        if len(v0) <= 32:
+            rows = self._lik_rows
+            lik_sums = [0.0] * L
+            for v in v0:
+                row = rows[v]
+                for c in range(L):
+                    lik_sums[c] += row[c]
+        else:
+            lik_sums = self.lik[v0].sum(axis=0).tolist()
+        base = lik_sums[l_cur - 1]
+        return [s - base for s in lik_sums]
+
+    def site_terms(self, lab: np.ndarray, i: int) -> np.ndarray:
+        """Per-label log-likelihood of pixel i's label, up to a constant
+        shared by all labels."""
+        if self.lik is not None:
+            return self.lik[i]
+        return self._poly_deltas(lab, i, int(lab[i]))
+
+    def commit(self, pixels, l_new: int) -> None:
+        """Record that the pixels of the last delta call now carry l_new."""
+        if self.lik is None and self._pending[0] != l_new - 1:
+            k, gram, ssr = self._pending
+            for c in (k, l_new - 1):
+                self._gram[c] = gram[c]
+                self._ssr[c] = ssr[c]
+            self._labels[pixels] = l_new
+
+    # -- poly_fit ------------------------------------------------------------
+
+    def region_ssrs(self, lab: np.ndarray) -> np.ndarray:
+        """Residual sum of squares of each label's region under lab."""
+        self._sync(lab)
+        return self._ssr.copy()
+
+    def _sync(self, lab: np.ndarray) -> None:
+        if self._labels is not None and np.array_equal(self._labels, lab):
+            return
+        self._labels = np.array(lab, copy=True)
+        for c in range(self.n_labels):
+            z = self._z[self._labels == c + 1]
+            self._gram[c] = z.T @ z
+        self._ssr = self._ssrs(self._gram)
+
+    def _poly_deltas(self, lab: np.ndarray, pixels, l_cur: int) -> np.ndarray:
+        self._sync(lab)
+        z = self._z[pixels]
+        gram = z[:, None] * z if z.ndim == 1 else z.T @ z
+        k = l_cur - 1
+        cand = self._gram + self._signs[k][:, None, None] * gram
+        ssr = self._ssrs(cand, pixels, k)
+        self._pending = (k, cand, ssr)
+        old = self._ssr
+        delta = -((ssr[k] + ssr) - (old[k] + old)) / (2.0 * self.sigma ** 2)
+        delta[k] = 0.0
+        return delta
+
+    def _ssrs(self, gram: np.ndarray, pixels=None, k: int = -1) -> np.ndarray:
+        """SSR of each label's region from its Gram matrix: label c's
+        pixels, plus `pixels` moved there from label k + 1 when given (for
+        c == k, label k + 1 without them)."""
+        p = gram.shape[1] - 1
+        n = gram[:, 0, 0]
+        w, V = np.linalg.eigh(gram[:, :p, :p])
+        proj = (gram[:, None, p, :p] @ V)[:, 0]
+        good = w[:, 0] > _RCOND_MIN * w[:, -1]
+        fit = (proj * proj / np.where(good[:, None], w, 1.0)).sum(axis=1)
+        out = gram[:, p, p] - fit
+        for c in np.nonzero((n < p) | ~good)[0]:
+            if n[c] < p:  # mean fallback, as in _region_ssr
+                out[c] = gram[c, p, p] - gram[c, 0, p] ** 2 / n[c] if n[c] else 0.0
+            else:
+                members = self._labels == c + 1
+                if pixels is not None:
+                    members[pixels] = c != k
+                z = self._z[members]
+                out[c] = _region_ssr(z[:, p], z[:, :p])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -381,43 +531,7 @@ class SwCutSampler:
             incident[b].append((k, a))
         self.incident = [tuple(v) for v in incident]
         self._in_v0 = [False] * self.n
-
-        if region_cfg.mode == "fixed_means":
-            if len(region_cfg.means) < n_labels:
-                raise ConfigError(
-                    f"fixed_means needs {n_labels} means, got {len(region_cfg.means)}"
-                )
-            means = np.asarray(region_cfg.means[:n_labels])
-            I = image.flat
-            self.lik = -((I[:, None] - means[None, :]) ** 2) / (
-                2.0 * region_cfg.sigma ** 2
-            )
-            self._lik_rows = [tuple(row) for row in self.lik.tolist()]
-        else:
-            self.lik = None
-            self._lik_rows = None
-            self._design = _poly_design(image.width, image.height, region_cfg.order)
-
-    # -- likelihood deltas ---------------------------------------------------
-
-    def _poly_delta(self, lab: np.ndarray, v0: list[int], l_cur: int,
-                    c: int) -> float:
-        """Likelihood change of relabeling v0 from l_cur to c (poly_fit)."""
-        if c == l_cur:
-            return 0.0
-        I = self.image.flat
-        v0_arr = np.asarray(v0)
-        idx_cur = np.nonzero(lab == l_cur)[0]
-        idx_new = np.nonzero(lab == c)[0]
-        idx_cur_after = np.setdiff1d(idx_cur, v0_arr, assume_unique=True)
-        idx_new_after = np.concatenate([idx_new, v0_arr])
-        before = _region_ssr(I[idx_cur], self._design[idx_cur]) + _region_ssr(
-            I[idx_new], self._design[idx_new]
-        )
-        after = _region_ssr(I[idx_cur_after], self._design[idx_cur_after]) + _region_ssr(
-            I[idx_new_after], self._design[idx_new_after]
-        )
-        return -(after - before) / (2.0 * self.cfg.sigma ** 2)
+        self.likelihood = RegionLikelihood(image, n_labels, region_cfg)
 
     # -- one cluster move ----------------------------------------------------
 
@@ -458,21 +572,7 @@ class SwCutSampler:
             in_v0[v] = False
 
         # candidate log weights: cut product * posterior, relative to current
-        if self.lik is not None:
-            if len(v0) <= 32:
-                rows = self._lik_rows
-                lik_sums = [0.0] * L
-                for v in v0:
-                    row = rows[v]
-                    for c in range(L):
-                        lik_sums[c] += row[c]
-            else:
-                lik_sums = self.lik[v0].sum(axis=0).tolist()
-            base = lik_sums[l_cur - 1]
-            dliks = [s - base for s in lik_sums]
-        else:
-            dliks = [self._poly_delta(lab, v0, l_cur, c) for c in range(1, L + 1)]
-
+        dliks = self.likelihood.cluster_deltas(lab, v0, l_cur)
         beta = self.beta
         cc_cur = cut_count[l_cur]
         logw = [
@@ -507,6 +607,7 @@ class SwCutSampler:
 
         if l_new != l_cur:
             lab[np.asarray(v0)] = l_new
+            self.likelihood.commit(v0, l_new)
         return float(dpost)
 
 
@@ -533,35 +634,13 @@ class GibbsSiteSampler:
             nbrs[a].append(int(b))
             nbrs[b].append(int(a))
         self.nbrs = [tuple(v) for v in nbrs]
-        if region_cfg.mode == "fixed_means":
-            if len(region_cfg.means) < n_labels:
-                raise ConfigError(
-                    f"fixed_means needs {n_labels} means, got {len(region_cfg.means)}"
-                )
-            means = np.asarray(region_cfg.means[:n_labels])
-            I = image.flat
-            self.lik = -((I[:, None] - means[None, :]) ** 2) / (
-                2.0 * region_cfg.sigma ** 2
-            )
-        else:
-            self.lik = None
-            self._design = _poly_design(image.width, image.height, region_cfg.order)
+        self.likelihood = RegionLikelihood(image, n_labels, region_cfg)
 
     def _site_logweights(self, lab: np.ndarray, i: int) -> np.ndarray:
-        L = self.n_labels
-        logw = np.zeros(L)
+        logw = np.zeros(self.n_labels)
         for nb in self.nbrs[i]:
             logw[lab[nb] - 1] += self.beta
-        if self.lik is not None:
-            logw += self.lik[i]
-        else:
-            l_cur = int(lab[i])
-            for c in range(1, L + 1):
-                if c != l_cur:
-                    logw[c - 1] += _poly_move_delta(
-                        self.image.flat, self._design, self.cfg.sigma, lab, i,
-                        l_cur, c,
-                    )
+        logw += self.likelihood.site_terms(lab, i)
         return logw
 
     def step(self, labels: np.ndarray, rng: RandomStream) -> float:
@@ -581,22 +660,8 @@ class GibbsSiteSampler:
                 break
         l_cur = int(lab[i])
         lab[i] = l_new
+        self.likelihood.commit(i, l_new)
         return float(logw[l_new - 1] - logw[l_cur - 1])
-
-
-def _poly_move_delta(I, design, sigma, lab, i, l_cur, c) -> float:
-    """Likelihood change of moving one pixel between regions (poly_fit)."""
-    idx_cur = np.nonzero(lab == l_cur)[0]
-    idx_new = np.nonzero(lab == c)[0]
-    idx_cur_after = idx_cur[idx_cur != i]
-    idx_new_after = np.concatenate([idx_new, [i]])
-    before = _region_ssr(I[idx_cur], design[idx_cur]) + _region_ssr(
-        I[idx_new], design[idx_new]
-    )
-    after = _region_ssr(I[idx_cur_after], design[idx_cur_after]) + _region_ssr(
-        I[idx_new_after], design[idx_new_after]
-    )
-    return -(after - before) / (2.0 * sigma ** 2)
 
 
 def swcut_step(

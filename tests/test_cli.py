@@ -100,6 +100,12 @@ MALFORMED = [
     ({}, ["--seed", "-5"], "seed"),
     ({"ladder": {"n_levels": 3, "temperatures": [1.0, 4.0]}}, [], "ladder.n_levels"),
     ({"ladder": {"ring_boundaries": [2.0, 1.0]}}, [], "ladder.ring_boundaries"),
+    ({"model": {"points": "x"}}, [], "model.points"),
+    ({"model": {"depth": None}}, [], "model.depth"),
+    ({"model": {"bounds": []}}, [], "model.bounds"),
+    ({"model": {"bounds": {}}}, [], "model.bounds"),
+    ({"model": {"kind": ["table"]}}, [], "model.kind"),
+    ({"model": {"kind": "table", "weights": "x"}}, [], "model.weights"),
 ]
 
 

@@ -11,6 +11,7 @@ from eelab.swcut import (
     GibbsSiteSampler,
     Image,
     Labeling,
+    RegionLikelihood,
     RegionModelConfig,
     SwCutSampler,
     _poly_design,
@@ -329,6 +330,188 @@ class TestGibbsSite:
         W = initial_labeling(img, 2, "threshold", RandomStream.from_seed(0))
         out = gibbs_site_step(img, W, 0.3, cfg, RandomStream.from_seed(2))
         assert out.labels.shape == W.labels.shape
+
+
+def reference_ssr(image, idx, order):
+    """lstsq residual sum of squares of a polynomial surface over the pixels
+    idx (mean fit below one pixel per coefficient), built from scratch."""
+    idx = np.asarray(idx, dtype=np.int64)
+    v = image.flat[idx]
+    rows, cols = np.divmod(idx, image.width)
+    x = 2.0 * cols / (image.width - 1) - 1.0 if image.width > 1 else 0.0 * cols
+    y = 2.0 * rows / (image.height - 1) - 1.0 if image.height > 1 else 0.0 * rows
+    X = np.column_stack([x ** a * y ** (t - a)
+                         for t in range(order + 1) for a in range(t + 1)])
+    if len(v) < X.shape[1]:
+        return float(((v - v.mean()) ** 2).sum()) if len(v) else 0.0
+    coef, *_ = np.linalg.lstsq(X, v, rcond=None)
+    return float(((v - X @ coef) ** 2).sum())
+
+
+def assert_ssrs_match(rl, image, lab, order):
+    got = rl.region_ssrs(lab)
+    for c in range(rl.n_labels):
+        ref = reference_ssr(image, np.nonzero(lab == c + 1)[0], order)
+        assert abs(got[c] - ref) <= 1e-9 * max(1.0, ref), (c, got[c], ref)
+
+
+def poly_cfg(order):
+    return RegionModelConfig(mode="poly_fit", sigma=0.1, order=order)
+
+
+class TestRegionLikelihood:
+    @pytest.mark.parametrize("size", [3, 32, 64])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_random_subsets_match_lstsq(self, size, order):
+        gen = np.random.default_rng(size * 10 + order)
+        image = Image(size, size, gen.random((size, size)))
+        rl = RegionLikelihood(image, 2, poly_cfg(order))
+        n = size * size
+        for _ in range(20):
+            lab = np.full(n, 2, dtype=np.int64)
+            lab[gen.choice(n, gen.integers(0, n + 1), replace=False)] = 1
+            assert_ssrs_match(rl, image, lab, order)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_degenerate_regions_match_lstsq(self, order):
+        """Single rows and columns, two rows, and regions with fewer pixels
+        than coefficients (the mean fallback)."""
+        gen = np.random.default_rng(order)
+        image = Image(7, 6, gen.random((6, 7)))
+        rl = RegionLikelihood(image, 3, poly_cfg(order))
+        grids = []
+        for r in (0, 2, 5):
+            g = np.full((6, 7), 3)
+            g[r, :] = 1
+            g[:, r] = 2
+            grids.append(g)
+        g = np.full((6, 7), 3)
+        g[1:3, :] = 1  # two rows: collinear under y^2
+        g[4, 2:4] = 2  # two pixels, fewer than the coefficients
+        grids.append(g)
+        g = np.full((6, 7), 3)
+        g[0, 0] = 1
+        grids.append(g)  # one pixel, and an empty label 2
+        for g in grids:
+            assert_ssrs_match(rl, image, g.reshape(-1), order)
+
+    def test_small_blocks_match_lstsq(self):
+        """Compact blocks of up to 6x6 pixels at 64x64, order 2: normal
+        equations from one to six rows, collinear to ill-conditioned."""
+        gen = np.random.default_rng(64)
+        image = Image(64, 64, gen.random((64, 64)))
+        rl = RegionLikelihood(image, 2, poly_cfg(2))
+        for h in range(1, 7):
+            for w in range(1, 7):
+                for r0, c0 in [(0, 0), (0, 64 - w), (64 - h, 64 - w), (32, 32)]:
+                    g = np.full((64, 64), 2)
+                    g[r0:r0 + h, c0:c0 + w] = 1
+                    assert_ssrs_match(rl, image, g.reshape(-1), 2)
+
+    @pytest.mark.parametrize("width,height", [(9, 1), (1, 9)])
+    def test_strip_matches_lstsq(self, width, height):
+        gen = np.random.default_rng(width)
+        image = Image(width, height, gen.random((height, width)))
+        for order in (0, 1, 2):
+            rl = RegionLikelihood(image, 2, poly_cfg(order))
+            for _ in range(10):
+                lab = gen.integers(1, 3, size=9)
+                assert_ssrs_match(rl, image, lab, order)
+
+    def test_committed_moves_keep_statistics_exact(self):
+        """Statistics updated move by move equal a from-scratch fit."""
+        img, _ = make_two_region_image(16, 16, noise_sd=0.05, seed=2)
+        rl = RegionLikelihood(img, 3, poly_cfg(2))
+        gen = np.random.default_rng(3)
+        lab = gen.integers(1, 4, size=256)
+        for _ in range(200):
+            i = int(gen.integers(256))
+            rl.site_terms(lab, i)
+            lab[i] = 1 + (lab[i] % 3)
+            rl.commit(i, int(lab[i]))
+        assert_ssrs_match(rl, img, lab, 2)
+
+
+def logpost_of(image, lab, n_labels, beta, cfg):
+    W = Labeling(lab.reshape(image.height, image.width), n_labels)
+    return posterior_logdensity(image, W, beta, cfg)
+
+
+def assert_delta_matches(delta, before, after):
+    assert abs(delta - (after - before)) <= 1e-9 * max(1.0, abs(before)), (
+        delta, after - before)
+
+
+def both_samplers(image, n_labels, beta, cfg):
+    aff = edge_affinity(image, p_max=0.8, p_min=0.1, scale=0.3)
+    return (SwCutSampler(image, n_labels, beta, cfg, aff),
+            GibbsSiteSampler(image, n_labels, beta, cfg))
+
+
+class TestPolyFitSamplers:
+    @pytest.mark.parametrize("width,height,order,n_labels", [
+        (8, 8, 0, 3), (8, 8, 1, 2), (9, 7, 2, 3), (6, 1, 1, 2), (1, 6, 2, 2),
+        (2, 2, 2, 2),
+    ])
+    def test_every_delta_matches_recomputed_posterior(self, width, height,
+                                                      order, n_labels):
+        gen = np.random.default_rng(width * height + order)
+        image = Image(width, height, gen.random((height, width)))
+        cfg = poly_cfg(order)
+        for sampler in both_samplers(image, n_labels, 0.4, cfg):
+            rng = RandomStream.from_seed(order + 1)
+            lab = initial_labeling(image, n_labels, "random", rng).flat.copy()
+            before = logpost_of(image, lab, n_labels, 0.4, cfg)
+            for _ in range(150):
+                delta = sampler.step(lab, rng)
+                after = logpost_of(image, lab, n_labels, 0.4, cfg)
+                assert_delta_matches(delta, before, after)
+                before = after
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["swcut", "gibbs"])
+    def test_long_run_matches_oracle_2x2(self, which):
+        img = Image(2, 2, np.array([[0.2, 0.8], [0.3, 0.7]]))
+        beta = 0.4
+        cfg = RegionModelConfig(mode="poly_fit", sigma=0.3, order=1)
+        post = enumerate_posterior(img, 2, beta, cfg)
+        sam = both_samplers(img, 2, beta, cfg)[which]
+        rng = RandomStream.from_seed(31 + which)
+        lab = np.ones(4, dtype=np.int64)
+        counts = np.zeros(16)
+        powers = np.array([1, 2, 4, 8])
+        for _ in range(60_000):
+            sam.step(lab, rng)
+            counts[int((lab - 1) @ powers)] += 1
+        assert tv_distance(counts / counts.sum(), post.probs) < 0.05
+
+    @pytest.mark.parametrize("sampler", ["swcut", "gibbs"])
+    def test_delta_sum_does_not_drift(self, sampler):
+        img, _ = make_two_region_image(32, 32, noise_sd=0.05, seed=4)
+        cfg = poly_cfg(2)
+        final, trace = segment(img, n_labels=2, beta=0.4, region_cfg=cfg,
+                               sampler=sampler, sweeps=10, init="random", seed=6)
+        expect = posterior_logdensity(img, final, 0.4, cfg)
+        assert abs(trace.logposts[-1] - expect) <= 1e-9 * max(1.0, abs(expect))
+
+
+@pytest.mark.parametrize("mode", ["fixed_means", "poly_fit"])
+def test_label_changes_between_steps_are_picked_up(mode):
+    """Labels reassigned by the caller, in place or as a new array, are
+    seen by the next step's delta."""
+    img, _ = make_two_region_image(6, 6, noise_sd=0.1, seed=5)
+    cfg = RegionModelConfig(mode=mode, sigma=0.1, means=(0.25, 0.75), order=1)
+    for sampler in both_samplers(img, 2, 0.4, cfg):
+        rng = RandomStream.from_seed(9)
+        lab = initial_labeling(img, 2, "random", rng).flat.copy()
+        for k in range(40):
+            sampler.step(lab, rng)
+            if k % 2:
+                lab[k % 36] = 3 - lab[k % 36]
+            else:
+                lab = initial_labeling(img, 2, "random", rng).flat.copy()
+            before = logpost_of(img, lab, 2, 0.4, cfg)
+            delta = sampler.step(lab, rng)
+            assert_delta_matches(delta, before, logpost_of(img, lab, 2, 0.4, cfg))
 
 
 class TestSegment:
