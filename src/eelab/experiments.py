@@ -152,6 +152,18 @@ def _first_passage(states, target):
     return -1
 
 
+def _warmup_step(ladder) -> int:
+    """The first level-0 step at which the level-1 ledger holds a record.
+
+    On the parallel schedule level 1 records from its step burn_in on,
+    just before level 0 takes the same step; on the serial one level 1
+    has run to completion before level 0 starts (its ledger stays empty
+    only if steps_per_level <= burn_in). Before this step every jump
+    falls back to a local move.
+    """
+    return ladder.burn_in if ladder.schedule == "parallel" else 0
+
+
 def _ladder_runs(config, model, variations, out: Path):
     """Run the ladder over (label, overrides) variations x replicates and
     write TV curves, first-passage steps, and a summary."""
@@ -164,29 +176,37 @@ def _ladder_runs(config, model, variations, out: Path):
         if config.ladder.init_state is None:
             overrides["init_state"] = init
         ladder = config.ladder.build(**overrides)
-        final_tvs, passages, fallback_shares = [], [], []
+        warm = _warmup_step(ladder)
+        final_tvs, passages, warm_passages, fallback_shares = [], [], [], []
         for k in range(config.replicates):
             seed = config.seed + k
             ts = run_ladder(model, ladder, seed)
             curve = _tv_curve(ts, 0, model.size, pi, config.tv_checkpoints)
             curve_rows.extend((label, seed, s, tv) for s, tv in curve)
-            fp = _first_passage(ts.levels[0].states.tolist(), target)
-            passage_rows.append((label, seed, fp))
+            states = ts.levels[0].states.tolist()
+            fp = _first_passage(states, target)
+            fp_warm = _first_passage(states[warm:], target)
+            passage_rows.append((label, seed, fp, fp_warm))
             final_tvs.append(curve[-1][1])
             moves = ts.levels[0].move_types
             fallback_shares.append(float((moves == 2).mean()))
             if fp >= 0:
                 passages.append(fp)
+            if fp_warm >= 0:
+                warm_passages.append(fp_warm)
         summary[label] = {
             "median_final_tv": float(np.median(final_tvs)),
             "median_first_passage": (float(np.median(passages)) if passages
                                      else None),
+            "median_first_passage_after_warmup": (
+                float(np.median(warm_passages)) if warm_passages else None),
             "reached_second_mode": len(passages),
             "mean_fallback_share": float(np.mean(fallback_shares)),
         }
     write_csv(out / "tv_curves.csv", ["variant", "seed", "step", "tv"], curve_rows)
     write_csv(out / "first_passage.csv",
-              ["variant", "seed", "first_passage_step"], passage_rows)
+              ["variant", "seed", "first_passage_step",
+               "first_passage_after_warmup_step"], passage_rows)
     write_json(out / "summary.json", summary)
 
 

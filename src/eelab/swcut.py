@@ -131,6 +131,26 @@ def lattice_edges(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
     return ei, ej
 
 
+def _incidence(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each pixel's neighbours and the lattice_edges indices joining them.
+
+    Row i of both (n, 4) arrays lists i's left, right, upper and lower
+    neighbour, which is the increasing order of their edge indices; a
+    missing neighbour (at the image border) is -1 in both arrays.
+    """
+    idx = np.arange(width * height).reshape(height, width)
+    n_h = height * (width - 1)
+    h_edge = np.arange(n_h).reshape(height, width - 1)
+    v_edge = n_h + np.arange((height - 1) * width).reshape(height - 1, width)
+    nbr = np.full((height, width, 4), -1, dtype=np.int64)
+    eid = np.full((height, width, 4), -1, dtype=np.int64)
+    nbr[:, 1:, 0], eid[:, 1:, 0] = idx[:, :-1], h_edge
+    nbr[:, :-1, 1], eid[:, :-1, 1] = idx[:, 1:], h_edge
+    nbr[1:, :, 2], eid[1:, :, 2] = idx[:-1, :], v_edge
+    nbr[:-1, :, 3], eid[:-1, :, 3] = idx[1:, :], v_edge
+    return nbr.reshape(-1, 4), eid.reshape(-1, 4)
+
+
 @dataclass(frozen=True)
 class EdgeAffinityMap:
     """Per-lattice-edge bond probabilities p_e, strictly inside (0, 1)."""
@@ -323,6 +343,36 @@ def _components(
     return comps
 
 
+def _component_roots(width: int, height: int, on: np.ndarray) -> np.ndarray:
+    """Each pixel's component root -- the smallest pixel of its component
+    -- under the on-bonds (a mask over lattice_edges), in O(log n) array
+    passes (Shiloach & Vishkin's hook-and-shortcut scheme)."""
+    n = width * height
+    n_h = height * (width - 1)
+    # horizontal bonds join row runs; each pixel's root is its run's start
+    start = np.ones((height, width), dtype=bool)
+    start[:, 1:] = ~on[:n_h].reshape(height, width - 1)
+    root = np.maximum.accumulate(np.where(start.reshape(-1), np.arange(n), 0))
+    # vertical bond n_h + a joins pixel a to the pixel below it
+    a = np.flatnonzero(on[n_h:])
+    b = a + width
+    while True:
+        ra, rb = root[a], root[b]
+        cross = ra != rb
+        if not cross.any():
+            return root
+        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
+        # hook the larger root of each crossing bond under the smallest
+        # root it meets, then jump pointers until every pixel points at a
+        # root; parent <= pixel throughout, so each root is its minimum
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            root = up
+
+
 def form_clusters(
     W: Labeling, aff: EdgeAffinityMap, rng: RandomStream
 ) -> list[Cluster]:
@@ -488,12 +538,26 @@ class RegionLikelihood:
 # ---------------------------------------------------------------------------
 
 
+# Lattices of at most this many pixels form clusters with the scalar
+# union-find: below it, numpy's per-call overhead costs more than the
+# array passes save (16x16 was the break-even point when timed).
+_SCALAR_MAX_PIXELS = 256
+
+
 class SwCutSampler:
     """Reusable Swendsen-Wang cut stepper with precomputed tables.
 
     cluster_pick is "uniform" (uniform over the cluster list) or "pixel"
     (the cluster containing a uniformly chosen pixel); both leave the
     stationary law unchanged.
+
+    A move draws a bond for every same-label lattice edge and groups the
+    whole field, because the uniform pick needs the number of clusters.
+    Above _SCALAR_MAX_PIXELS pixels the grouping is _component_roots'
+    array passes and the cut sums of a cluster of more than 32 pixels
+    one bincount; smaller lattices keep the scalar union-find and loops.
+    Both paths give the same cluster, member order and float sums, so
+    every draw and result is identical.
     """
 
     def __init__(
@@ -524,13 +588,13 @@ class SwCutSampler:
         self.log1mp = aff.log1mp
         self._log1mp_list = self.log1mp.tolist()
         # edges incident to each pixel, with the opposite endpoint
-        incident: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for k in range(len(self.ei)):
-            a, b = int(self.ei[k]), int(self.ej[k])
-            incident[a].append((k, b))
-            incident[b].append((k, a))
-        self.incident = [tuple(v) for v in incident]
+        self._nbr, self._eid = _incidence(image.width, image.height)
+        self.incident = [
+            tuple((k, b) for k, b in zip(ks, bs) if k >= 0)
+            for ks, bs in zip(self._eid.tolist(), self._nbr.tolist())
+        ]
         self._in_v0 = [False] * self.n
+        self._vector = self.n > _SCALAR_MAX_PIXELS
         self.likelihood = RegionLikelihood(image, n_labels, region_cfg)
 
     # -- one cluster move ----------------------------------------------------
@@ -544,32 +608,19 @@ class SwCutSampler:
         lab = labels
         same = lab[self.ei] == lab[self.ej]
         on = same & (rng.uniforms(len(self.ei)) < self.p)
-        comps = _components(self.n, self.ei, self.ej, on)
-
-        if self.cluster_pick == "uniform":
-            v0 = comps[rng.randint(len(comps))]
+        if self._vector:
+            v0, cut_log, cut_count = self._pick_vector(lab, on, rng)
         else:
-            pix = rng.randint(self.n)
-            v0 = next(c for c in comps if pix in c)
+            comps = _components(self.n, self.ei, self.ej, on)
+            if self.cluster_pick == "uniform":
+                v0 = comps[rng.randint(len(comps))]
+            else:
+                pix = rng.randint(self.n)
+                v0 = next(c for c in comps if pix in c)
+            cut_log, cut_count = self._cut_sums(lab, v0)
 
         l_cur = int(lab[v0[0]])
         L = self.n_labels
-
-        in_v0 = self._in_v0
-        for v in v0:
-            in_v0[v] = True
-        cut_log = [0.0] * (L + 1)
-        cut_count = [0] * (L + 1)
-        lab_list = lab.tolist()
-        log1mp = self._log1mp_list
-        for v in v0:
-            for k, other in self.incident[v]:
-                if not in_v0[other]:
-                    c = lab_list[other]
-                    cut_log[c] += log1mp[k]
-                    cut_count[c] += 1
-        for v in v0:
-            in_v0[v] = False
 
         # candidate log weights: cut product * posterior, relative to current
         dliks = self.likelihood.cluster_deltas(lab, v0, l_cur)
@@ -610,6 +661,48 @@ class SwCutSampler:
             self.likelihood.commit(v0, l_new)
         return float(dpost)
 
+    def _pick_vector(self, lab: np.ndarray, on: np.ndarray, rng: RandomStream):
+        """The picked cluster and its cut sums, from component roots."""
+        root = _component_roots(self.image.width, self.image.height, on)
+        if self.cluster_pick == "uniform":
+            roots = np.flatnonzero(root == np.arange(self.n))
+            in_v0 = root == roots[rng.randint(len(roots))]
+        else:
+            in_v0 = root == root[rng.randint(self.n)]
+        v0 = np.flatnonzero(in_v0)
+        if len(v0) <= 32:
+            v0 = v0.tolist()
+            return (v0, *self._cut_sums(lab, v0))
+        # the loop's edge order (v0 ascending, then incidence order), so
+        # bincount adds the same floats in the same sequence
+        nbr, eid = self._nbr[v0], self._eid[v0]
+        cut = (eid >= 0) & ~in_v0[nbr]
+        c = lab[nbr[cut]]
+        L1 = self.n_labels + 1
+        cut_log = np.bincount(c, weights=self.log1mp[eid[cut]], minlength=L1)
+        return v0, cut_log.tolist(), np.bincount(c, minlength=L1).tolist()
+
+    def _cut_sums(self, lab: np.ndarray, v0: list[int]):
+        """Per label c, the summed log(1 - p_e) and the count of the edges
+        joining the cluster v0 to pixels labeled c outside it."""
+        L = self.n_labels
+        in_v0 = self._in_v0
+        for v in v0:
+            in_v0[v] = True
+        cut_log = [0.0] * (L + 1)
+        cut_count = [0] * (L + 1)
+        lab_list = lab.tolist()
+        log1mp = self._log1mp_list
+        for v in v0:
+            for k, other in self.incident[v]:
+                if not in_v0[other]:
+                    c = lab_list[other]
+                    cut_log[c] += log1mp[k]
+                    cut_count[c] += 1
+        for v in v0:
+            in_v0[v] = False
+        return cut_log, cut_count
+
 
 class GibbsSiteSampler:
     """Random-scan single-site Gibbs over the same posterior."""
@@ -628,12 +721,8 @@ class GibbsSiteSampler:
         self.beta = beta
         self.cfg = region_cfg
         self.n = image.n_pixels
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        ei, ej = lattice_edges(image.width, image.height)
-        for a, b in zip(ei, ej):
-            nbrs[a].append(int(b))
-            nbrs[b].append(int(a))
-        self.nbrs = [tuple(v) for v in nbrs]
+        nbr, _ = _incidence(image.width, image.height)
+        self.nbrs = [tuple(b for b in row if b >= 0) for row in nbr.tolist()]
         self.likelihood = RegionLikelihood(image, n_labels, region_cfg)
 
     def _site_logweights(self, lab: np.ndarray, i: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from eelab.eeladder import (
     run_ladder,
 )
 from eelab.errors import ConfigError
+from eelab.experiments import _warmup_step
 from eelab.kernels import (
     RandomWalkKernel,
     reversibility_gap,
@@ -240,6 +241,19 @@ class TestRuns:
         ts = run_ladder(model, cfg, seed=3)
         for led in ts.ledgers:
             assert led.total == 400 - 150
+
+    @pytest.mark.parametrize("schedule", ["parallel", "serial"])
+    def test_warmup_step_is_the_first_jump_with_a_ledger(self, schedule):
+        """Every level-0 jump before the warm-up step finds the level-1
+        ledger empty; the one at the warm-up step finds a record."""
+        cfg = small_config(schedule=schedule, p_jump=1.0,
+                           jump_mode="unrestricted", burn_in=120,
+                           macro_steps=300, steps_per_level=300)
+        moves = run_ladder(two_mode_model(), cfg, seed=3).levels[0].move_types
+        warm = _warmup_step(cfg)
+        assert warm == (120 if schedule == "parallel" else 0)
+        assert np.all(moves[:warm] == MOVE_JUMP_FALLBACK)
+        assert moves[warm] == MOVE_JUMP
 
     def test_serial_ledger_matches_own_trace(self):
         """In a serial run the upper ledger is written only by its own level

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eelab.errors import CapabilityError, ConfigError
+from eelab import swcut
 from eelab.rng import RandomStream
 from eelab.spectral import tv_distance
 from eelab.swcut import (
@@ -14,6 +15,9 @@ from eelab.swcut import (
     RegionLikelihood,
     RegionModelConfig,
     SwCutSampler,
+    _component_roots,
+    _components,
+    _incidence,
     _poly_design,
     agreement,
     edge_affinity,
@@ -215,6 +219,88 @@ class TestFormClusters:
         for _ in range(20):
             for c in form_clusters(lab, aff, rng):
                 assert np.all(lab.flat[c.pixels] == c.label)
+
+
+COMPONENT_SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (3, 3), (15, 17), (16, 16),
+                    (17, 16), (32, 32), (64, 64)]
+
+
+class TestComponentRoots:
+    @pytest.mark.parametrize("p_on", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("width,height", COMPONENT_SHAPES)
+    def test_matches_union_find(self, width, height, p_on):
+        ei, ej = lattice_edges(width, height)
+        n = width * height
+        gen = np.random.default_rng(width * 100 + height)
+        for _ in range(5):
+            on = gen.random(len(ei)) < p_on
+            comps = _components(n, ei, ej, on)
+            root = _component_roots(width, height, on)
+            roots = np.flatnonzero(root == np.arange(n))
+            assert len(roots) == len(comps)
+            for r, members in zip(roots, comps):
+                assert np.flatnonzero(root == r).tolist() == members
+
+    @pytest.mark.parametrize("width,height", COMPONENT_SHAPES)
+    def test_incidence_lists_edges_in_edge_order(self, width, height):
+        ei, ej = lattice_edges(width, height)
+        expect = [[] for _ in range(width * height)]
+        for k, (a, b) in enumerate(zip(ei.tolist(), ej.tolist())):
+            expect[a].append((k, b))
+            expect[b].append((k, a))
+        nbr, eid = _incidence(width, height)
+        got = [[(k, b) for k, b in zip(ks, bs) if k >= 0]
+               for ks, bs in zip(eid.tolist(), nbr.tolist())]
+        assert got == expect
+        assert ((nbr < 0) == (eid < 0)).all()
+
+
+@pytest.mark.parametrize("mode", ["fixed_means", "poly_fit"])
+@pytest.mark.parametrize("pick", ["uniform", "pixel"])
+def test_vector_and_scalar_paths_take_identical_steps(monkeypatch, mode, pick):
+    """A 20x20 image run on either side of the scalar/vector crossover
+    gives the same labels and deltas, bit for bit, at every step."""
+    img, _ = make_two_region_image(20, 20, noise_sd=0.1, seed=7)
+    aff = edge_affinity(img, p_max=0.95, p_min=0.05, scale=0.3)
+    # a flat likelihood and weak prior, so large clusters change label
+    cfg = RegionModelConfig(mode=mode, sigma=1.0, means=(0.25, 0.75), order=1)
+    runs = []
+    for limit in (10 ** 9, 0):
+        monkeypatch.setattr(swcut, "_SCALAR_MAX_PIXELS", limit)
+        sampler = SwCutSampler(img, 2, 0.1, cfg, aff, pick)
+        assert sampler._vector == (limit == 0)
+        steps = []
+        for init in ("threshold", "random"):
+            rng = RandomStream.from_seed(3)
+            lab = initial_labeling(img, 2, init, rng).flat.copy()
+            for _ in range(150):
+                delta = sampler.step(lab, rng)
+                steps.append((lab.tobytes(), delta))
+        runs.append(steps)
+    assert runs[0] == runs[1]
+
+
+def test_vector_cut_sums_equal_the_loop():
+    """The bincount cut sums of large clusters add the loop's floats in
+    the loop's order."""
+    img, truth = make_two_region_image(20, 20, noise_sd=0.1, seed=8,
+                                       layout="disk")
+    aff = edge_affinity(img, p_max=0.95, p_min=0.05, scale=0.3)
+    cfg = RegionModelConfig(mode="fixed_means", sigma=0.1, means=(0.2, 0.5, 0.8))
+    sampler = SwCutSampler(img, 3, 0.4, cfg, aff, "pixel")
+    assert sampler._vector
+    gen = np.random.default_rng(2)
+    rng = RandomStream.from_seed(4)
+    large = 0
+    for _ in range(40):
+        lab = truth.flat.copy()
+        flip = gen.random(lab.size) < 0.1
+        lab[flip] = gen.integers(1, 4, flip.sum())
+        on = (lab[sampler.ei] == lab[sampler.ej]) & (gen.random(len(sampler.ei)) < 0.9)
+        v0, cut_log, cut_count = sampler._pick_vector(lab, on, rng)
+        large += len(v0) > 32
+        assert (cut_log, cut_count) == sampler._cut_sums(lab, list(v0))
+    assert large >= 10
 
 
 class TestSwCutStep:
