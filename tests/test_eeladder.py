@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from eelab.statespace import (
     builtin_model,
     enumerate_distribution,
     geometric_ladder,
+    level_logdensities,
 )
 
 LEVEL0 = LadderLevel(0, 1.0, -math.inf)
@@ -280,6 +282,112 @@ class TestRuns:
             LadderConfig(levels=levels, jump_mode="sideways")
         with pytest.raises(ConfigError):
             LadderConfig(levels=levels, burn_in=-1)
+
+
+def interleaved_run(model, cfg, seed):
+    """Reference: the ladder loop that takes the schedule's (level, step)
+    pairs one at a time (every level advances once per macro step on the
+    parallel schedule), with plain-list ledgers and the local MH move
+    written out. Returns per-level (states, moves, accepted) lists and
+    each level's (rings, flat records)."""
+    K = cfg.n_levels
+    logd = [level_logdensities(model, lv).tolist() for lv in cfg.levels]
+    bounds = cfg.boundaries()
+    ring_of = [bisect_right(bounds, float(e)) for e in model.energies()]
+    rings = [[[] for _ in range(len(bounds) + 1)] for _ in range(K)]
+    flat = [[] for _ in range(K)]
+    rngs = RandomStream.from_seed(seed).spawn(K)
+    states = [cfg.init_state if cfg.init_state is not None
+              else rng.randint(model.size) for rng in rngs]
+    top_down = range(K - 1, -1, -1)
+    if cfg.schedule == "serial":
+        order = [(i, t) for i in top_down for t in range(cfg.steps_per_level)]
+    else:
+        order = [(i, t) for t in range(cfg.macro_steps) for i in top_down]
+
+    def local(i, x, rng):
+        nbrs = model.neighbors(x)
+        y = nbrs[rng.randint(len(nbrs))]
+        if y is None:
+            return x, False
+        dl = logd[i][y] - logd[i][x]
+        if dl >= 0.0 or rng.uniform() < math.exp(dl):
+            return y, True
+        return x, False
+
+    columns = [([], [], []) for _ in range(K)]
+    for i, t in order:
+        rng, x = rngs[i], states[i]
+        if i < K - 1 and cfg.p_jump > 0.0 and rng.uniform() < cfg.p_jump:
+            pool = (rings[i + 1][ring_of[x]] if cfg.jump_mode == "restricted"
+                    else flat[i + 1])
+            if pool:
+                y = pool[rng.randint(len(pool))]
+                logr = (logd[i][y] + logd[i + 1][x]) - (logd[i][x] + logd[i + 1][y])
+                move, acc = MOVE_JUMP, logr >= 0.0 or rng.uniform() < math.exp(logr)
+                x = y if acc else x
+            else:
+                move = MOVE_JUMP_FALLBACK
+                x, acc = local(i, x, rng)
+        else:
+            move = MOVE_LOCAL
+            x, acc = local(i, x, rng)
+        states[i] = x
+        if t >= cfg.burn_in and (cfg.max_records is None
+                                 or len(flat[i]) < cfg.max_records):
+            rings[i][ring_of[x]].append(x)
+            flat[i].append(x)
+        for column, value in zip(columns[i], (x, move, acc)):
+            column.append(value)
+    return columns, list(zip(rings, flat))
+
+
+STEPS = 200
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 3])
+@pytest.mark.parametrize("jump_mode", ["restricted", "unrestricted"])
+@pytest.mark.parametrize("schedule", ["parallel", "serial"])
+def test_run_matches_interleaved_reference(schedule, jump_mode, n_levels):
+    """Every trace column and every ledger equals the step-by-step
+    reference, whatever the cap, burn-in and jump probability."""
+    model = two_mode_model()
+    levels = geometric_ladder(n_levels, ratio=4.0, h_min=0.5, dh=0.5)
+    seed = 0
+    for max_records in (None, 0, 1, 300):
+        for burn_in in (0, 60, STEPS + 40):
+            for p_jump in (0.0, 0.2, 1.0):
+                seed += 1
+                cfg = LadderConfig(levels=levels, burn_in=burn_in, p_jump=p_jump,
+                                   jump_mode=jump_mode, schedule=schedule,
+                                   macro_steps=STEPS, steps_per_level=STEPS,
+                                   max_records=max_records)
+                case = (max_records, burn_in, p_jump)
+                columns, ledgers = interleaved_run(model, cfg, seed)
+                ts = run_ladder(model, cfg, seed)
+                for tr, (states, moves, accepted) in zip(ts.levels, columns):
+                    assert tr.states.tolist() == states, case
+                    assert tr.move_types.tolist() == moves, case
+                    assert tr.accepted.tolist() == [int(a) for a in accepted], case
+                for led, (rings, flat) in zip(ts.ledgers, ledgers):
+                    assert led.rings == rings, case
+                    assert led.all_records == flat, case
+
+
+def test_level0_without_jumps_is_the_local_kernel_chain():
+    model = two_mode_model()
+    cfg = small_config(p_jump=0.0, macro_steps=500)
+    ts = run_ladder(model, cfg, seed=21)
+    rng = RandomStream.from_seed(21).spawn(cfg.n_levels)[0]
+    kernel = RandomWalkKernel(model, cfg.levels[0])
+    x = rng.randint(model.size)
+    states, accepted = [], []
+    for _ in range(500):
+        x, acc = kernel.step(x, rng)
+        states.append(x)
+        accepted.append(int(acc))
+    assert ts.levels[0].states.tolist() == states
+    assert ts.levels[0].accepted.tolist() == accepted
 
 
 class TestIdealizedJump:

@@ -5,7 +5,9 @@ refactor that changes how much randomness a run consumes or in what
 order. The ladder digests were recorded before the ladder loop was
 merged into one schedule-driven loop and pin every artifact of small
 ``run`` configs (both schedules; restricted and unrestricted jumps with
-a ``max_records`` cap) and of a small ``q3``. The ``segment`` digests
+a ``max_records`` cap) and of a small ``q3``. The ``q1`` and ``q2``
+digests were recorded while the parallel schedule still interleaved the
+levels step by step, and pin both variants of each over two replicates. The ``segment`` digests
 were recorded with the scalar union-find cluster formation and pin
 SW-cut runs on a 24x24 image (fixed means and a first-order polynomial
 fit, each with both cluster picks) from a random initial labeling.
@@ -48,6 +50,13 @@ CONFIGS = {
         "ladder": {"schedule": "serial", "jump_mode": "unrestricted",
                    "max_records": 300, "steps_per_level": 2000,
                    "burn_in": 200, "p_jump": 0.2}},
+    "q1": {
+        "experiment": "q1", "seed": 16, "replicates": 2, "model": SMALL,
+        "ladder": {"macro_steps": 3000, "burn_in": 200, "p_jump": 0.2}},
+    "q2": {
+        "experiment": "q2", "seed": 17, "replicates": 2, "model": SMALL,
+        "ladder": {"n_levels": 3, "macro_steps": 2000, "steps_per_level": 2000,
+                   "burn_in": 200, "p_jump": 0.2}},
     "q3": {
         "experiment": "q3", "seed": 15, "replicates": 2, "model": SMALL,
         "q3": {"ledger_sizes": [50, 500]}},
@@ -83,6 +92,20 @@ DIGESTS = {
         "metadata.json": "0a8f7b3da6d2917a1dbb6cb3b15d1731c211c560364166f3dadbb0bc9fc7d0b6",
         "summary.json": "c6968768aee9ab933b91931813af890c579dd204c8afd98863b437c44e50fb5c",
         "trace.csv": "b57859a2f7fca297cd874540f165b001b804ea8bcb0cd11bdccb60b83975a28d",
+    },
+    "q1": {
+        "DONE": DONE,
+        "first_passage.csv": "360222fc02b51ae7ad8210af12d2d1f50b2a8de0a4e32fe8a5495eda7ff09220",
+        "metadata.json": "1fbd35680745e8d33821c677e47133a1d88b0cfba83ae501e7fdae8af25ec337",
+        "summary.json": "38e155023eda99b7fa7dc6a4ceaea198cc28d2df70b32f251df7603b930afeae",
+        "tv_curves.csv": "1089a03fc110c9a85168cca556562824d25fda1df07aab35755549ce9a077810",
+    },
+    "q2": {
+        "DONE": DONE,
+        "first_passage.csv": "2c3dca959041f41375a0054a11394d039c554a42c4fe6d45693581dfeb587dff",
+        "metadata.json": "4580cf7c77a64cfd39b464360150880b42d5954b566ca3c89f5c55acb88b8f90",
+        "summary.json": "52de325393f5957d544ac8475d022357f74bddbc3962de43a34415a562fa4074",
+        "tv_curves.csv": "8b007c55c9e2244c321e698286d53a1f3b59ef281b123e31dd7ca084934e5af3",
     },
     "q3": {
         "DONE": DONE,
