@@ -84,27 +84,34 @@ class RingLedger:
         """ring_index of every state's energy, indexed by state."""
         return [self.ring_index(float(e)) for e in energies]
 
-    def record(self, state: int, ring: int) -> None:
-        if self.max_records is not None and len(self._flat) >= self.max_records:
-            return
-        self.rings[ring].append(state)
-        self._flat.append(state)
+    def extend(self, states, rings) -> None:
+        """Append states in order, rings[k] being the ring of states[k],
+        until max_records is reached."""
+        states, rings = np.asarray(states), np.asarray(rings)
+        if self.max_records is not None:
+            room = max(self.max_records - len(self._flat), 0)
+            states, rings = states[:room], rings[:room]
+        for j, ring in enumerate(self.rings):
+            ring.extend(states[rings == j].tolist())
+        self._flat.extend(states.tolist())
 
-    def draw(self, mode: str, current_ring: int, rng: RandomStream) -> Optional[int]:
-        """Uniform draw of a recorded state, or None when nothing is available.
+    def draw(self, mode: str, current_ring: int, rng: RandomStream,
+             visible: int) -> Optional[int]:
+        """Uniform draw among the first ``visible`` states of the pool, or
+        None when visible is 0.
 
-        Consumes no randomness in the None case, so a fallback local move
-        sees exactly the rng stream a plain local move would.
+        The pool is the current ring (restricted) or all records
+        (unrestricted); a run passes the number of its records made
+        before the drawing step. Consumes no randomness in the None case,
+        so a fallback local move sees exactly the rng stream a plain local
+        move would.
         """
-        if mode == "restricted":
-            pool = self.rings[current_ring]
-        elif mode == "unrestricted":
-            pool = self._flat
-        else:
+        if mode not in ("restricted", "unrestricted"):
             raise ConfigError(f"unknown jump mode {mode!r}")
-        if not pool:
+        if not visible:
             return None
-        return pool[rng.randint(len(pool))]
+        pool = self.rings[current_ring] if mode == "restricted" else self._flat
+        return pool[rng.randint(visible)]
 
 
 @dataclass
@@ -154,6 +161,7 @@ def ee_jump_step(
     ring: int,
     ledger: RingLedger,
     mode: str,
+    visible: int,
     logd_lo,
     logd_hi,
     local_kernel: RandomWalkKernel,
@@ -161,14 +169,14 @@ def ee_jump_step(
 ) -> tuple[int, int, bool]:
     """One jump move at the lower level against the upper level's ledger.
 
-    Draws a recorded state from the current state's energy ring (or from
-    all records in unrestricted mode) and accepts it with
-    min(1, [d_lo(y) d_hi(x)] / [d_lo(x) d_hi(y)]). An empty pool falls
-    back to one local move; since the failed draw consumed no
-    randomness, the fallback behaves exactly like a plain local step.
-    Returns (new_state, move_type, accepted).
+    Draws one of the first ``visible`` recorded states of the current
+    state's energy ring (or of all records in unrestricted mode) and
+    accepts it with min(1, [d_lo(y) d_hi(x)] / [d_lo(x) d_hi(y)]). An
+    empty pool falls back to one local move; since the failed draw
+    consumed no randomness, the fallback behaves exactly like a plain
+    local step. Returns (new_state, move_type, accepted).
     """
-    y = ledger.draw(mode, ring, rng)
+    y = ledger.draw(mode, ring, rng, visible)
     if y is None:
         new, acc = local_kernel.step(x, rng)
         return new, MOVE_JUMP_FALLBACK, acc
@@ -213,66 +221,84 @@ class TraceSet:
         return FiniteDistribution.from_weights(np.arange(n_states), counts)
 
 
-def _schedule(config: LadderConfig):
-    """The (level, step) pairs of a run in execution order, top level first.
-
-    parallel: every level advances once per macro step, so a level's
-    post-burn-in states reach the level below within the same macro step.
-    serial: each level runs to completion before the one below starts, so
-    the ledger a level reads is frozen.
-    """
-    top_down = range(config.n_levels - 1, -1, -1)
-    if config.schedule == "serial":
-        return ((i, t) for i in top_down for t in range(config.steps_per_level))
-    return ((i, t) for t in range(config.macro_steps) for i in top_down)
-
-
 def run_ladder(model: EnergyModel, config: LadderConfig, seed: int) -> TraceSet:
-    """Run every level's chain in the order config.schedule gives.
+    """Run every level's chain, top level first, each to completion.
 
     Each level-step is a jump against the ledger of the level above with
     probability p_jump (never at the top level), else a local move; from
     step burn_in on, the new state is recorded in the level's own ledger.
+
+    Ledgers are append-only and a level never writes to the one above, so
+    running each level to completion is exact for both schedules. On the
+    serial schedule a level reads the finished upper ledger. On the
+    parallel schedule, where every level advances once per macro step,
+    level i at step t reads the upper ledger as it stood after upper step
+    t: the records made at steps <= t, a prefix of each finished pool.
     """
     if not model.enumerable:
         raise CapabilityError("ladder runs require an enumerable model")
     K = config.n_levels
     logd = [level_logdensities(model, lv).tolist() for lv in config.levels]
-    local = [RandomWalkKernel(model, lv) for lv in config.levels]
     ledgers = [RingLedger(i, config.boundaries(), config.max_records) for i in range(K)]
-    ring_of = ledgers[0].ring_table(model.energies())
+    ring_list = ledgers[0].ring_table(model.energies())
+    ring_of = np.asarray(ring_list)
     rngs = RandomStream.from_seed(seed).spawn(K)
-    states = []
+    inits = []
     for rng in rngs:
         s = config.init_state if config.init_state is not None else rng.randint(model.size)
         model.check_state(s)
-        states.append(s)
+        inits.append(s)
 
+    serial = config.schedule == "serial"
+    n_steps = config.steps_per_level if serial else config.macro_steps
     p_jump, mode, burn_in = config.p_jump, config.jump_mode, config.burn_in
-    can_jump = [i < K - 1 and p_jump > 0.0 for i in range(K)]
-    columns = [([], [], []) for _ in range(K)]  # states, move types, accepted
-    for i, t in _schedule(config):
-        rng = rngs[i]
-        x = states[i]
-        if can_jump[i] and rng.uniform() < p_jump:
-            x, move, acc = ee_jump_step(x, ring_of[x], ledgers[i + 1], mode,
-                                        logd[i], logd[i + 1], local[i], rng)
-        else:
-            x, acc = local[i].step(x, rng)
-            move = MOVE_LOCAL
-        states[i] = x
-        if t >= burn_in:
-            ledgers[i].record(x, ring_of[x])
-        visited, moves, accepted = columns[i]
-        visited.append(x)
-        moves.append(move)
-        accepted.append(acc)
+    # Upper record k is made at upper step burn_in + k. Before lower step t
+    # the upper level has taken its steps <= t (parallel) or all of them
+    # (serial), so a jump sees the records with flat index <= t + lag.
+    lag = (n_steps if serial else 0) - burn_in
+    traces = []
+    for i in range(K - 1, -1, -1):
+        rng, x = rngs[i], inits[i]
+        uniform = rng.uniform
+        kernel = RandomWalkKernel(model, config.levels[i])
+        moves = kernel.moves
+        jumps = p_jump if i < K - 1 else 0.0
+        visited, codes = [], []  # code = 2 * move type + accepted
+        for t in range(n_steps):
+            if jumps and uniform() < jumps:
+                ring = ring_list[x]
+                visible = bisect_right(pool_index[ring], t + lag)
+                x, move, acc = ee_jump_step(x, ring, upper, mode, visible, logd[i],
+                                            logd[i + 1], kernel, rng)
+                code = 2 * move + acc
+            else:  # RandomWalkKernel.step on its move table
+                slots = moves[x]
+                m = len(slots)
+                j = int(uniform() * m)
+                y, p = slots[m - 1 if j == m else j]
+                if y is not None and (p is None or uniform() < p):
+                    x, code = y, 1
+                else:
+                    code = 0
+            visited.append(x)
+            codes.append(code)
+        codes = np.asarray(codes, dtype=np.int8)
+        trace = LevelTrace(i, np.asarray(visited, dtype=np.int64), codes >> 1, codes & 1)
+        traces.append(trace)
 
-    traces = [LevelTrace(i, np.asarray(visited, dtype=np.int64),
-                         np.asarray(moves, dtype=np.int8),
-                         np.asarray(accepted, dtype=np.int8))
-              for i, (visited, moves, accepted) in enumerate(columns)]
-    return TraceSet(traces, ledgers, burn_in)
+        # fill the level's ledger in one pass; pool_index[ring] lists the
+        # flat indices of the records in the pool a jump from that ring uses
+        upper = ledgers[i]
+        recorded = trace.states[burn_in:]
+        rings = ring_of[recorded]
+        upper.extend(recorded, rings)
+        if mode == "restricted":
+            rings = rings[:upper.total]
+            pool_index = [np.flatnonzero(rings == j).tolist()
+                          for j in range(upper.n_rings)]
+        else:
+            pool_index = [range(upper.total)] * upper.n_rings
+    return TraceSet(traces[::-1], ledgers, burn_in)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +415,7 @@ def ledger_from_iid(
     cum = np.cumsum(dist.probs)
     cum[-1] = 1.0
     ledger = RingLedger(level.index, boundaries)
-    ring_of = ledger.ring_table(model.energies())
+    ring_of = np.asarray(ledger.ring_table(model.energies()))
     draws = np.searchsorted(cum, rng.uniforms(n_records), side="right")
-    for s in draws.tolist():
-        ledger.record(s, ring_of[s])
+    ledger.extend(draws, ring_of[draws])
     return ledger

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -61,22 +61,23 @@ DONE_SENTINEL = "DONE"
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """UTF-8, LF line endings, repr-formatted floats (bit-deterministic)."""
+    """UTF-8, LF line endings, every value written with ``str`` (floats,
+    numpy's included, in their shortest round-trip form, bit-deterministic).
+
+    rows may be any iterable of sequences, such as a zip of columns; each
+    must have one value per header column.
+    """
+    width = len(header)
+    line = ",".join(["%s"] * width) + "\n"  # %s formats with str
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            if len(row) != len(header):
+            if len(row) != width:
                 raise ConfigError(
-                    f"row width {len(row)} does not match header {len(header)}"
+                    f"row width {len(row)} does not match header {width}"
                 )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(line % tuple(row))
 
 
 def write_json(path: Path, obj) -> None:
@@ -130,8 +131,8 @@ def _tv_curve(traceset, level, n_states, pi, checkpoints):
 
 
 def _mode_targets(model):
-    """Start state (left-mode bottom) and target set (right-mode basin floor)
-    of a two-mode 1-D model."""
+    """Start state (left-mode bottom) and target mask (right-mode basin
+    floor, indexed by state) of a two-mode 1-D model."""
     h = model.energies()
     n = len(h)
     if n < 4:
@@ -141,15 +142,14 @@ def _mode_targets(model):
     left = int(np.argmin(h[:barrier])) if barrier > 0 else 0
     right = barrier + int(np.argmin(h[barrier:]))
     floor = h[right] + 0.25
-    target = {s for s in range(barrier, n) if h[s] <= floor}
+    target = (np.arange(n) >= barrier) & (h <= floor)
     return left, target
 
 
-def _first_passage(states, target):
-    for t, s in enumerate(states):
-        if s in target:
-            return t
-    return -1
+def _first_passage(states: np.ndarray, target: np.ndarray) -> int:
+    """Index of the first state in the target mask, or -1."""
+    hits = np.flatnonzero(target[states])
+    return int(hits[0]) if len(hits) else -1
 
 
 def _warmup_step(ladder) -> int:
@@ -183,7 +183,7 @@ def _ladder_runs(config, model, variations, out: Path):
             ts = run_ladder(model, ladder, seed)
             curve = _tv_curve(ts, 0, model.size, pi, config.tv_checkpoints)
             curve_rows.extend((label, seed, s, tv) for s, tv in curve)
-            states = ts.levels[0].states.tolist()
+            states = ts.levels[0].states
             fp = _first_passage(states, target)
             fp_warm = _first_passage(states[warm:], target)
             passage_rows.append((label, seed, fp, fp_warm))
@@ -219,18 +219,25 @@ def exp_run(config: ExperimentConfig, out: Path) -> None:
     """Single ladder run with the full trace exported."""
     model = config.build_model()
     ts = run_ladder(model, config.ladder.build(), config.seed)
-    h = model.energies()
-    ring_of = np.asarray(ts.ledgers[0].ring_table(h))
-    rows = []
-    for tr in ts.levels:
-        rows.extend(zip(
-            range(len(tr)), repeat(tr.level), tr.states.tolist(),
-            h[tr.states].tolist(), ring_of[tr.states].tolist(),
-            [MOVE_NAMES[m] for m in tr.move_types.tolist()], tr.accepted.tolist(),
-        ))
+    # state_id, energy and ring are functions of the state: format each
+    # once per state and stream the rows from lookups
+    h = model.energies().tolist()
+    state_ids = [str(s) for s in range(model.size)]
+    energies = [str(e) for e in h]
+    rings = [str(r) for r in ts.ledgers[0].ring_table(h)]
+
+    def level_rows(tr):
+        states = tr.states.tolist()
+        return zip(range(len(tr)), repeat(tr.level),
+                   map(state_ids.__getitem__, states),
+                   map(energies.__getitem__, states),
+                   map(rings.__getitem__, states),
+                   map(MOVE_NAMES.__getitem__, tr.move_types.tolist()),
+                   tr.accepted.tolist())
+
     write_csv(out / "trace.csv",
               ["step", "level", "state_id", "energy", "ring", "move_type",
-               "accepted"], rows)
+               "accepted"], chain.from_iterable(map(level_rows, ts.levels)))
     pi = enumerate_distribution(model, config.ladder.levels()[0])
     counts = ts.empirical_counts(0, model.size)
     tv = (tv_distance(counts / counts.sum(), pi.probs)

@@ -83,12 +83,22 @@ def stationary_distribution(K: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _mh_accept(dl: float):
+    """Metropolis acceptance of a log-density change dl: None when dl >= 0
+    (the move is taken without drawing a uniform), else exp(dl)."""
+    return None if dl >= 0.0 else math.exp(dl)
+
+
 class RandomWalkKernel:
     """Local Metropolis-Hastings with a uniform fixed-size neighborhood.
 
     Proposals fall uniformly on the model's neighbor slots; out-of-range
     slots (None) count as automatic rejections, which keeps the proposal
     symmetric at the boundary.
+
+    On enumerable models ``moves[x]`` holds one ``(y, p)`` pair per
+    neighbor slot of x: y is None for an out-of-range slot, and p is the
+    acceptance probability from ``_mh_accept`` (None: always accepted).
     """
 
     def __init__(self, model: EnergyModel, level: LadderLevel | None = None):
@@ -101,12 +111,15 @@ class RandomWalkKernel:
                 self._logd = -model.energies()
             else:
                 self._logd = level_logdensities(model, level)
-            self._nbrs = [model.neighbors(s) for s in range(model.size)]
-            self._ld = self._logd.tolist()  # plain floats for the hot loop
+            ld = self._logd.tolist()
+            self.moves = [
+                tuple((None, None) if y is None else (y, _mh_accept(ld[y] - ld[x]))
+                      for y in model.neighbors(x))
+                for x in range(model.size)
+            ]
         else:
             self._logd = None
-            self._nbrs = None
-            self._ld = None
+            self.moves = None
 
     @property
     def target_probs(self) -> np.ndarray:
@@ -116,8 +129,6 @@ class RandomWalkKernel:
         return w / w.sum()
 
     def _logdensity(self, state: int) -> float:
-        if self._logd is not None:
-            return float(self._logd[state])
         from .statespace import level_logdensity
 
         if self.level is None:
@@ -125,20 +136,17 @@ class RandomWalkKernel:
         return level_logdensity(self.model, self.level, state)
 
     def step(self, state: int, rng: RandomStream) -> tuple[int, bool]:
-        if self._nbrs is not None:
-            nbrs = self._nbrs[state]
-            y = nbrs[rng.randint(len(nbrs))]
-            if y is None:
-                return state, False
-            ld = self._ld
-            dl = ld[y] - ld[state]
+        if self.moves is not None:
+            slots = self.moves[state]
+            y, p = slots[rng.randint(len(slots))]
         else:
             nbrs = self.model.neighbors(state)
             y = nbrs[rng.randint(len(nbrs))]
-            if y is None:
-                return state, False
-            dl = self._logdensity(y) - self._logdensity(state)
-        if dl >= 0.0 or rng.uniform() < math.exp(dl):
+            if y is not None:
+                p = _mh_accept(self._logdensity(y) - self._logdensity(state))
+        if y is None:
+            return state, False
+        if p is None or rng.uniform() < p:
             return y, True
         return state, False
 
@@ -147,13 +155,12 @@ class RandomWalkKernel:
             raise CapabilityError("exact matrix needs an enumerable model")
         n = self.model.size
         m = self.model.proposal_size
-        logd = self._logd
         K = np.zeros((n, n))
         for x in range(n):
-            for y in self._nbrs[x]:
+            for y, p in self.moves[x]:
                 if y is None:
                     continue
-                K[x, y] += min(1.0, math.exp(logd[y] - logd[x])) / m
+                K[x, y] += (1.0 if p is None else p) / m
             K[x, x] += 1.0 - K[x].sum()
         return K
 

@@ -7,16 +7,25 @@ derives k independent child streams (used per ladder level and per
 experiment replicate). Identical seeds therefore reproduce identical
 runs regardless of how many levels or replicates share the root.
 
-Draws are served from internal buffers filled by one vectorized
-Generator call at a time; this keeps tight chain loops cheap while
-staying bit-deterministic for a fixed buffer size.
+Draws are served from blocks filled by one vectorized Generator call at
+a time; this keeps tight chain loops cheap while staying
+bit-deterministic for a fixed block size.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from typing import Callable
+
 import numpy as np
 
 _BUF = 8192
+
+
+def _blocks(gen: np.random.Generator):
+    """Endless lists of _BUF uniforms, each drawn when it is first needed."""
+    while True:
+        yield gen.random(_BUF).tolist()
 
 
 class RandomStream:
@@ -25,13 +34,18 @@ class RandomStream:
     Scalar draws (uniform, randint) and vector draws (uniforms) consume
     from separate buffers refilled from the same generator; the overall
     sequence is deterministic for a fixed call pattern.
+
+    ``uniform()`` returns one float in [0, 1). It is the ``__next__`` of
+    one iterator over the scalar blocks, so a hot loop may bind it once
+    and call it directly. A block is drawn only when the previous one is
+    used up.
     """
 
     def __init__(self, seed_seq: np.random.SeedSequence):
         self._seq = seed_seq
         self._gen = np.random.Generator(np.random.PCG64(seed_seq))
-        self._sbuf: list[float] = []
-        self._spos = 0
+        self.uniform: Callable[[], float] = chain.from_iterable(
+            _blocks(self._gen)).__next__
         self._abuf = np.empty(0)
         self._apos = 0
 
@@ -42,15 +56,6 @@ class RandomStream:
     def spawn(self, n: int) -> list["RandomStream"]:
         """Derive n independent child streams (deterministic in the seed)."""
         return [RandomStream(child) for child in self._seq.spawn(n)]
-
-    def uniform(self) -> float:
-        """One float in [0, 1)."""
-        if self._spos == len(self._sbuf):
-            self._sbuf = self._gen.random(_BUF).tolist()
-            self._spos = 0
-        u = self._sbuf[self._spos]
-        self._spos += 1
-        return u
 
     def uniforms(self, n: int) -> np.ndarray:
         """n floats in [0, 1) as an array."""
@@ -70,10 +75,5 @@ class RandomStream:
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n)."""
-        if self._spos == len(self._sbuf):
-            self._sbuf = self._gen.random(_BUF).tolist()
-            self._spos = 0
-        u = self._sbuf[self._spos]
-        self._spos += 1
-        j = int(u * n)
+        j = int(self.uniform() * n)
         return n - 1 if j == n else j  # guard the u ~ 1 rounding edge

@@ -198,6 +198,22 @@ class TestArtifacts:
         assert all(len(line.split(",")) == width for line in lines)
         assert len(lines) == 1 + 60 * 2  # header + M rows per level
 
+    def test_csv_writes_numpy_scalars_as_plain_decimals(self, tmp_path):
+        import numpy as np
+
+        from eelab.experiments import write_csv
+
+        write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"],
+                  [(np.float64(0.1), np.int64(3), 1e-300 / 3, "x")])
+        assert (tmp_path / "t.csv").read_text() == (
+            "a,b,c,d\n0.1,3," + repr(1e-300 / 3) + ",x\n")
+
+    def test_csv_rejects_a_row_of_the_wrong_width(self, tmp_path):
+        from eelab.experiments import write_csv
+
+        with pytest.raises(ConfigError, match="row width 1"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], iter([(1, 2), (3,)]))
+
     def test_rerun_is_byte_identical(self, tmp_path):
         raw = {
             "experiment": "q3",

@@ -17,7 +17,7 @@ from eelab.eeladder import (
     run_ladder,
 )
 from eelab.errors import ConfigError
-from eelab.experiments import _warmup_step
+from eelab.experiments import _first_passage, _warmup_step
 from eelab.kernels import (
     RandomWalkKernel,
     reversibility_gap,
@@ -72,19 +72,18 @@ class TestRingIndex:
 class TestRecord:
     def test_totals_count_records(self):
         led = RingLedger(1, [1.0, 2.0])
-        for k in range(10):
-            led.record(k, led.ring_index(0.3 * k))
+        led.extend(range(10), [led.ring_index(0.3 * k) for k in range(10)])
         assert led.total == 10
 
     def test_energy_routes_to_ring(self):
         led = RingLedger(1, [1.0, 2.0])
-        led.record(7, led.ring_index(1.5))
+        led.extend([7], [led.ring_index(1.5)])
         assert led.rings[1] == [7]
 
     def test_max_records_cap(self):
         led = RingLedger(1, [1.0], max_records=3)
-        for k in range(10):
-            led.record(k, 0)
+        led.extend([0, 1], [0, 0])
+        led.extend(range(2, 10), [0] * 8)
         assert led.total == 3
         assert led.rings[0] == [0, 1, 2]  # nothing below the cap is dropped
 
@@ -92,30 +91,37 @@ class TestRecord:
 class TestDrawProposal:
     def test_restricted_empty_ring(self):
         led = RingLedger(1, [1.0, 2.0])
-        led.record(3, 1)  # populates ring 1 only
+        led.extend([3], [1])  # populates ring 1 only
         rng = RandomStream.from_seed(0)
-        assert led.draw("restricted", 0, rng) is None
+        assert led.draw("restricted", 0, rng, len(led.rings[0])) is None
 
     def test_unrestricted_finds_any_record(self):
         led = RingLedger(1, [1.0, 2.0])
-        led.record(3, 1)
+        led.extend([3], [1])
         rng = RandomStream.from_seed(0)
-        assert led.draw("unrestricted", 0, rng) == 3
+        assert led.draw("unrestricted", 0, rng, led.total) == 3
 
     def test_single_state_point_mass(self):
         led = RingLedger(1, [1.0])
-        led.record(9, 0)
+        led.extend([9], [0])
         rng = RandomStream.from_seed(0)
         for _ in range(5):
-            assert led.draw("restricted", 0, rng) == 9
+            assert led.draw("restricted", 0, rng, 1) == 9
 
     def test_empty_draw_consumes_no_randomness(self):
         led = RingLedger(1, [1.0])
         a = RandomStream.from_seed(123)
         b = RandomStream.from_seed(123)
-        assert led.draw("restricted", 0, a) is None
-        assert led.draw("unrestricted", 0, a) is None
+        assert led.draw("restricted", 0, a, 0) is None
+        assert led.draw("unrestricted", 0, a, 0) is None
         assert a.uniform() == b.uniform()
+
+    def test_draw_reads_only_the_visible_prefix(self):
+        led = RingLedger(1, [1.0])
+        led.extend([4, 5, 6, 7], [0, 1, 0, 0])
+        rng = RandomStream.from_seed(2)
+        assert {led.draw("restricted", 0, rng, 2) for _ in range(200)} == {4, 6}
+        assert {led.draw("unrestricted", 0, rng, 3) for _ in range(200)} == {4, 5, 6}
 
 
 class TestJumpAcceptance:
@@ -125,7 +131,7 @@ class TestJumpAcceptance:
         model = builtin_model("energy_table", energies=[0.5, 0.6])
         lv1 = LadderLevel(1, 2.0, 0.0)
         ledger = RingLedger(1, [])  # single ring
-        ledger.record(1, 0)
+        ledger.extend([1], [0])
         K = empirical_jump_chain_matrix(model, LEVEL0, lv1, ledger, p_jump=1.0)
         assert K[0, 1] == pytest.approx(math.exp(-0.05), abs=1e-12)
 
@@ -135,7 +141,7 @@ class TestJumpAcceptance:
         model = builtin_model("energy_table", energies=[0.5, 0.6])
         lv1 = LadderLevel(1, 2.0, 0.0)
         ledger = RingLedger(1, [])
-        ledger.record(0, 0)  # proposing the lower-energy state from x=1
+        ledger.extend([0], [0])  # proposing the lower-energy state from x=1
         K = empirical_jump_chain_matrix(model, LEVEL0, lv1, ledger, p_jump=1.0)
         assert K[1, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -164,7 +170,7 @@ class TestJumpAcceptance:
         x = 5
         for _ in range(50):
             xa, move, _ = ee_jump_step(x, empty.ring_index(float(h[x])), empty,
-                                       "restricted", logd0, logd1, kernel, a)
+                                       "restricted", 0, logd0, logd1, kernel, a)
             xb, _ = kernel.step(x, b)
             assert move == MOVE_JUMP_FALLBACK
             assert xa == xb
@@ -180,10 +186,10 @@ class TestJumpAcceptance:
         logd0 = level_logdensities(model, LEVEL0)
         logd1 = level_logdensities(model, lv1)
         ledger = RingLedger(1, [])
-        ledger.record(0, 0)
+        ledger.extend([0], [0])
         rng = RandomStream.from_seed(1)
         y, move, acc = ee_jump_step(1, ledger.ring_index(0.6), ledger, "restricted",
-                                    logd0, logd1, kernel, rng)
+                                    1, logd0, logd1, kernel, rng)
         assert (y, move, acc) == (0, MOVE_JUMP, True)  # favorable ratio
 
 
@@ -388,6 +394,15 @@ def test_level0_without_jumps_is_the_local_kernel_chain():
         accepted.append(int(acc))
     assert ts.levels[0].states.tolist() == states
     assert ts.levels[0].accepted.tolist() == accepted
+
+
+def test_first_passage_is_the_first_state_in_the_target():
+    gen = np.random.default_rng(4)
+    target = gen.random(30) < 0.1
+    for _ in range(50):
+        states = gen.integers(30, size=int(gen.integers(0, 60)))
+        expected = next((t for t, s in enumerate(states.tolist()) if target[s]), -1)
+        assert _first_passage(states, target) == expected
 
 
 class TestIdealizedJump:
