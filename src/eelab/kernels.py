@@ -238,40 +238,6 @@ class MixtureKernel:
         )
 
 
-class IdentityKernel:
-    """Stays put; convenient degenerate mixture component."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def step(self, state: int, rng: RandomStream) -> tuple[int, bool]:
-        return state, False
-
-    def exact_matrix(self) -> np.ndarray:
-        return np.eye(self.n)
-
-
-def gibbs_conditional_step(state, conditional, rng: RandomStream):
-    """Random-scan Gibbs on a coordinate vector.
-
-    conditional(state, coord) must return a normalized probability vector
-    over the coordinate's values given the rest. Picks one coordinate
-    uniformly at random and resamples it.
-    """
-    state = list(state)
-    coord = rng.randint(len(state))
-    probs = np.asarray(conditional(state, coord), dtype=np.float64)
-    total = probs.sum()
-    if not np.isfinite(total) or total <= 0 or np.any(probs < 0):
-        raise NumericError(f"conditional at coordinate {coord} is not normalizable")
-    if abs(total - 1.0) > 1e-9:
-        raise NumericError(f"conditional at coordinate {coord} sums to {total!r}")
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    state[coord] = int(np.searchsorted(cum, rng.uniform(), side="right"))
-    return state
-
-
 class RandomScanGibbs:
     """Single-site Gibbs on a potts_grid model (generic coordinate form).
 

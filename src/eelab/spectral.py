@@ -11,7 +11,7 @@ either) matches; it never asserts one of them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,6 @@ class SpectralReport:
     bound_printed: Optional[float] = None
     bound_alternate: Optional[float] = None
     matched_bound: Optional[str] = None
-    eigenvectors: Optional[np.ndarray] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -59,7 +58,6 @@ class SpectralReport:
 def eigen_spectrum(
     K: np.ndarray,
     pi: FiniteDistribution | np.ndarray,
-    keep_vectors: bool = False,
 ) -> SpectralReport:
     """All eigenvalues of a reversible kernel, sorted descending.
 
@@ -90,13 +88,7 @@ def eigen_spectrum(
     s = np.sqrt(p)
     S = s[:, None] * K / s[None, :]
     S = 0.5 * (S + S.T)
-    if keep_vectors:
-        vals, vecs = np.linalg.eigh(S)
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-    else:
-        vals = np.linalg.eigvalsh(S)[::-1]
-        vecs = None
+    vals = np.linalg.eigvalsh(S)[::-1]
 
     if abs(vals[0] - 1.0) > EIGEN_RANGE_TOL:
         raise ReversibilityError(f"top eigenvalue {vals[0]!r} is not 1")
@@ -108,7 +100,6 @@ def eigen_spectrum(
         eigenvalues=vals,
         lambda2=lam2,
         gap=1.0 - lam2,
-        eigenvectors=vecs,
     )
 
 

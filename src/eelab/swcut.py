@@ -94,14 +94,6 @@ class Labeling:
 
 
 @dataclass(frozen=True)
-class Cluster:
-    """A connected set of same-label pixels (flat indices)."""
-
-    pixels: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
 class RegionModelConfig:
     """Gaussian region likelihood settings."""
 
@@ -310,7 +302,7 @@ def enumerate_posterior(
 
 
 # ---------------------------------------------------------------------------
-# Cluster formation
+# Connected components
 # ---------------------------------------------------------------------------
 
 
@@ -371,23 +363,6 @@ def _component_roots(width: int, height: int, on: np.ndarray) -> np.ndarray:
             if (up == root).all():
                 break
             root = up
-
-
-def form_clusters(
-    W: Labeling, aff: EdgeAffinityMap, rng: RandomStream
-) -> list[Cluster]:
-    """Bond each same-label edge with probability p_e; return the connected
-    components of the resulting graph (isolated pixels included)."""
-    if W.labels.shape != (aff.height, aff.width):
-        raise ShapeError("labeling shape does not match affinity map")
-    lab = W.flat
-    ei, ej = lattice_edges(aff.width, aff.height)
-    same = lab[ei] == lab[ej]
-    on = same & (rng.uniforms(len(ei)) < aff.p)
-    return [
-        Cluster(np.asarray(members, dtype=np.int64), int(lab[members[0]]))
-        for members in _components(len(lab), ei, ej, on)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -753,36 +728,6 @@ class GibbsSiteSampler:
         lab[i] = l_new
         self.likelihood.commit(i, l_new)
         return float(logw[l_new - 1] - logw[l_cur - 1])
-
-
-def swcut_step(
-    image: Image,
-    W: Labeling,
-    aff: EdgeAffinityMap,
-    beta: float,
-    cfg: RegionModelConfig,
-    rng: RandomStream,
-    cluster_pick: str = "uniform",
-) -> Labeling:
-    """One Swendsen-Wang cut move (functional form; see SwCutSampler)."""
-    sampler = SwCutSampler(image, W.n_labels, beta, cfg, aff, cluster_pick)
-    lab = W.flat.copy()
-    sampler.step(lab, rng)
-    return Labeling(lab.reshape(image.height, image.width), W.n_labels)
-
-
-def gibbs_site_step(
-    image: Image,
-    W: Labeling,
-    beta: float,
-    cfg: RegionModelConfig,
-    rng: RandomStream,
-) -> Labeling:
-    """One random-scan Gibbs site update (functional form)."""
-    sampler = GibbsSiteSampler(image, W.n_labels, beta, cfg)
-    lab = W.flat.copy()
-    sampler.step(lab, rng)
-    return Labeling(lab.reshape(image.height, image.width), W.n_labels)
 
 
 # ---------------------------------------------------------------------------

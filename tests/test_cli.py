@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -106,11 +107,27 @@ MALFORMED = [
     ({"model": {"bounds": {}}}, [], "model.bounds"),
     ({"model": {"kind": ["table"]}}, [], "model.kind"),
     ({"model": {"kind": "table", "weights": "x"}}, [], "model.weights"),
+    ({"model": {"depth": math.nan}}, [], "model.depth"),
+    ({"segmentation": {"beta": math.inf}}, [], "segmentation.beta"),
+    ({"segmentation": {"image": {"kind": "pgm", "path": 3}}}, [],
+     "segmentation.image.path"),
+    ({"ladder": {"truncations": [True]}}, [], "ladder.truncations"),
 ]
 
 
+def _case_id(raw, extra, key_path):
+    """The key path, tagged when the input comes from the command line or
+    holds a non-finite number (which json writes as NaN or Infinity)."""
+    try:
+        json.dumps(raw, allow_nan=False)
+        non_finite = ""
+    except ValueError:
+        non_finite = "(non-finite)"
+    return key_path + ("(cli)" if extra else "") + non_finite
+
+
 @pytest.mark.parametrize("raw,extra,key_path", MALFORMED,
-                         ids=[m[2] + ("(cli)" if m[1] else "") for m in MALFORMED])
+                         ids=[_case_id(*m) for m in MALFORMED])
 def test_malformed_input_is_a_keyed_config_error(tmp_path, capsys, raw, extra,
                                                  key_path):
     cfg = write_config(tmp_path, {"experiment": "run", **raw})

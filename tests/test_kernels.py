@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from eelab.errors import ConfigError, NumericError, SupportError
+from eelab.errors import ConfigError, SupportError
 from eelab.kernels import (
-    IdentityKernel,
     IndependenceKernel,
     MixtureKernel,
     RandomScanGibbs,
     RandomWalkKernel,
     check_transition_matrix,
-    gibbs_conditional_step,
     reversibility_gap,
     stationary_distribution,
     stationary_gap,
@@ -25,6 +23,19 @@ from eelab.statespace import (
 )
 
 LEVEL0 = LadderLevel(0, 1.0, -math.inf)
+
+
+class StayPut:
+    """A kernel that never moves: a degenerate mixture component."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def step(self, state, rng):
+        return state, False
+
+    def exact_matrix(self):
+        return np.eye(self.n)
 
 
 def two_state_mis():
@@ -152,7 +163,7 @@ class TestMixture:
 
     def test_half_mixture_with_identity(self):
         kern = two_state_mis()
-        mix = MixtureKernel(0.5, IdentityKernel(2), kern)
+        mix = MixtureKernel(0.5, StayPut(2), kern)
         expected = 0.5 * np.eye(2) + 0.5 * np.array(
             [[5.0 / 6.0, 1.0 / 6.0], [0.5, 0.5]]
         )
@@ -171,7 +182,7 @@ class TestMixture:
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError):
-            MixtureKernel(1.5, IdentityKernel(2), IdentityKernel(2))
+            MixtureKernel(1.5, StayPut(2), StayPut(2))
 
     def test_mismatched_targets_rejected(self):
         m = builtin_model("energy_table", energies=[0.0, math.log(3.0)])
@@ -200,37 +211,6 @@ class TestGibbs:
         check_transition_matrix(K)
         assert stationary_gap(K, pi.probs) <= 1e-12
         assert reversibility_gap(K, pi.probs) <= 1e-12
-
-    def test_generic_step_single_coordinate(self):
-        """On a single-coordinate space the step samples the conditional."""
-        probs = np.array([0.2, 0.5, 0.3])
-        rng = RandomStream.from_seed(9)
-        counts = np.zeros(3)
-        for _ in range(30_000):
-            out = gibbs_conditional_step([0], lambda s, c: probs, rng)
-            counts[out[0]] += 1
-        np.testing.assert_allclose(counts / counts.sum(), probs, atol=0.01)
-
-    def test_generic_step_rejects_bad_weights(self):
-        rng = RandomStream.from_seed(1)
-        with pytest.raises(NumericError):
-            gibbs_conditional_step([0, 1], lambda s, c: np.array([0.0, 0.0]), rng)
-        with pytest.raises(NumericError):
-            gibbs_conditional_step([0, 1], lambda s, c: np.array([0.9, 0.3]), rng)
-
-    def test_all_equal_conditionals_make_coordinate_uniform(self):
-        """From (0, 0) with flat conditionals over 3 values, one step lands
-        on (0,0) w.p. 1/3 and on each single-coordinate change w.p. 1/6."""
-        rng = RandomStream.from_seed(4)
-        uniform = np.full(3, 1.0 / 3.0)
-        counts: dict[tuple, int] = {}
-        n = 60_000
-        for _ in range(n):
-            out = tuple(gibbs_conditional_step([0, 0], lambda s, c: uniform, rng))
-            counts[out] = counts.get(out, 0) + 1
-        assert counts[(0, 0)] / n == pytest.approx(1.0 / 3.0, abs=0.01)
-        for outcome in [(1, 0), (2, 0), (0, 1), (0, 2)]:
-            assert counts[outcome] / n == pytest.approx(1.0 / 6.0, abs=0.01)
 
 
 class TestMatrixHelpers:

@@ -67,19 +67,17 @@ class TestEigenSpectrum:
         assert "pair" in str(err.value)
 
     def test_eigenpair_residuals_on_random_kernels(self):
-        """|S v - lambda v|_inf <= 1e-8 for every eigenpair of the
-        symmetrized kernel, on random reversible 10-state kernels."""
+        """The symmetrized solve gives the eigenvalues of K itself, sorted
+        descending: within 1e-8 of the general (non-symmetric) eigensolver,
+        on random reversible 10-state kernels."""
         rng = np.random.default_rng(17)
         for _ in range(25):
             K, pi = random_reversible(rng, 10)
-            rep = eigen_spectrum(K, pi, keep_vectors=True)
-            s = np.sqrt(pi)
-            S = s[:, None] * K / s[None, :]
-            S = 0.5 * (S + S.T)
-            for k in range(10):
-                v = rep.eigenvectors[:, k]
-                resid = np.abs(S @ v - rep.eigenvalues[k] * v).max()
-                assert resid <= 1e-8
+            rep = eigen_spectrum(K, pi)
+            general = np.linalg.eigvals(K)
+            assert np.abs(general.imag).max() <= 1e-8
+            np.testing.assert_allclose(rep.eigenvalues,
+                                       np.sort(general.real)[::-1], atol=1e-8)
 
     def test_eigenvalues_within_unit_interval(self):
         rng = np.random.default_rng(23)

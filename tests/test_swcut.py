@@ -24,8 +24,6 @@ from eelab.swcut import (
     encode_labeling,
     decode_labeling,
     enumerate_posterior,
-    form_clusters,
-    gibbs_site_step,
     initial_labeling,
     lattice_edges,
     make_two_region_image,
@@ -33,7 +31,6 @@ from eelab.swcut import (
     potts_logprior,
     region_loglik,
     segment,
-    swcut_step,
 )
 
 
@@ -186,39 +183,77 @@ class TestPosterior:
             )
 
 
+def bond_clusters(W, aff, rng):
+    """The clusters of one bond draw as SwCutSampler.step makes it: each
+    same-label edge is on with probability p_e."""
+    lab = W.flat
+    ei, ej = lattice_edges(aff.width, aff.height)
+    on = (lab[ei] == lab[ej]) & (rng.uniforms(len(ei)) < aff.p)
+    return _components(len(lab), ei, ej, on)
+
+
+def moved_pixels(sampler, lab, rng):
+    """The pixels one SW-cut move relabels, and their labels before it."""
+    before = lab.copy()
+    sampler.step(lab, rng)
+    moved = np.flatnonzero(lab != before)
+    return moved, before[moved]
+
+
+FLAT = RegionModelConfig(mode="fixed_means", sigma=0.5, means=(0.5, 0.5))
+
+
 class TestFormClusters:
     def test_all_bonds_on_single_cluster(self):
         img = flat_image(3, 3)
         W = Labeling(np.ones((3, 3), dtype=int), 2)
-        clusters = form_clusters(W, const_affinity(img, 1 - 1e-12),
-                                 RandomStream.from_seed(0))
-        assert len(clusters) == 1
-        assert len(clusters[0].pixels) == 9
+        aff = const_affinity(img, 1 - 1e-12)
+        rng = RandomStream.from_seed(0)
+        assert bond_clusters(W, aff, rng) == [list(range(9))]
+        # a move relabels the whole field or nothing
+        sam = SwCutSampler(img, 2, 0.0, FLAT, aff)
+        lab = W.flat.copy()
+        sizes = {len(moved_pixels(sam, lab, rng)[0]) for _ in range(50)}
+        assert sizes == {0, 9}
 
     def test_all_bonds_off_singletons(self):
         img = flat_image(3, 3)
         W = Labeling(np.ones((3, 3), dtype=int), 2)
-        clusters = form_clusters(W, const_affinity(img, 1e-12),
-                                 RandomStream.from_seed(0))
-        assert len(clusters) == 9
+        aff = const_affinity(img, 1e-12)
+        rng = RandomStream.from_seed(0)
+        assert bond_clusters(W, aff, rng) == [[i] for i in range(9)]
+        sam = SwCutSampler(img, 2, 0.0, FLAT, aff)
+        lab = W.flat.copy()
+        sizes = {len(moved_pixels(sam, lab, rng)[0]) for _ in range(50)}
+        assert sizes == {0, 1}
 
     def test_cross_label_edges_never_bond(self):
         img = flat_image(2, 2)
         W = Labeling(np.array([[1, 1], [2, 2]]), 2)
-        clusters = form_clusters(W, const_affinity(img, 1 - 1e-12),
-                                 RandomStream.from_seed(0))
-        assert len(clusters) == 2
-        groups = {tuple(sorted(c.pixels)) for c in clusters}
-        assert groups == {(0, 1), (2, 3)}
+        aff = const_affinity(img, 1 - 1e-12)
+        rng = RandomStream.from_seed(0)
+        assert bond_clusters(W, aff, rng) == [[0, 1], [2, 3]]
+        # at p_e = 1/2 a move may relabel part of a row, never both rows
+        sam = SwCutSampler(img, 2, 0.0, FLAT, const_affinity(img, 0.5))
+        moved = {tuple(moved_pixels(sam, W.flat.copy(), rng)[0])
+                 for _ in range(200)}
+        assert moved == {(), (0,), (1,), (0, 1), (2,), (3,), (2, 3)}
 
     def test_cluster_purity(self):
         img, _ = make_two_region_image(6, 6, noise_sd=0.1, seed=3)
         aff = edge_affinity(img, p_max=0.8, p_min=0.1, scale=0.2)
         rng = RandomStream.from_seed(5)
-        lab = initial_labeling(img, 3, "random", rng)
+        W = initial_labeling(img, 3, "random", rng)
         for _ in range(20):
-            for c in form_clusters(lab, aff, rng):
-                assert np.all(lab.flat[c.pixels] == c.label)
+            for c in bond_clusters(W, aff, rng):
+                assert len(set(W.flat[c].tolist())) == 1
+        cfg = RegionModelConfig(mode="fixed_means", sigma=0.3,
+                                means=(0.2, 0.5, 0.8))
+        sam = SwCutSampler(img, 3, 0.3, cfg, aff)
+        lab = W.flat.copy()
+        for _ in range(200):
+            _, was = moved_pixels(sam, lab, rng)
+            assert len(set(was.tolist())) <= 1
 
 
 COMPONENT_SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (3, 3), (15, 17), (16, 16),
@@ -319,15 +354,6 @@ class TestSwCutStep:
             counts[lab[0] - 1] += 1
         np.testing.assert_allclose(counts / counts.sum(), [0.5, 0.5], atol=0.02)
 
-    def test_functional_step_returns_new_labeling(self):
-        img, _ = make_two_region_image(4, 4, seed=1)
-        cfg = RegionModelConfig(mode="fixed_means", sigma=0.1, means=(0.25, 0.75))
-        aff = edge_affinity(img)
-        W = initial_labeling(img, 2, "threshold", RandomStream.from_seed(0))
-        out = swcut_step(img, W, aff, 0.3, cfg, RandomStream.from_seed(1))
-        assert out is not W
-        assert out.labels.shape == W.labels.shape
-
     def test_long_run_matches_oracle_2x2(self):
         img = Image(2, 2, np.array([[0.2, 0.8], [0.3, 0.7]]))
         beta = 0.4
@@ -409,13 +435,6 @@ class TestGibbsSite:
             sam.step(lab, rng)
             counts[int((lab - 1) @ powers)] += 1
         assert tv_distance(counts / counts.sum(), post.probs) < 0.05
-
-    def test_functional_form(self):
-        img, _ = make_two_region_image(3, 3, seed=4)
-        cfg = RegionModelConfig(mode="fixed_means", sigma=0.1, means=(0.25, 0.75))
-        W = initial_labeling(img, 2, "threshold", RandomStream.from_seed(0))
-        out = gibbs_site_step(img, W, 0.3, cfg, RandomStream.from_seed(2))
-        assert out.labels.shape == W.labels.shape
 
 
 def reference_ssr(image, idx, order):
