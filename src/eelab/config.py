@@ -210,7 +210,12 @@ class LadderSection:
         if self.temperatures is not None:
             temps = list(self.temperatures)
         else:
-            temps = [self.temperature_ratio ** i for i in range(self.n_levels)]
+            try:
+                temps = [self.temperature_ratio ** i for i in range(self.n_levels)]
+            except OverflowError:
+                raise ConfigError(
+                    f"ladder.temperature_ratio: {self.temperature_ratio} ** "
+                    f"{self.n_levels - 1} overflows a float") from None
         if self.truncations is not None:
             truncs = [-math.inf] + list(self.truncations)
             _require(len(truncs) == len(temps), "ladder.truncations",

@@ -306,9 +306,31 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int) -> TraceSet:
 # ---------------------------------------------------------------------------
 
 
-def _jump_log_accept(logd_lo: np.ndarray, logd_hi: np.ndarray,
-                     x: int, y: int) -> float:
-    return (logd_lo[y] + logd_hi[x]) - (logd_lo[x] + logd_hi[y])
+def _jump_kernel(base: np.ndarray, logd_lo: np.ndarray, logd_hi: np.ndarray,
+                 pools) -> np.ndarray:
+    """Exact kernel of a jump move, one row per source state.
+
+    pools holds (sources, proposed, weights): from each source x the move
+    proposes proposed[k] (ascending) with probability weights[k] and
+    accepts it with min(1, [d_lo(y) d_hi(x)] / [d_lo(x) d_hi(y)]); the
+    rejected mass stays on the diagonal. Rows of sources with an empty
+    pool, and of states in no pool, are those of base. Acceptances go
+    through math.exp and rows are summed left to right, so the matrix does
+    not depend on numpy's SIMD dispatch.
+    """
+    K = base.copy()
+    for xs, ys, w in pools:
+        if len(ys) == 0:
+            continue
+        logr = (logd_lo[ys] + logd_hi[xs, None]) - (logd_lo[xs, None] + logd_hi[ys])
+        a = np.fromiter(map(math.exp, np.minimum(logr, 0.0).ravel().tolist()),
+                        float, logr.size).reshape(logr.shape)
+        P = w * a
+        P[xs[:, None] == ys] = 0.0
+        K[xs] = 0.0
+        K[np.ix_(xs, ys)] = P
+        K[xs, xs] = 1.0 - np.cumsum(P, axis=1)[:, -1]
+    return K
 
 
 def idealized_jump_matrix(
@@ -323,31 +345,17 @@ def idealized_jump_matrix(
     The result is block-diagonal over rings and reversible for the
     level-lo target.
     """
-    h = model.energies()
-    logd_lo = level_logdensities(model, level_lo)
-    logd_hi = level_logdensities(model, level_hi)
-    q_hi = enumerate_distribution(model, level_hi)
+    q_hi = enumerate_distribution(model, level_hi).probs
     rings = RingLedger(level_hi.index, boundaries)
-    ring_of = np.array(rings.ring_table(h))
-
-    n = model.size
-    K = np.zeros((n, n))
-    for r in range(rings.n_rings):
-        members = np.nonzero(ring_of == r)[0]
-        if len(members) == 0:
-            continue
-        qr = q_hi.probs[members]
-        qr = qr / qr.sum()
-        for xi, x in enumerate(members):
-            row = 0.0
-            for yi, y in enumerate(members):
-                if y == x:
-                    continue
-                a = min(1.0, math.exp(_jump_log_accept(logd_lo, logd_hi, x, y)))
-                K[x, y] = qr[yi] * a
-                row += K[x, y]
-            K[x, x] = 1.0 - row
-    return K
+    ring_of = np.array(rings.ring_table(model.energies()))
+    pools = []
+    for r in np.unique(ring_of):
+        members = np.flatnonzero(ring_of == r)
+        qr = q_hi[members]
+        pools.append((members, members, qr / qr.sum()))
+    return _jump_kernel(np.zeros((model.size, model.size)),
+                        level_logdensities(model, level_lo),
+                        level_logdensities(model, level_hi), pools)
 
 
 def empirical_jump_chain_matrix(
@@ -367,39 +375,21 @@ def empirical_jump_chain_matrix(
     """
     if not 0.0 <= p_jump <= 1.0:
         raise ConfigError("p_jump must be in [0, 1]")
-    ring_of = ledger.ring_table(model.energies())
-    logd_lo = level_logdensities(model, level_lo)
-    logd_hi = level_logdensities(model, level_hi)
-    K_local = RandomWalkKernel(model, level_lo).exact_matrix()
-
     n = model.size
-    pool_counts: dict[int, np.ndarray] = {}
-
-    def counts_for(pool) -> np.ndarray:
-        key = id(pool)
-        if key not in pool_counts:
-            pool_counts[key] = np.bincount(pool, minlength=n)
-        return pool_counts[key]
-
-    K_jump = np.zeros((n, n))
-    for x in range(n):
-        if jump_mode == "restricted":
-            pool = ledger.rings[ring_of[x]]
-        else:
-            pool = ledger.all_records
-        if not pool:
-            K_jump[x] = K_local[x]
-            continue
-        counts = counts_for(pool)
-        m = len(pool)
-        row = 0.0
-        for y in np.nonzero(counts)[0]:
-            if y == x:
-                continue
-            a = min(1.0, math.exp(_jump_log_accept(logd_lo, logd_hi, x, y)))
-            K_jump[x, y] = (counts[y] / m) * a
-            row += K_jump[x, y]
-        K_jump[x, x] = 1.0 - row
+    K_local = RandomWalkKernel(model, level_lo).exact_matrix()
+    if jump_mode == "restricted":
+        ring_of = np.asarray(ledger.ring_table(model.energies()))
+        sources = [np.flatnonzero(ring_of == j) for j in range(ledger.n_rings)]
+        records = ledger.rings
+    else:
+        sources, records = [np.arange(n)], [ledger.all_records]
+    pools = []
+    for xs, pool in zip(sources, records):
+        counts = np.bincount(np.asarray(pool, dtype=np.int64), minlength=n)
+        ys = np.flatnonzero(counts)
+        pools.append((xs, ys, counts[ys] / len(pool)))
+    K_jump = _jump_kernel(K_local, level_logdensities(model, level_lo),
+                          level_logdensities(model, level_hi), pools)
     return p_jump * K_jump + (1.0 - p_jump) * K_local
 
 

@@ -10,7 +10,6 @@ either) matches; it never asserts one of them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,9 +49,6 @@ class SpectralReport:
             "bound_alternate": self.bound_alternate,
             "matched_bound": self.matched_bound,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def eigen_spectrum(
@@ -165,13 +161,6 @@ class Partition:
     @property
     def n_cells(self) -> int:
         return int(self.map.max()) + 1
-
-    @classmethod
-    def blocks(cls, n_fine: int, cell_size: int) -> "Partition":
-        """Contiguous blocks of cell_size fine states (last cell may be short)."""
-        if cell_size < 1:
-            raise ConfigError("cell_size must be >= 1")
-        return cls(np.arange(n_fine) // cell_size)
 
 
 def coarsen(dist: FiniteDistribution, part: Partition) -> FiniteDistribution:

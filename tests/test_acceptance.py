@@ -246,8 +246,7 @@ def test_criterion_6_reversibility_bias_decay():
 @criterion(7, "cluster sampler matches the enumerated 3x3 posterior")
 def test_criterion_7_swcut_exactness():
     """1e6 cluster moves and 1e6 site updates each land within TV 0.05 of
-    the 512-state oracle; two affinity settings agree within TV 0.05; the
-    in-loop always-accept assertion never fires (it would raise)."""
+    the 512-state oracle; two affinity settings agree within TV 0.05."""
     img = Image(3, 3, np.array([
         [0.1, 0.2, 0.7],
         [0.15, 0.5, 0.8],

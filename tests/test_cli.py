@@ -112,6 +112,8 @@ MALFORMED = [
     ({"segmentation": {"image": {"kind": "pgm", "path": 3}}}, [],
      "segmentation.image.path"),
     ({"ladder": {"truncations": [True]}}, [], "ladder.truncations"),
+    ({"ladder": {"temperature_ratio": 1e300, "n_levels": 3}}, [],
+     "ladder.temperature_ratio"),
 ]
 
 
@@ -292,3 +294,15 @@ class TestArtifacts:
         assert meta["version"] == __version__
         assert meta["config"]["experiment"] == "spectral"
         assert meta["seed"] == 4
+
+
+@pytest.mark.parametrize("depth", [200, 2000])
+def test_q3_runs_on_deep_wells(tmp_path, depth):
+    """A deep double well makes exp(log r) of some jump acceptance
+    overflow; q3 must still finish with an exact idealized kernel."""
+    cfg = write_config(tmp_path, {"experiment": "q3", "model": {"depth": depth}})
+    out = tmp_path / "out"
+    assert main(["q3", "--config", str(cfg), "--out", str(out)]) == 0
+    ideal = json.loads((out / "summary.json").read_text())["idealized_kernel"]
+    assert ideal["stationary_gap"] <= 1e-12
+    assert ideal["reversibility_gap"] <= 1e-12

@@ -438,3 +438,111 @@ class TestIdealizedJump:
             )
             tvs.append(tv_distance(stationary_distribution(K), pi.probs))
         assert tvs[0] > tvs[2]
+
+
+# Reference copies of the per-pair loops the jump kernels were first
+# written as; the vectorized builder must reproduce them bit for bit.
+
+
+def _loop_log_accept(logd_lo, logd_hi, x, y):
+    return (logd_lo[y] + logd_hi[x]) - (logd_lo[x] + logd_hi[y])
+
+
+def loop_idealized_jump_matrix(model, level_lo, level_hi, boundaries):
+    h = model.energies()
+    logd_lo = level_logdensities(model, level_lo)
+    logd_hi = level_logdensities(model, level_hi)
+    q_hi = enumerate_distribution(model, level_hi)
+    rings = RingLedger(level_hi.index, boundaries)
+    ring_of = np.array(rings.ring_table(h))
+    n = model.size
+    K = np.zeros((n, n))
+    for r in range(rings.n_rings):
+        members = np.nonzero(ring_of == r)[0]
+        if len(members) == 0:
+            continue
+        qr = q_hi.probs[members]
+        qr = qr / qr.sum()
+        for x in members:
+            row = 0.0
+            for yi, y in enumerate(members):
+                if y == x:
+                    continue
+                a = min(1.0, math.exp(_loop_log_accept(logd_lo, logd_hi, x, y)))
+                K[x, y] = qr[yi] * a
+                row += K[x, y]
+            K[x, x] = 1.0 - row
+    return K
+
+
+def loop_empirical_jump_chain_matrix(model, level_lo, level_hi, ledger, p_jump,
+                                     jump_mode="restricted"):
+    ring_of = ledger.ring_table(model.energies())
+    logd_lo = level_logdensities(model, level_lo)
+    logd_hi = level_logdensities(model, level_hi)
+    K_local = RandomWalkKernel(model, level_lo).exact_matrix()
+    n = model.size
+    K_jump = np.zeros((n, n))
+    for x in range(n):
+        pool = ledger.rings[ring_of[x]] if jump_mode == "restricted" else ledger.all_records
+        if not pool:
+            K_jump[x] = K_local[x]
+            continue
+        counts = np.bincount(pool, minlength=n)
+        m = len(pool)
+        row = 0.0
+        for y in np.nonzero(counts)[0]:
+            if y == x:
+                continue
+            a = min(1.0, math.exp(_loop_log_accept(logd_lo, logd_hi, x, y)))
+            K_jump[x, y] = (counts[y] / m) * a
+            row += K_jump[x, y]
+        K_jump[x, x] = 1.0 - row
+    return p_jump * K_jump + (1.0 - p_jump) * K_local
+
+
+# one ring per truncation, several rings, and two empty rings (below every
+# energy and between equal boundaries)
+RING_LAYOUTS = {"truncation": [1.0], "four_rings": [0.3, 1.0, 2.5],
+                "empty_rings": [-1.0, 0.7, 0.7, 1.5]}
+
+
+class TestJumpKernelMatchesLoops:
+    model = two_mode_model(40, depth=3.0)
+    levels = geometric_ladder(2, ratio=4.0, h_min=0.5, dh=0.5)
+
+    @pytest.mark.parametrize("layout", RING_LAYOUTS)
+    def test_idealized(self, layout):
+        b = RING_LAYOUTS[layout]
+        K = idealized_jump_matrix(self.model, *self.levels, b)
+        assert np.array_equal(K, loop_idealized_jump_matrix(self.model, *self.levels, b))
+
+    @pytest.mark.parametrize("layout", RING_LAYOUTS)
+    @pytest.mark.parametrize("jump_mode", ["restricted", "unrestricted"])
+    @pytest.mark.parametrize("size", [0, 1, 50, 2000])
+    @pytest.mark.parametrize("cap", [None, 30])
+    def test_empirical(self, layout, jump_mode, size, cap):
+        b = RING_LAYOUTS[layout]
+        full = ledger_from_iid(self.model, self.levels[1], b, size,
+                               RandomStream.from_seed(size + 7))
+        ledger = RingLedger(1, b, max_records=cap)
+        ring_of = np.asarray(ledger.ring_table(self.model.energies()))
+        records = np.asarray(full.all_records, dtype=np.int64)
+        ledger.extend(records, ring_of[records])
+        assert ledger.total == (size if cap is None else min(size, cap))
+        args = (self.model, *self.levels, ledger, 0.6, jump_mode)
+        K = empirical_jump_chain_matrix(*args)
+        assert np.array_equal(K, loop_empirical_jump_chain_matrix(*args))
+
+
+@pytest.mark.parametrize("depth", [200.0, 2000.0])
+def test_idealized_kernel_is_exact_on_deep_wells(depth):
+    """exp(log r) overflows for such depths; the kernel takes
+    exp(min(log r, 0)) and keeps its gaps at machine precision."""
+    model = builtin_model("double_well_grid", points=41, bounds=[-2.0, 2.0],
+                          depth=depth)
+    levels = geometric_ladder(2, ratio=4.0, h_min=0.5, dh=0.5)
+    pi = enumerate_distribution(model, levels[0])
+    K = idealized_jump_matrix(model, *levels, [levels[1].truncation])
+    assert stationary_gap(K, pi.probs) <= 1e-12
+    assert reversibility_gap(K, pi.probs) <= 1e-12

@@ -135,7 +135,7 @@ DIGESTS = {
         "metadata.json": "5910cd8f5dba72118b9d91618a7a4d4351e59d5018f042bf70e285d4d1c6f307",
         "overlay.ppm": "673fcc2deb2097a0258e3ffd9b34b50fc06fcd8011f1345d51519395241819c8",
         "summary.json": "b73cd73b12e18adbe3530c327a58e84a47c436bca7d186f8164dbc207525fd42",
-        "trace.csv": "f05142928e25c144b27a95b84d75b889881255e83edf3af8d88cb33eb2a1f282",
+        "trace.csv": "0fb0f5ca94b2a320a0675d818c8bd70a52337f3095a7b5ad8219e092c5a679cd",
     },
     "segment_poly_uniform": {
         "DONE": DONE,
