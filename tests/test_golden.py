@@ -10,7 +10,11 @@ digests were recorded while the parallel schedule still interleaved the
 levels step by step, and pin both variants of each over two replicates. The ``segment`` digests
 were recorded with the scalar union-find cluster formation and pin
 SW-cut runs on a 24x24 image (fixed means and a first-order polynomial
-fit, each with both cluster picks) from a random initial labeling.
+fit, each with both cluster picks) from a random initial labeling. The
+Gibbs digests were recorded while the random-scan Gibbs site update
+still drew its label with numpy's exp and sum, and pin single-site Gibbs
+``segment`` runs (three labels with fixed means; a first-order
+polynomial fit) and a small ``swcut_vs_gibbs``.
 
 A deliberate change in RNG consumption or output format changes the
 digests: update them in the same change and say why in CHANGES.md.
@@ -64,6 +68,13 @@ CONFIGS = {
     "segment_fixed_pixel": _segment(22, "pixel"),
     "segment_poly_uniform": _segment(23, "uniform", region_mode="poly_fit", order=1),
     "segment_poly_pixel": _segment(24, "pixel", region_mode="poly_fit", order=1),
+    "segment_gibbs_fixed": _segment(25, "uniform", sampler="gibbs", n_labels=3,
+                                    means=[0.2, 0.5, 0.8]),
+    "segment_gibbs_poly": _segment(26, "uniform", sampler="gibbs",
+                                   region_mode="poly_fit", order=1),
+    "swcut_vs_gibbs": {
+        "experiment": "swcut_vs_gibbs", "seed": 27, "replicates": 2,
+        "segmentation": {"image": {"width": 12, "height": 12}}},
 }
 
 DONE = "d117fa006ba9208500b2930ce69cbde436c647afa917cb7396a9bc9111a46dd2"
@@ -129,6 +140,22 @@ DIGESTS = {
         "summary.json": "70d831c968a9a6b97d69db43a2ca3b412f6e7d07027c986587a7ebce8304dcbd",
         "trace.csv": "32431c9847a099c94e8bd965d9fc89bcdb9873206daa9610f61dc24cee1001a9",
     },
+    "segment_gibbs_fixed": {
+        "DONE": DONE,
+        "labels.pgm": "9be9b26b45b279d4e1bec0941e708fd26a11282c6b90369ebc205cc60dc9aacf",
+        "metadata.json": "ed3f9f344a616b674a3337b4172b71a2ffd8a36886a37c531ebcdff25b8d2a82",
+        "overlay.ppm": "516a160054f93d77051eea2fe7abaea83ec56cbe875de89faa794bc2eb9ef2a3",
+        "summary.json": "d06b1df386052707e5e483ebd2a3b7807da56c48f76474159b3fee7ec1f75a2e",
+        "trace.csv": "e11877ac82c981ade4746b7d8a94ac012c78a0650c2dd5e454baa335cc912b8f",
+    },
+    "segment_gibbs_poly": {
+        "DONE": DONE,
+        "labels.pgm": "70cfa1247cfabeb73e1c7f033f0cc691faab992524b2ca27958f614e811114d6",
+        "metadata.json": "657890c4ab0695d17ea84edc4e5e8b7eedf212850605bfa5252bb9cda71fba0c",
+        "overlay.ppm": "90a46870127c5e8a1e92073d3b426372b7dca461426a714a823f6fabf27fce1f",
+        "summary.json": "41a2c6a00a236ee26b5f2107e1b7e84d01548b27efd634ce723e18c7851e5b97",
+        "trace.csv": "24a1f30a7593ea4b68e17251bb0c981a53f83cea4e8ac86c0ae48903ccd1c3e0",
+    },
     "segment_poly_pixel": {
         "DONE": DONE,
         "labels.pgm": "8a28bb138d9791998e1c5437180ff4e18407ac71963cc6afda0a901287d5b0c7",
@@ -144,6 +171,12 @@ DIGESTS = {
         "overlay.ppm": "6c734f2d81f3f425a8c6532bbf3dcf6aa84139f8a9b5c29ce7295ffcba4fed2a",
         "summary.json": "6801b585877483e16bc1eb7643f4aae0fa2cb4d53ddaf92ded8d9c623a99476b",
         "trace.csv": "7522306463c55e4cb8e056d8d9fa19d8092311eb7131196d0d87ef051f2f3272",
+    },
+    "swcut_vs_gibbs": {
+        "DONE": DONE,
+        "metadata.json": "1de94b8b54f77463f59196a27d9f763992528149daea306d3dd5ce7c754a25b8",
+        "mixing.csv": "f65b284af9c5bf90ca56302254bdb34667ee17b67a563fbb1956b55521a327c5",
+        "summary.json": "57c156ec8941b6f6bec1627551ac1dd4614da473519fc37027f6834c624b428a",
     },
 }
 
