@@ -225,6 +225,15 @@ class LadderSection:
                 self.truncation_min + i * self.truncation_step
                 for i in range(1, len(temps))
             ]
+        for i in range(1, len(temps)):
+            _require(temps[i] > temps[i - 1], "ladder.temperature_ratio"
+                     if self.temperatures is None else f"ladder.temperatures[{i}]",
+                     f"level temperatures must strictly increase, got {temps[i]} "
+                     f"at level {i} after {temps[i - 1]}")
+            _require(truncs[i] >= truncs[i - 1], "ladder.truncation_step"
+                     if self.truncations is None else f"ladder.truncations[{i - 1}]",
+                     f"level truncations must not decrease, got {truncs[i]} "
+                     f"at level {i} after {truncs[i - 1]}")
         return [LadderLevel(i, float(t), float(h))
                 for i, (t, h) in enumerate(zip(temps, truncs))]
 
@@ -357,10 +366,13 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
         )
     cfg = _build(ExperimentConfig, {**raw, "experiment": exp}, "")
     try:
-        cfg.build_model()  # surface model parameter errors now
+        model = cfg.build_model()  # surface model parameter errors now
     except ConfigError as exc:
         raise ConfigError(f"model: {exc}") from None
     cfg.ladder.levels()
+    init = cfg.ladder.init_state
+    _require(init is None or init < model.size, "ladder.init_state",
+             f"must be < {model.size}, the model's state count, got {init}")
     return cfg
 
 

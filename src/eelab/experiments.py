@@ -42,7 +42,7 @@ from .kernels import (
 from .netpbm import read_pgm, write_label_pgm, write_overlay_ppm
 from .rng import RandomStream
 from .spectral import Partition, coarsen, eigen_spectrum, mis_gap_report, ratio_extremes, tv_distance
-from .statespace import enumerate_distribution
+from .statespace import builtin_model, enumerate_distribution
 from .swcut import (
     GibbsSiteSampler,
     SwCutSampler,
@@ -365,8 +365,6 @@ def exp_q4(config: ExperimentConfig, out: Path) -> None:
 
     # coarse-space kernels: local walk over the coarse cells, independence
     # jumps from the coarsened proposal, and their mixture
-    from .statespace import builtin_model
-
     coarse_model = builtin_model("energy_table",
                                  energies=(-np.log(pi_c.probs)).tolist())
     coarse_local = RandomWalkKernel(coarse_model)

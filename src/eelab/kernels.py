@@ -5,7 +5,7 @@ enumerable spaces, exact_matrix() -> dense row-stochastic ndarray whose
 diagonal absorbs all rejection mass. Acceptance draws are skipped when
 the acceptance probability is exactly 1, so the per-step rng consumption
 is: random-walk 1-2 uniforms, independence 1-2 uniforms, mixture 1 +
-component, Gibbs 2 uniforms.
+component.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .statespace import (
     FiniteDistribution,
     LadderLevel,
     level_logdensities,
+    level_logdensity,
 )
 
 ROW_SUM_TOL = 1e-12
@@ -129,8 +130,6 @@ class RandomWalkKernel:
         return w / w.sum()
 
     def _logdensity(self, state: int) -> float:
-        from .statespace import level_logdensity
-
         if self.level is None:
             return -self.model.energy(state)
         return level_logdensity(self.model, self.level, state)
@@ -236,68 +235,3 @@ class MixtureKernel:
             self.alpha * self.local.exact_matrix()
             + (1.0 - self.alpha) * self.jump.exact_matrix()
         )
-
-
-class RandomScanGibbs:
-    """Single-site Gibbs on a potts_grid model (generic coordinate form).
-
-    Each step resamples one uniformly chosen site from its full
-    conditional under the (optionally tempered/truncated) level density.
-    """
-
-    def __init__(self, model: EnergyModel, level: LadderLevel | None = None):
-        if model.kind != "potts_grid":
-            raise ConfigError("RandomScanGibbs expects a potts_grid model")
-        self.model = model
-        self.level = level
-        meta = model.meta
-        self._n_sites = meta["width"] * meta["height"]
-        self._labels = meta["labels"]
-        self._decode = meta["decode"]
-        self._powers = [self._labels ** s for s in range(self._n_sites)]
-
-    @property
-    def target_probs(self) -> np.ndarray:
-        if self.level is None:
-            w = np.exp(-(self.model.energies() - self.model.energies().min()))
-        else:
-            logd = level_logdensities(self.model, self.level)
-            w = np.exp(logd - logd.max())
-        return w / w.sum()
-
-    def _conditional(self, state: int, site: int) -> np.ndarray:
-        cur = self._decode(state)[site]
-        base = state - cur * self._powers[site]
-        logd = np.empty(self._labels)
-        for v in range(self._labels):
-            h = self.model.energy(base + v * self._powers[site])
-            if self.level is None:
-                logd[v] = -h
-            else:
-                logd[v] = -max(h, self.level.truncation) / self.level.temperature
-        w = np.exp(logd - logd.max())
-        return w / w.sum()
-
-    def step(self, state: int, rng: RandomStream) -> tuple[int, bool]:
-        site = rng.randint(self._n_sites)
-        probs = self._conditional(state, site)
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0
-        v = int(np.searchsorted(cum, rng.uniform(), side="right"))
-        cur = self._decode(state)[site]
-        new = state + (v - cur) * self._powers[site]
-        return new, new != state
-
-    def exact_matrix(self) -> np.ndarray:
-        if not self.model.enumerable:
-            raise CapabilityError("exact matrix needs an enumerable model")
-        n = self.model.size
-        K = np.zeros((n, n))
-        for x in range(n):
-            w = self._decode(x)
-            for site in range(self._n_sites):
-                probs = self._conditional(x, site)
-                base = x - w[site] * self._powers[site]
-                for v in range(self._labels):
-                    K[x, base + v * self._powers[site]] += probs[v] / self._n_sites
-        return K

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError, ReversibilityError, ShapeError
+from .errors import CapabilityError, ConfigError, ReversibilityError, ShapeError, SupportError
 from .kernels import IndependenceKernel, check_transition_matrix
 from .statespace import FiniteDistribution
 
@@ -106,8 +106,6 @@ def ratio_extremes(
     if len(pi) != len(q) or np.any(pi.states != q.states):
         raise ShapeError("pi and q must share the same state order")
     if np.any(q.probs <= 0):
-        from .errors import SupportError
-
         raise SupportError("ratio extremes need a full-support proposal")
     r = pi.probs / q.probs
     return float(r.min()), float(r.max())

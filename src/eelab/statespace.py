@@ -406,8 +406,6 @@ def _potts_grid(width: int, height: int, labels: int, beta: float,
             "height": height,
             "labels": labels,
             "beta": beta,
-            "edges": edges,
-            "decode": decode,
         },
     )
 

@@ -442,12 +442,12 @@ class RegionLikelihood:
         base = lik_sums[l_cur - 1]
         return [s - base for s in lik_sums]
 
-    def site_terms(self, lab: np.ndarray, i: int) -> np.ndarray:
+    def site_terms(self, lab: np.ndarray, i: int) -> list[float]:
         """Per-label log-likelihood of pixel i's label, up to a constant
         shared by all labels."""
         if self.lik is not None:
-            return self.lik[i]
-        return self._poly_deltas(lab, i, int(lab[i]))
+            return self._lik_rows[i]
+        return self._poly_deltas(lab, i, int(lab[i])).tolist()
 
     def commit(self, pixels, l_new: int) -> None:
         """Record that the pixels of the last delta call now carry l_new."""
@@ -515,12 +515,37 @@ class RegionLikelihood:
 # ---------------------------------------------------------------------------
 
 
+def _label_weights(logw: list[float]) -> tuple[list[float], float]:
+    """exp(logw - max logw) per label, and their correctly rounded sum.
+
+    math.exp per label: numpy's SIMD exp may differ in the last bit."""
+    top = max(logw)
+    w = [math.exp(v - top) for v in logw]
+    return w, math.fsum(w)
+
+
+def _draw_label(logw: list[float], rng: RandomStream) -> int:
+    """A label 1..L with probability proportional to exp(logw[label - 1]),
+    from one uniform and a left-to-right cumulative compare."""
+    w, total = _label_weights(logw)
+    u = rng.uniform() * total
+    acc = 0.0
+    for c, wc in enumerate(w):
+        acc += wc
+        if u < acc:
+            return c + 1
+    return len(w)
+
+
 # Lattices of at most this many pixels form clusters with the scalar
 # union-find, where numpy's per-call overhead costs more than the array
 # passes save. Timed on 2 vCPUs, the two paths break even between 12x12
 # and 16x16 (the vector path is 1.5x slower at 8x8, 1.3x faster at
 # 16x16); the crossover keeps every lattice up to 16x16 on the scalar path.
 _SCALAR_MAX_PIXELS = 256
+
+# Largest state space of GibbsSiteSampler.exact_matrix (128 MB of matrix)
+_EXACT_MAX_STATES = 4096
 
 
 class SwCutSampler:
@@ -557,8 +582,6 @@ class SwCutSampler:
         self.image = image
         self.n_labels = n_labels
         self.beta = beta
-        self.cfg = region_cfg
-        self.aff = aff
         self.cluster_pick = cluster_pick
 
         self.n = image.n_pixels
@@ -584,11 +607,10 @@ class SwCutSampler:
         Returns the log posterior change. The new label is drawn from
         the candidate weights and always accepted.
         """
-        lab = labels
-        same = lab[self.ei] == lab[self.ej]
+        same = labels[self.ei] == labels[self.ej]
         on = same & (rng.uniforms(len(self.ei)) < self.p)
         if self._vector:
-            v0, cut_log, cut_count = self._pick_vector(lab, on, rng)
+            v0, cut_log, cut_count = self._pick_vector(labels, on, rng)
         else:
             comps = _components(self.n, self.ei, self.ej, on)
             if self.cluster_pick == "uniform":
@@ -596,38 +618,27 @@ class SwCutSampler:
             else:
                 pix = rng.randint(self.n)
                 v0 = next(c for c in comps if pix in c)
-            cut_log, cut_count = self._cut_sums(lab, v0)
+            cut_log, cut_count = self._cut_sums(labels, v0)
 
-        l_cur = int(lab[v0[0]])
-        L = self.n_labels
+        l_cur = int(labels[v0[0]])
 
         # candidate log weights: cut product * posterior, relative to current
-        dliks = self.likelihood.cluster_deltas(lab, v0, l_cur)
+        dliks = self.likelihood.cluster_deltas(labels, v0, l_cur)
         beta = self.beta
         cc_cur = cut_count[l_cur]
         logw = [
             cut_log[c + 1] + dliks[c] + beta * (cut_count[c + 1] - cc_cur)
-            for c in range(L)
+            for c in range(self.n_labels)
         ]
 
-        top = max(logw)
-        w = [math.exp(v - top) for v in logw]
-        total = math.fsum(w)
-        u = rng.uniform() * total
-        acc = 0.0
-        l_new = L
-        for c in range(L):
-            acc += w[c]
-            if u < acc:
-                l_new = c + 1
-                break
+        l_new = _draw_label(logw, rng)
 
         # the MH ratio (cut products * proposal ratio * posterior ratio) is
         # exactly 1 by the weight design, so the move is always accepted
         dpost = logw[l_new - 1] - cut_log[l_new]
 
         if l_new != l_cur:
-            lab[np.asarray(v0)] = l_new
+            labels[np.asarray(v0)] = l_new
             self.likelihood.commit(v0, l_new)
         return float(dpost)
 
@@ -675,7 +686,8 @@ class SwCutSampler:
 
 
 class GibbsSiteSampler:
-    """Random-scan single-site Gibbs over the same posterior."""
+    """Random-scan single-site Gibbs over the same posterior; with equal
+    means (a flat likelihood) it is potts_grid's random-scan Gibbs kernel."""
 
     def __init__(
         self,
@@ -689,38 +701,42 @@ class GibbsSiteSampler:
         self.image = image
         self.n_labels = n_labels
         self.beta = beta
-        self.cfg = region_cfg
         self.n = image.n_pixels
         nbr, _ = _incidence(image.width, image.height)
         self.nbrs = [tuple(b for b in row if b >= 0) for row in nbr.tolist()]
         self.likelihood = RegionLikelihood(image, n_labels, region_cfg)
 
-    def _site_logweights(self, lab: np.ndarray, i: int) -> np.ndarray:
-        logw = np.zeros(self.n_labels)
+    def _site_logweights(self, lab: np.ndarray, i: int) -> list[float]:
+        logw = [0.0] * self.n_labels
         for nb in self.nbrs[i]:
             logw[lab[nb] - 1] += self.beta
-        logw += self.likelihood.site_terms(lab, i)
-        return logw
+        return [a + b for a, b in zip(logw, self.likelihood.site_terms(lab, i))]
 
     def step(self, labels: np.ndarray, rng: RandomStream) -> float:
         """Resample one uniformly chosen pixel from its full conditional."""
-        lab = labels
         i = rng.randint(self.n)
-        logw = self._site_logweights(lab, i)
-        z = np.exp(logw - logw.max())
-        total = z.sum()
-        u = rng.uniform() * total
-        acc = 0.0
-        l_new = self.n_labels
-        for c in range(self.n_labels):
-            acc += z[c]
-            if u < acc:
-                l_new = c + 1
-                break
-        l_cur = int(lab[i])
-        lab[i] = l_new
+        logw = self._site_logweights(labels, i)
+        l_new = _draw_label(logw, rng)
+        dpost = logw[l_new - 1] - logw[labels[i] - 1]
+        labels[i] = l_new
         self.likelihood.commit(i, l_new)
-        return float(logw[l_new - 1] - logw[l_cur - 1])
+        return dpost
+
+    def exact_matrix(self) -> np.ndarray:
+        """Transition matrix of one step over all L^n labelings, indexed
+        by encode_labeling's code; at most _EXACT_MAX_STATES of them."""
+        L, n = self.n_labels, self.n
+        size = L ** n
+        if size > _EXACT_MAX_STATES:
+            raise CapabilityError(f"{size} labelings exceed the cap {_EXACT_MAX_STATES}")
+        K = np.zeros((size, size))
+        for x in range(size):
+            lab = decode_labeling(x, L, self.image.width, self.image.height).flat
+            for i in range(n):
+                w, total = _label_weights(self._site_logweights(lab, i))
+                for c in range(L):
+                    K[x, x + (c + 1 - int(lab[i])) * L ** i] += w[c] / total / n
+        return K
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from eelab.experiments import run_experiment
 from eelab.kernels import (
     IndependenceKernel,
     MixtureKernel,
-    RandomScanGibbs,
     RandomWalkKernel,
     reversibility_gap,
     stationary_distribution,
@@ -147,7 +146,9 @@ def test_criterion_3_kernel_exactness():
 
     potts = builtin_model("potts_grid", width=2, height=2, labels=2, beta=0.6)
     potts_pi = enumerate_distribution(potts, LEVEL0)
-    gibbs = RandomScanGibbs(potts)
+    # a flat likelihood leaves the Potts prior as the posterior
+    flat = RegionModelConfig(mode="fixed_means", sigma=0.5, means=(0.5, 0.5))
+    gibbs = GibbsSiteSampler(Image(2, 2, np.full((2, 2), 0.5)), 2, 0.6, flat)
 
     ideal = idealized_jump_matrix(model, LEVEL0, lv1, [1.0])
 

@@ -114,6 +114,15 @@ MALFORMED = [
     ({"ladder": {"truncations": [True]}}, [], "ladder.truncations"),
     ({"ladder": {"temperature_ratio": 1e300, "n_levels": 3}}, [],
      "ladder.temperature_ratio"),
+    ({"ladder": {"temperatures": [1, 4, 2]}}, [], "ladder.temperatures[2]"),
+    # its own id keeps the id of the ladder.temperature_ratio case above
+    pytest.param({"ladder": {"temperature_ratio": 1}}, [], "ladder.temperature_ratio",
+                 id="ladder.temperature_ratio(equal levels)"),
+    ({"ladder": {"truncation_step": -1, "n_levels": 3}}, [],
+     "ladder.truncation_step"),
+    ({"ladder": {"truncations": [2.0, 1.0], "n_levels": 3}}, [],
+     "ladder.truncations[1]"),
+    ({"ladder": {"init_state": 99}}, [], "ladder.init_state"),
 ]
 
 
@@ -129,7 +138,7 @@ def _case_id(raw, extra, key_path):
 
 
 @pytest.mark.parametrize("raw,extra,key_path", MALFORMED,
-                         ids=[_case_id(*m) for m in MALFORMED])
+                         ids=[_case_id(*getattr(m, "values", m)) for m in MALFORMED])
 def test_malformed_input_is_a_keyed_config_error(tmp_path, capsys, raw, extra,
                                                  key_path):
     cfg = write_config(tmp_path, {"experiment": "run", **raw})
@@ -137,6 +146,7 @@ def test_malformed_input_is_a_keyed_config_error(tmp_path, capsys, raw, extra,
                  *extra])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"eelab: config error: {key_path}: ")
+    assert not (tmp_path / "out").exists()
 
 
 class TestCliExitCodes:

@@ -7,7 +7,6 @@ from eelab.errors import ConfigError, SupportError
 from eelab.kernels import (
     IndependenceKernel,
     MixtureKernel,
-    RandomScanGibbs,
     RandomWalkKernel,
     check_transition_matrix,
     reversibility_gap,
@@ -21,6 +20,7 @@ from eelab.statespace import (
     builtin_model,
     enumerate_distribution,
 )
+from eelab.swcut import GibbsSiteSampler, Image, RegionModelConfig
 
 LEVEL0 = LadderLevel(0, 1.0, -math.inf)
 
@@ -194,20 +194,32 @@ class TestMixture:
             MixtureKernel(0.5, local, jump)
 
 
+def flat_gibbs(width, height, labels, beta):
+    """GibbsSiteSampler whose flat likelihood leaves the potts_grid law as
+    its target."""
+    image = Image(width, height, np.full((height, width), 0.5))
+    cfg = RegionModelConfig(mode="fixed_means", sigma=0.5, means=(0.5,) * labels)
+    return GibbsSiteSampler(image, labels, beta, cfg)
+
+
 class TestGibbs:
     def test_zero_coupling_conditionals_uniform(self):
-        m = builtin_model("potts_grid", width=2, height=2, labels=2, beta=0.0)
-        kern = RandomScanGibbs(m)
-        for state in (0, 5, 15):
-            for site in range(4):
-                np.testing.assert_allclose(
-                    kern._conditional(state, site), [0.5, 0.5], atol=1e-15
-                )
+        """At beta = 0 each of the n sites is redrawn uniformly: 1/(nL) for
+        each one-site change, 1/L on the diagonal, 0 elsewhere."""
+        n, L = 4, 2
+        K = flat_gibbs(2, 2, L, 0.0).exact_matrix()
+        for x in range(L ** n):
+            expect = np.zeros(L ** n)
+            for site in range(n):
+                digit = (x // L ** site) % L
+                for v in range(L):
+                    expect[x + (v - digit) * L ** site] += 1.0 / (n * L)
+            np.testing.assert_allclose(K[x], expect, rtol=0, atol=1e-15)
 
     def test_exact_matrix_preserves_potts_target(self):
         m = builtin_model("potts_grid", width=2, height=2, labels=3, beta=0.7)
         pi = enumerate_distribution(m, LEVEL0)
-        K = RandomScanGibbs(m).exact_matrix()
+        K = flat_gibbs(2, 2, 3, 0.7).exact_matrix()
         check_transition_matrix(K)
         assert stationary_gap(K, pi.probs) <= 1e-12
         assert reversibility_gap(K, pi.probs) <= 1e-12

@@ -5,6 +5,7 @@ import pytest
 
 from eelab.errors import CapabilityError, ConfigError
 from eelab import swcut
+from eelab.kernels import reversibility_gap, stationary_gap
 from eelab.rng import RandomStream
 from eelab.spectral import tv_distance
 from eelab.swcut import (
@@ -410,7 +411,7 @@ class TestGibbsSite:
         # grid: sites 0,1,2 top row; 3,4,5 bottom. site 1 neighbors = 0, 2, 4
         lab[0], lab[2], lab[4] = 1, 1, 2
         logw = sam._site_logweights(lab, 1)
-        p = np.exp(logw - logw.max())
+        p = np.exp(np.array(logw) - max(logw))
         p /= p.sum()
         assert p[0] == pytest.approx(math.e / (math.e + 1.0), abs=1e-12)
 
@@ -436,6 +437,43 @@ class TestGibbsSite:
             sam.step(lab, rng)
             counts[int((lab - 1) @ powers)] += 1
         assert tv_distance(counts / counts.sum(), post.probs) < 0.05
+
+
+class TestGibbsExactMatrix:
+    """GibbsSiteSampler.exact_matrix against the enumerated posterior."""
+
+    @pytest.mark.parametrize("width,height,n_labels", [
+        (2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3), (3, 3, 2),
+    ])
+    @pytest.mark.parametrize("mode,order", [
+        ("fixed_means", 0), ("poly_fit", 1), ("poly_fit", 2),
+    ])
+    def test_stationary_and_reversible(self, width, height, n_labels, mode, order):
+        gen = np.random.default_rng(100 * width + 10 * height + n_labels)
+        image = Image(width, height, gen.random((height, width)))
+        cfg = RegionModelConfig(mode=mode, sigma=0.3, order=order,
+                                means=(0.2, 0.8, 0.5)[:n_labels])
+        post = enumerate_posterior(image, n_labels, 0.6, cfg)
+        K = GibbsSiteSampler(image, n_labels, 0.6, cfg).exact_matrix()
+        assert np.all(K >= 0)
+        assert np.abs(K.sum(axis=1) - 1.0).max() <= 1e-12
+        assert stationary_gap(K, post.probs) <= 1e-12
+        assert reversibility_gap(K, post.probs) <= 1e-12
+
+    def test_moves_change_at_most_one_pixel(self):
+        image = Image(3, 2, np.linspace(0.0, 1.0, 6).reshape(2, 3))
+        cfg = RegionModelConfig(mode="fixed_means", sigma=0.3, means=(0.2, 0.8))
+        K = GibbsSiteSampler(image, 2, 0.6, cfg).exact_matrix()
+        for x, y in zip(*np.nonzero(K)):
+            a = decode_labeling(int(x), 2, 3, 2).labels
+            b = decode_labeling(int(y), 2, 3, 2).labels
+            assert (a != b).sum() <= 1
+
+    def test_large_lattice_is_refused(self):
+        image = flat_image(4, 4)
+        cfg = RegionModelConfig(mode="fixed_means", sigma=0.5, means=(0.5, 0.5))
+        with pytest.raises(CapabilityError):
+            GibbsSiteSampler(image, 2, 0.5, cfg).exact_matrix()
 
 
 def reference_ssr(image, idx, order):
