@@ -95,24 +95,6 @@ class RingLedger:
             ring.extend(states[rings == j].tolist())
         self._flat.extend(states.tolist())
 
-    def draw(self, mode: str, current_ring: int, rng: RandomStream,
-             visible: int) -> Optional[int]:
-        """Uniform draw among the first ``visible`` states of the pool, or
-        None when visible is 0.
-
-        The pool is the current ring (restricted) or all records
-        (unrestricted); a run passes the number of its records made
-        before the drawing step. Consumes no randomness in the None case,
-        so a fallback local move sees exactly the rng stream a plain local
-        move would.
-        """
-        if mode not in ("restricted", "unrestricted"):
-            raise ConfigError(f"unknown jump mode {mode!r}")
-        if not visible:
-            return None
-        pool = self.rings[current_ring] if mode == "restricted" else self._flat
-        return pool[rng.randint(visible)]
-
 
 @dataclass
 class LadderConfig:
@@ -156,36 +138,6 @@ class LadderConfig:
         return [lv.truncation for lv in self.levels[1:]]
 
 
-def ee_jump_step(
-    x: int,
-    ring: int,
-    ledger: RingLedger,
-    mode: str,
-    visible: int,
-    logd_lo,
-    logd_hi,
-    local_kernel: RandomWalkKernel,
-    rng: RandomStream,
-) -> tuple[int, int, bool]:
-    """One jump move at the lower level against the upper level's ledger.
-
-    Draws one of the first ``visible`` recorded states of the current
-    state's energy ring (or of all records in unrestricted mode) and
-    accepts it with min(1, [d_lo(y) d_hi(x)] / [d_lo(x) d_hi(y)]). An
-    empty pool falls back to one local move; since the failed draw
-    consumed no randomness, the fallback behaves exactly like a plain
-    local step. Returns (new_state, move_type, accepted).
-    """
-    y = ledger.draw(mode, ring, rng, visible)
-    if y is None:
-        new, acc = local_kernel.step(x, rng)
-        return new, MOVE_JUMP_FALLBACK, acc
-    logr = (logd_lo[y] + logd_hi[x]) - (logd_lo[x] + logd_hi[y])
-    if logr >= 0.0 or rng.uniform() < math.exp(logr):
-        return y, MOVE_JUMP, True
-    return x, MOVE_JUMP, False
-
-
 @dataclass
 class LevelTrace:
     """Columnar trace of one level's chain, one row per step. Energy and
@@ -225,8 +177,10 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int) -> TraceSet:
     """Run every level's chain, top level first, each to completion.
 
     Each level-step is a jump against the ledger of the level above with
-    probability p_jump (never at the top level), else a local move; from
-    step burn_in on, the new state is recorded in the level's own ledger.
+    probability p_jump (never at the top level), else a local move; a
+    jump whose pool holds no visible record falls back to the local move.
+    From step burn_in on, the new state is recorded in the level's own
+    ledger.
 
     Ledgers are append-only and a level never writes to the one above, so
     running each level to completion is exact for both schedules. On the
@@ -256,47 +210,58 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int) -> TraceSet:
     # the upper level has taken its steps <= t (parallel) or all of them
     # (serial), so a jump sees the records with flat index <= t + lag.
     lag = (n_steps if serial else 0) - burn_in
+    # a step's trace code is 2 * move type + accepted
+    local, jump, fallback = 2 * MOVE_LOCAL, 2 * MOVE_JUMP, 2 * MOVE_JUMP_FALLBACK
     traces = []
     for i in range(K - 1, -1, -1):
-        rng, x = rngs[i], inits[i]
-        uniform = rng.uniform
-        kernel = RandomWalkKernel(model, config.levels[i])
-        moves = kernel.moves
+        x = inits[i]
+        uniform = rngs[i].uniform
+        moves = RandomWalkKernel(model, config.levels[i]).moves
         jumps = p_jump if i < K - 1 else 0.0
-        visited, codes = [], []  # code = 2 * move type + accepted
+        lo = logd[i]
+        hi = logd[i + 1] if jumps else None  # None: this level never jumps
+        visited, codes = [], []
         for t in range(n_steps):
+            code = local
             if jumps and uniform() < jumps:
                 ring = ring_list[x]
                 visible = bisect_right(pool_index[ring], t + lag)
-                x, move, acc = ee_jump_step(x, ring, upper, mode, visible, logd[i],
-                                            logd[i + 1], kernel, rng)
-                code = 2 * move + acc
+                # an empty pool draws no uniform, so its fallback is
+                # bit-identical to a plain local move
+                code = jump if visible else fallback
+            if code == jump:  # uniform over the visible records
+                j = int(uniform() * visible)
+                y = pools[ring][visible - 1 if j == visible else j]
+                logr = (lo[y] + hi[x]) - (lo[x] + hi[y])
+                if logr >= 0.0 or uniform() < math.exp(logr):
+                    x, code = y, code + 1
             else:  # RandomWalkKernel.step on its move table
                 slots = moves[x]
                 m = len(slots)
                 j = int(uniform() * m)
                 y, p = slots[m - 1 if j == m else j]
                 if y is not None and (p is None or uniform() < p):
-                    x, code = y, 1
-                else:
-                    code = 0
+                    x, code = y, code + 1
             visited.append(x)
             codes.append(code)
         codes = np.asarray(codes, dtype=np.int8)
         trace = LevelTrace(i, np.asarray(visited, dtype=np.int64), codes >> 1, codes & 1)
         traces.append(trace)
 
-        # fill the level's ledger in one pass; pool_index[ring] lists the
-        # flat indices of the records in the pool a jump from that ring uses
+        # fill the level's ledger in one pass; pools[ring] is the pool a
+        # jump from that ring draws from (its ring, or all records) and
+        # pool_index[ring] the flat indices of that pool's records
         upper = ledgers[i]
         recorded = trace.states[burn_in:]
         rings = ring_of[recorded]
         upper.extend(recorded, rings)
         if mode == "restricted":
             rings = rings[:upper.total]
+            pools = upper.rings
             pool_index = [np.flatnonzero(rings == j).tolist()
                           for j in range(upper.n_rings)]
         else:
+            pools = [upper.all_records] * upper.n_rings
             pool_index = [range(upper.total)] * upper.n_rings
     return TraceSet(traces[::-1], ledgers, burn_in)
 

@@ -45,6 +45,7 @@ from .spectral import Partition, coarsen, eigen_spectrum, mis_gap_report, ratio_
 from .statespace import builtin_model, enumerate_distribution
 from .swcut import (
     GibbsSiteSampler,
+    Labeling,
     SwCutSampler,
     agreement,
     edge_affinity,
@@ -309,13 +310,14 @@ def exp_q3(config: ExperimentConfig, out: Path) -> None:
                 "p_jump": p_jump})
 
 
-def _report_row(name, rep):
-    return (name, rep.lambda2, rep.gap,
-            rep.ratio_min_pi_over_q if rep.ratio_min_pi_over_q is not None else "",
-            rep.ratio_max_pi_over_q if rep.ratio_max_pi_over_q is not None else "",
-            rep.bound_printed if rep.bound_printed is not None else "",
-            rep.bound_alternate if rep.bound_alternate is not None else "",
-            rep.matched_bound if rep.matched_bound is not None else "")
+def _kernel_reports(local, pi, q, alpha, prefix=""):
+    """Spectral reports of the local kernel, of the independence (MIS)
+    kernel that proposes from q, and of their alpha-mixture, all
+    targeting pi."""
+    mix = MixtureKernel(alpha, local, IndependenceKernel(pi, q))
+    return {prefix + "local": eigen_spectrum(local.exact_matrix(), pi),
+            prefix + "mis": mis_gap_report(pi, q),
+            prefix + "mixture": eigen_spectrum(mix.exact_matrix(), pi)}
 
 
 def _spectral_reports(config: ExperimentConfig):
@@ -326,28 +328,28 @@ def _spectral_reports(config: ExperimentConfig):
     pi = enumerate_distribution(model, levels[0])
     q = enumerate_distribution(model, levels[1])
     alpha = float(config.q4["alpha"])
+    reports = _kernel_reports(RandomWalkKernel(model, levels[0]), pi, q, alpha)
+    return pi, q, alpha, reports
 
-    local = RandomWalkKernel(model, levels[0])
-    jump = IndependenceKernel(pi, q)
-    mix = MixtureKernel(alpha, local, jump)
 
-    reports = {
-        "local": eigen_spectrum(local.exact_matrix(), pi),
-        "mis": mis_gap_report(pi, q),
-        "mixture": eigen_spectrum(mix.exact_matrix(), pi),
-    }
-    return model, pi, q, alpha, reports
+def _write_reports(out: Path, json_name: str, csv_name: str, reports) -> None:
+    """Every report as JSON, and one CSV row per report (blank for a
+    bound or ratio the kernel does not have)."""
+    write_json(out / json_name, {name: rep.to_dict() for name, rep in reports.items()})
+    write_csv(out / csv_name,
+              ["kernel", "lambda2", "gap", "ratio_min", "ratio_max",
+               "bound_printed", "bound_alternate", "matched_bound"],
+              [(name, rep.lambda2, rep.gap,
+                *("" if v is None else v for v in (
+                    rep.ratio_min_pi_over_q, rep.ratio_max_pi_over_q,
+                    rep.bound_printed, rep.bound_alternate, rep.matched_bound)))
+               for name, rep in reports.items()])
 
 
 def exp_spectral(config: ExperimentConfig, out: Path) -> None:
     """Spectral reports for the local, independence, and mixture kernels."""
-    _, _, _, alpha, reports = _spectral_reports(config)
-    write_json(out / "spectral.json",
-               {name: rep.to_dict() for name, rep in reports.items()})
-    write_csv(out / "spectral.csv",
-              ["kernel", "lambda2", "gap", "ratio_min", "ratio_max",
-               "bound_printed", "bound_alternate", "matched_bound"],
-              [_report_row(name, rep) for name, rep in reports.items()])
+    reports = _spectral_reports(config)[-1]
+    _write_reports(out, "spectral.json", "spectral.csv", reports)
 
 
 def exp_q4(config: ExperimentConfig, out: Path) -> None:
@@ -357,8 +359,8 @@ def exp_q4(config: ExperimentConfig, out: Path) -> None:
     eigenvalue matches; the two candidates generally differ and only one
     of them is exact.
     """
-    model, pi, q, alpha, reports = _spectral_reports(config)
-    n = model.size
+    pi, q, alpha, reports = _spectral_reports(config)
+    n = len(pi)
     m = min(int(config.q4["coarse_cells"]), n)
     part = Partition((np.arange(n) * m) // n)
     pi_c, q_c = coarsen(pi, part), coarsen(q, part)
@@ -367,22 +369,13 @@ def exp_q4(config: ExperimentConfig, out: Path) -> None:
     # jumps from the coarsened proposal, and their mixture
     coarse_model = builtin_model("energy_table",
                                  energies=(-np.log(pi_c.probs)).tolist())
-    coarse_local = RandomWalkKernel(coarse_model)
-    coarse_jump = IndependenceKernel(pi_c, q_c)
-    coarse_mix = MixtureKernel(alpha, coarse_local, coarse_jump)
-    reports["coarse_local"] = eigen_spectrum(coarse_local.exact_matrix(), pi_c)
-    reports["coarse_mis"] = mis_gap_report(pi_c, q_c)
-    reports["coarse_mixture"] = eigen_spectrum(coarse_mix.exact_matrix(), pi_c)
+    reports.update(_kernel_reports(RandomWalkKernel(coarse_model), pi_c, q_c,
+                                   alpha, "coarse_"))
 
     fine_lo, fine_hi = ratio_extremes(pi, q)
     coarse_lo, coarse_hi = ratio_extremes(pi_c, q_c)
 
-    write_json(out / "spectral_reports.json",
-               {name: rep.to_dict() for name, rep in reports.items()})
-    write_csv(out / "q4_summary.csv",
-              ["kernel", "lambda2", "gap", "ratio_min", "ratio_max",
-               "bound_printed", "bound_alternate", "matched_bound"],
-              [_report_row(name, rep) for name, rep in reports.items()])
+    _write_reports(out, "spectral_reports.json", "q4_summary.csv", reports)
     write_json(out / "summary.json", {
         "alpha": alpha,
         "gap_local": reports["local"].gap,
@@ -447,15 +440,13 @@ def _sweeps_to_agreement(sampler, image, truth, n_labels, rng, max_sweeps,
                          target, check_every):
     """Fractional sweeps until ground-truth agreement reaches the target."""
     lab = initial_labeling(image, n_labels, "random", rng).flat.copy()
-    tf = truth.flat
+    # shares lab's memory, so it sees every in-place step of the sampler
+    current = Labeling(lab.reshape(image.height, image.width), n_labels)
     n = image.n_pixels
     for t in range(max_sweeps * n):
         sampler.step(lab, rng)
-        if (t + 1) % check_every == 0:
-            direct = float((lab == tf).mean())
-            swapped = float((lab == 3 - tf).mean()) if n_labels == 2 else 0.0
-            if max(direct, swapped) >= target:
-                return (t + 1) / n
+        if (t + 1) % check_every == 0 and agreement(current, truth) >= target:
+            return (t + 1) / n
     return math.inf
 
 

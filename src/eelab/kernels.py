@@ -1,11 +1,11 @@
 """Single-step Markov transition kernels and their exact matrices.
 
-Every kernel exposes step(state, rng) -> (state, accepted) and, on
-enumerable spaces, exact_matrix() -> dense row-stochastic ndarray whose
-diagonal absorbs all rejection mass. Acceptance draws are skipped when
-the acceptance probability is exactly 1, so the per-step rng consumption
-is: random-walk 1-2 uniforms, independence 1-2 uniforms, mixture 1 +
-component.
+Every kernel exposes step(state, rng) -> (state, accepted) and
+exact_matrix() -> dense row-stochastic ndarray whose diagonal absorbs
+all rejection mass; the random-walk kernel needs an enumerable model.
+Acceptance draws are skipped when the acceptance probability is exactly
+1, so the per-step rng consumption is: random-walk 1-2 uniforms,
+independence 1-2 uniforms, mixture 1 + component.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .statespace import (
     FiniteDistribution,
     LadderLevel,
     level_logdensities,
-    level_logdensity,
 )
 
 ROW_SUM_TOL = 1e-12
@@ -95,63 +94,40 @@ class RandomWalkKernel:
 
     Proposals fall uniformly on the model's neighbor slots; out-of-range
     slots (None) count as automatic rejections, which keeps the proposal
-    symmetric at the boundary.
-
-    On enumerable models ``moves[x]`` holds one ``(y, p)`` pair per
-    neighbor slot of x: y is None for an out-of-range slot, and p is the
-    acceptance probability from ``_mh_accept`` (None: always accepted).
+    symmetric at the boundary. The model must be enumerable: ``moves[x]``
+    holds one ``(y, p)`` pair per neighbor slot of x, where y is None for
+    an out-of-range slot and p is the acceptance probability from
+    ``_mh_accept`` (None: always accepted).
     """
 
     def __init__(self, model: EnergyModel, level: LadderLevel | None = None):
+        if not model.enumerable:
+            raise CapabilityError("random-walk kernel needs an enumerable model")
         if model.proposal_size < 1:
             raise ConfigError("model has an empty local neighborhood")
         self.model = model
-        self.level = level
-        if model.enumerable:
-            if level is None:
-                self._logd = -model.energies()
-            else:
-                self._logd = level_logdensities(model, level)
-            ld = self._logd.tolist()
-            self.moves = [
-                tuple((None, None) if y is None else (y, _mh_accept(ld[y] - ld[x]))
-                      for y in model.neighbors(x))
-                for x in range(model.size)
-            ]
-        else:
-            self._logd = None
-            self.moves = None
+        self._logd = (-model.energies() if level is None
+                      else level_logdensities(model, level))
+        ld = self._logd.tolist()
+        self.moves = [
+            tuple((None, None) if y is None else (y, _mh_accept(ld[y] - ld[x]))
+                  for y in model.neighbors(x))
+            for x in range(model.size)
+        ]
 
     @property
     def target_probs(self) -> np.ndarray:
-        if self._logd is None:
-            raise CapabilityError("target enumeration above cap")
         w = np.exp(self._logd - self._logd.max())
         return w / w.sum()
 
-    def _logdensity(self, state: int) -> float:
-        if self.level is None:
-            return -self.model.energy(state)
-        return level_logdensity(self.model, self.level, state)
-
     def step(self, state: int, rng: RandomStream) -> tuple[int, bool]:
-        if self.moves is not None:
-            slots = self.moves[state]
-            y, p = slots[rng.randint(len(slots))]
-        else:
-            nbrs = self.model.neighbors(state)
-            y = nbrs[rng.randint(len(nbrs))]
-            if y is not None:
-                p = _mh_accept(self._logdensity(y) - self._logdensity(state))
-        if y is None:
-            return state, False
-        if p is None or rng.uniform() < p:
+        slots = self.moves[state]
+        y, p = slots[rng.randint(len(slots))]
+        if y is not None and (p is None or rng.uniform() < p):
             return y, True
         return state, False
 
     def exact_matrix(self) -> np.ndarray:
-        if not self.model.enumerable:
-            raise CapabilityError("exact matrix needs an enumerable model")
         n = self.model.size
         m = self.model.proposal_size
         K = np.zeros((n, n))
@@ -215,7 +191,7 @@ class MixtureKernel:
         self.jump = jump
         try:
             p_local, p_jump = local.target_probs, jump.target_probs
-        except (AttributeError, CapabilityError):
+        except AttributeError:
             pass
         else:
             if not np.allclose(p_local, p_jump, atol=1e-9):

@@ -253,49 +253,10 @@ def _path_neighbor_fn(n: int) -> Callable[[int], tuple]:
     return nbrs
 
 
-def _table_model(weights, enum_cap: int) -> EnergyModel:
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or len(w) < 1:
-        raise ConfigError("table weights must be a non-empty 1-D sequence")
-    if np.any(~np.isfinite(w)) or np.any(w <= 0):
-        raise ConfigError("table weights must be finite and > 0")
-    h = -np.log(w)
-    n = len(w)
-    return EnergyModel(
-        kind="table",
-        size=n,
-        energy_fn=lambda s: float(h[s]),
-        neighbor_fn=_path_neighbor_fn(n),
-        proposal_size=2,
-        enumerable=n <= enum_cap,
-        meta={"weights": w},
-        _energies=h,
-    )
-
-
-def _energy_table_model(energies, enum_cap: int) -> EnergyModel:
-    h = np.asarray(energies, dtype=np.float64)
-    if h.ndim != 1 or len(h) < 1:
-        raise ConfigError("energy table must be a non-empty 1-D sequence")
-    if np.any(~np.isfinite(h)):
-        raise ConfigError("energies must be finite")
+def _path_model(kind: str, h: np.ndarray, enum_cap: int, meta: dict) -> EnergyModel:
+    """States 0..n-1 with energies h, the local move proposing either
+    neighbour on the path."""
     n = len(h)
-    return EnergyModel(
-        kind="energy_table",
-        size=n,
-        energy_fn=lambda s: float(h[s]),
-        neighbor_fn=_path_neighbor_fn(n),
-        proposal_size=2,
-        enumerable=n <= enum_cap,
-        meta={},
-        _energies=h,
-    )
-
-
-def _grid_model(kind: str, xs: np.ndarray, h: np.ndarray, enum_cap: int,
-                meta: dict) -> EnergyModel:
-    n = len(xs)
-    meta = dict(meta, grid=xs)
     return EnergyModel(
         kind=kind,
         size=n,
@@ -308,6 +269,24 @@ def _grid_model(kind: str, xs: np.ndarray, h: np.ndarray, enum_cap: int,
     )
 
 
+def _table_model(weights, enum_cap: int) -> EnergyModel:
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1 or len(w) < 1:
+        raise ConfigError("table weights must be a non-empty 1-D sequence")
+    if np.any(~np.isfinite(w)) or np.any(w <= 0):
+        raise ConfigError("table weights must be finite and > 0")
+    return _path_model("table", -np.log(w), enum_cap, {"weights": w})
+
+
+def _energy_table_model(energies, enum_cap: int) -> EnergyModel:
+    h = np.asarray(energies, dtype=np.float64)
+    if h.ndim != 1 or len(h) < 1:
+        raise ConfigError("energy table must be a non-empty 1-D sequence")
+    if np.any(~np.isfinite(h)):
+        raise ConfigError("energies must be finite")
+    return _path_model("energy_table", h, enum_cap, {})
+
+
 def _double_well_grid(points: int, bounds, depth: float, enum_cap: int) -> EnergyModel:
     if points < 2:
         raise ConfigError("double_well_grid needs points >= 2")
@@ -318,7 +297,7 @@ def _double_well_grid(points: int, bounds, depth: float, enum_cap: int) -> Energ
         raise ConfigError("double_well_grid depth must be > 0")
     xs = np.linspace(lo, hi, points)
     h = depth * (xs ** 2 - 1.0) ** 2
-    return _grid_model("double_well_grid", xs, h, enum_cap, {"depth": depth})
+    return _path_model("double_well_grid", h, enum_cap, {"depth": depth, "grid": xs})
 
 
 def _gaussian_mixture_grid(means, sds, weights, points: int, bounds,
@@ -343,9 +322,9 @@ def _gaussian_mixture_grid(means, sds, weights, points: int, bounds,
     logcomp = np.log(weights[None, :] / sds[None, :]) - 0.5 * z ** 2
     m = logcomp.max(axis=1)
     h = -(m + np.log(np.exp(logcomp - m[:, None]).sum(axis=1)))
-    return _grid_model(
-        "gaussian_mixture_grid", xs, h, enum_cap,
-        {"means": means, "sds": sds, "weights": weights},
+    return _path_model(
+        "gaussian_mixture_grid", h, enum_cap,
+        {"means": means, "sds": sds, "weights": weights, "grid": xs},
     )
 
 

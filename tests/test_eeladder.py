@@ -10,7 +10,6 @@ from eelab.eeladder import (
     MOVE_LOCAL,
     LadderConfig,
     RingLedger,
-    ee_jump_step,
     empirical_jump_chain_matrix,
     idealized_jump_matrix,
     ledger_from_iid,
@@ -88,42 +87,6 @@ class TestRecord:
         assert led.rings[0] == [0, 1, 2]  # nothing below the cap is dropped
 
 
-class TestDrawProposal:
-    def test_restricted_empty_ring(self):
-        led = RingLedger(1, [1.0, 2.0])
-        led.extend([3], [1])  # populates ring 1 only
-        rng = RandomStream.from_seed(0)
-        assert led.draw("restricted", 0, rng, len(led.rings[0])) is None
-
-    def test_unrestricted_finds_any_record(self):
-        led = RingLedger(1, [1.0, 2.0])
-        led.extend([3], [1])
-        rng = RandomStream.from_seed(0)
-        assert led.draw("unrestricted", 0, rng, led.total) == 3
-
-    def test_single_state_point_mass(self):
-        led = RingLedger(1, [1.0])
-        led.extend([9], [0])
-        rng = RandomStream.from_seed(0)
-        for _ in range(5):
-            assert led.draw("restricted", 0, rng, 1) == 9
-
-    def test_empty_draw_consumes_no_randomness(self):
-        led = RingLedger(1, [1.0])
-        a = RandomStream.from_seed(123)
-        b = RandomStream.from_seed(123)
-        assert led.draw("restricted", 0, a, 0) is None
-        assert led.draw("unrestricted", 0, a, 0) is None
-        assert a.uniform() == b.uniform()
-
-    def test_draw_reads_only_the_visible_prefix(self):
-        led = RingLedger(1, [1.0])
-        led.extend([4, 5, 6, 7], [0, 1, 0, 0])
-        rng = RandomStream.from_seed(2)
-        assert {led.draw("restricted", 0, rng, 2) for _ in range(200)} == {4, 6}
-        assert {led.draw("unrestricted", 0, rng, 3) for _ in range(200)} == {4, 5, 6}
-
-
 class TestJumpAcceptance:
     def test_derived_acceptance_value(self):
         """x with h=0.5, y with h=0.6, level-1 density T=2, H=0: the jump
@@ -152,45 +115,6 @@ class TestJumpAcceptance:
         K = empirical_jump_chain_matrix(model, LEVEL0, lv1, empty, p_jump=0.7)
         K_local = RandomWalkKernel(model, LEVEL0).exact_matrix()
         np.testing.assert_allclose(K, K_local, atol=1e-15)
-
-    def test_fallback_consumes_rng_exactly_like_local_step(self):
-        """With an empty ledger the jump step must behave bit-for-bit like a
-        plain local move on the same stream."""
-        from eelab.statespace import level_logdensities
-
-        model = two_mode_model(10)
-        lv1 = LadderLevel(1, 4.0, 1.0)
-        kernel = RandomWalkKernel(model, LEVEL0)
-        logd0 = level_logdensities(model, LEVEL0)
-        logd1 = level_logdensities(model, lv1)
-        empty = RingLedger(1, [1.0])
-        h = model.energies()
-        a = RandomStream.from_seed(404)
-        b = RandomStream.from_seed(404)
-        x = 5
-        for _ in range(50):
-            xa, move, _ = ee_jump_step(x, empty.ring_index(float(h[x])), empty,
-                                       "restricted", 0, logd0, logd1, kernel, a)
-            xb, _ = kernel.step(x, b)
-            assert move == MOVE_JUMP_FALLBACK
-            assert xa == xb
-            x = xa
-        assert a.uniform() == b.uniform()
-
-    def test_jump_step_accepts_recorded_state(self):
-        from eelab.statespace import level_logdensities
-
-        model = builtin_model("energy_table", energies=[0.5, 0.6])
-        lv1 = LadderLevel(1, 2.0, 0.0)
-        kernel = RandomWalkKernel(model, LEVEL0)
-        logd0 = level_logdensities(model, LEVEL0)
-        logd1 = level_logdensities(model, lv1)
-        ledger = RingLedger(1, [])
-        ledger.extend([0], [0])
-        rng = RandomStream.from_seed(1)
-        y, move, acc = ee_jump_step(1, ledger.ring_index(0.6), ledger, "restricted",
-                                    1, logd0, logd1, kernel, rng)
-        assert (y, move, acc) == (0, MOVE_JUMP, True)  # favorable ratio
 
 
 class TestRuns:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eelab.errors import ConfigError, SupportError
+from eelab.errors import CapabilityError, ConfigError, SupportError
 from eelab.kernels import (
     IndependenceKernel,
     MixtureKernel,
@@ -84,6 +84,14 @@ class TestRandomWalk:
         freq = counts / n
         se = np.sqrt(K[1] * (1 - K[1]) / n)
         assert np.all(np.abs(freq - K[1]) <= 3 * se + 1e-12)
+
+    def test_non_enumerable_model_refused(self):
+        # 2^9 states above a cap of 100: no move table can be built
+        m = builtin_model("potts_grid", enum_cap=100, width=3, height=3,
+                          labels=2, beta=0.5)
+        assert not m.enumerable
+        with pytest.raises(CapabilityError):
+            RandomWalkKernel(m, LEVEL0)
 
 
 class TestIndependence:
