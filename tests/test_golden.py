@@ -16,17 +16,40 @@ still drew its label with numpy's exp and sum, and pin single-site Gibbs
 ``segment`` runs (three labels with fixed means; a first-order
 polynomial fit) and a small ``swcut_vs_gibbs``.
 
+Every config runs in a child interpreter with ``OPENBLAS_CORETYPE``
+set to ``Prescott``, the SSE3 baseline that every x86-64 CPU runs, and
+the rest of the environment inherited (so a ``NPY_DISABLE_CPU_FEATURES``
+still applies). OpenBLAS's faster kernels round differently: under
+Haswell or Sandybridge kernels the floats of the ``q3`` stationary laws
+and of the poly_fit region fits move in their last bits, so digests
+recorded on one CPU would fail on another. The ``q3`` and poly_fit
+digests were re-recorded under the pinned kernel; the others did not
+change. The variable only picks a kernel in a DYNAMIC_ARCH OpenBLAS
+build (numpy's wheels); other BLAS builds ignore it.
+
 A deliberate change in RNG consumption or output format changes the
 digests: update them in the same change and say why in CHANGES.md.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from eelab.config import validate_config
-from eelab.experiments import run_experiment
+import eelab
+
+SRC = str(Path(eelab.__file__).resolve().parent.parent)
+BLAS_CORETYPE = "Prescott"
+CHILD = (
+    "import json, sys\n"
+    "from eelab.config import validate_config\n"
+    "from eelab.experiments import run_experiment\n"
+    "run_experiment(validate_config(json.loads(sys.argv[1])), out_dir=sys.argv[2])\n"
+)
 
 SMALL = {"points": 21}
 
@@ -120,9 +143,9 @@ DIGESTS = {
     },
     "q3": {
         "DONE": DONE,
-        "ledger_bias.csv": "9bac95ab3aa0a419aeeaa3df2950d3440db64c06806e806b922951ef37d63205",
+        "ledger_bias.csv": "54cc4d5194d77a58c8ee0658e21cb7bff2654b810c5971e6bd6e3749dc2d6305",
         "metadata.json": "f32911eaaad3315e63a241ab285709da8bfe3d275745a088fcad7730eb24c339",
-        "summary.json": "76099e5c5b6e5414328a2d0c454d62fcf08094b2df9ebdba9a23cdc8eb14ac71",
+        "summary.json": "1af21b6c0be9e87b45b956fff676028c228b73ef36212cb41e598f4c7d32efb3",
     },
     "segment_fixed_pixel": {
         "DONE": DONE,
@@ -153,24 +176,24 @@ DIGESTS = {
         "labels.pgm": "70cfa1247cfabeb73e1c7f033f0cc691faab992524b2ca27958f614e811114d6",
         "metadata.json": "657890c4ab0695d17ea84edc4e5e8b7eedf212850605bfa5252bb9cda71fba0c",
         "overlay.ppm": "90a46870127c5e8a1e92073d3b426372b7dca461426a714a823f6fabf27fce1f",
-        "summary.json": "41a2c6a00a236ee26b5f2107e1b7e84d01548b27efd634ce723e18c7851e5b97",
-        "trace.csv": "24a1f30a7593ea4b68e17251bb0c981a53f83cea4e8ac86c0ae48903ccd1c3e0",
+        "summary.json": "0b5edd9de4b0cff7b2b84ad29c84530ff6aa54ce6c72281b3310679e99b8e407",
+        "trace.csv": "8b7d3d6d23db800d3398d6d4fab653649cf3eef24bf587aa893fad219c70fa53",
     },
     "segment_poly_pixel": {
         "DONE": DONE,
         "labels.pgm": "8a28bb138d9791998e1c5437180ff4e18407ac71963cc6afda0a901287d5b0c7",
         "metadata.json": "5910cd8f5dba72118b9d91618a7a4d4351e59d5018f042bf70e285d4d1c6f307",
         "overlay.ppm": "673fcc2deb2097a0258e3ffd9b34b50fc06fcd8011f1345d51519395241819c8",
-        "summary.json": "b73cd73b12e18adbe3530c327a58e84a47c436bca7d186f8164dbc207525fd42",
-        "trace.csv": "0fb0f5ca94b2a320a0675d818c8bd70a52337f3095a7b5ad8219e092c5a679cd",
+        "summary.json": "db8757c4df17b84b226ec7baca7842107e721fc531752c5ffa2a07fe6edb5447",
+        "trace.csv": "d2a7855daa1885fdd4048fa5eb0cbbf9f1e542179bce1b25c844cb9f186912c2",
     },
     "segment_poly_uniform": {
         "DONE": DONE,
         "labels.pgm": "c2247e05266fc83821e44b9921546d0109945d955fff72ff0be0b9c877cc988d",
         "metadata.json": "b883c956fffca58b70c6f1c9cf47714c9be9c27530d8561a0567c3394174bc95",
         "overlay.ppm": "6c734f2d81f3f425a8c6532bbf3dcf6aa84139f8a9b5c29ce7295ffcba4fed2a",
-        "summary.json": "6801b585877483e16bc1eb7643f4aae0fa2cb4d53ddaf92ded8d9c623a99476b",
-        "trace.csv": "7522306463c55e4cb8e056d8d9fa19d8092311eb7131196d0d87ef051f2f3272",
+        "summary.json": "6f1afdca4575548ae28c3c1f0e7175512ef62c8d3f7d2a0ba4327591d9c6dd90",
+        "trace.csv": "7e9dcc07f069ec1bdb3a23cb0438e452588804b255797f7600b45b4e6032d7c2",
     },
     "swcut_vs_gibbs": {
         "DONE": DONE,
@@ -183,8 +206,12 @@ DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_artifacts_match_pinned_digests(name, tmp_path):
-    raw = json.loads(json.dumps(CONFIGS[name]))
-    out = run_experiment(validate_config(raw), out_dir=tmp_path / name)
+    out = tmp_path / name
+    env = dict(os.environ, OPENBLAS_CORETYPE=BLAS_CORETYPE,
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", CHILD, json.dumps(CONFIGS[name]),
+                    str(out)], env=env, check=True)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(out.iterdir())}
     assert got == DIGESTS[name]
