@@ -313,11 +313,25 @@ def exp_q3(config: ExperimentConfig, out: Path) -> None:
 def _kernel_reports(local, pi, q, alpha, prefix=""):
     """Spectral reports of the local kernel, of the independence (MIS)
     kernel that proposes from q, and of their alpha-mixture, all
-    targeting pi."""
-    mix = MixtureKernel(alpha, local, IndependenceKernel(pi, q))
-    return {prefix + "local": eigen_spectrum(local.exact_matrix(), pi),
-            prefix + "mis": mis_gap_report(pi, q),
-            prefix + "mixture": eigen_spectrum(mix.exact_matrix(), pi)}
+    targeting pi.
+
+    Each dense matrix is built once: the local one serves its own report
+    and then the mixture, formed in place with the arithmetic of
+    MixtureKernel.exact_matrix (the constructor still checks that the
+    two components target the same law).
+    """
+    jump = IndependenceKernel(pi, q)
+    MixtureKernel(alpha, local, jump)
+    K_local = local.exact_matrix()
+    reports = {prefix + "local": eigen_spectrum(K_local, pi),
+               prefix + "mis": mis_gap_report(pi, q)}
+    K = jump.exact_matrix()
+    K *= 1.0 - alpha
+    K_local *= alpha
+    K += K_local
+    del K_local
+    reports[prefix + "mixture"] = eigen_spectrum(K, pi)
+    return reports
 
 
 def _spectral_reports(config: ExperimentConfig):

@@ -30,6 +30,7 @@ from .statespace import (
 )
 
 ROW_SUM_TOL = 1e-12
+STATIONARY_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -63,19 +64,39 @@ def reversibility_gap(K: np.ndarray, pi: np.ndarray) -> float:
 def stationary_distribution(K: np.ndarray) -> np.ndarray:
     """Stationary law of an irreducible row-stochastic matrix.
 
-    Solved as the linear system pi (K - I) = 0 with sum(pi) = 1; works for
-    non-reversible kernels (used by the ledger-bias experiment).
+    Solved by LU as the square system pi (K - I) = 0 with its last
+    balance equation (redundant, as the rows of K - I sum to 0) replaced
+    by sum(pi) = 1; works for non-reversible kernels (used by the
+    ledger-bias experiment). The answer is checked independently of the
+    solve: NumericError if the system is singular, if more than
+    STATIONARY_TOL of negative mass is clipped, or if the normalised law
+    misses stationarity by more than STATIONARY_TOL. A reducible chain
+    passes only when the solve lands on one of its stationary laws.
     """
     n = K.shape[0]
-    A = np.vstack([K.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
+    A = K.T - np.eye(n)
+    A[n - 1] = 1.0
+    b = np.zeros(n)
+    b[n - 1] = 1.0
+    try:
+        pi = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"stationary distribution solve failed: {exc}") from None
+    negative = -pi[pi < 0].sum()
+    if not negative <= STATIONARY_TOL:
+        raise NumericError(
+            f"stationary solve has negative mass {negative:.3e} > "
+            f"{STATIONARY_TOL:.0e}; is the chain reducible?")
     pi = np.clip(pi, 0.0, None)
     total = pi.sum()
     if total <= 0 or not np.isfinite(total):
         raise NumericError("stationary distribution solve failed")
-    return pi / total
+    pi /= total
+    gap = stationary_gap(K, pi)
+    if not gap <= STATIONARY_TOL:
+        raise NumericError(
+            f"stationary solve misses pi K = pi by {gap:.3e} > {STATIONARY_TOL:.0e}")
+    return pi
 
 
 # ---------------------------------------------------------------------------

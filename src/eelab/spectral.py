@@ -71,8 +71,12 @@ def eigen_spectrum(
     if np.any(p <= 0):
         raise ConfigError("eigen_spectrum requires strictly positive pi")
 
+    # two n x n work arrays: F's buffer is reused for S, viol's for the
+    # symmetrised S; the arithmetic and its order are those of the plain
+    # expressions np.abs(F - F.T), s K / s and 0.5 (S + S.T)
     F = p[:, None] * K
-    viol = np.abs(F - F.T)
+    viol = F - F.T
+    np.abs(viol, out=viol)
     err = viol.max()
     if err > REVERSIBILITY_TOL:
         x, y = np.unravel_index(int(viol.argmax()), viol.shape)
@@ -82,9 +86,12 @@ def eigen_spectrum(
         )
 
     s = np.sqrt(p)
-    S = s[:, None] * K / s[None, :]
-    S = 0.5 * (S + S.T)
-    vals = np.linalg.eigvalsh(S)[::-1]
+    S = np.multiply(s[:, None], K, out=F)
+    S /= s[None, :]
+    sym = np.add(S, S.T, out=viol)
+    sym *= 0.5
+    del F, S
+    vals = np.linalg.eigvalsh(sym)[::-1]
 
     if abs(vals[0] - 1.0) > EIGEN_RANGE_TOL:
         raise ReversibilityError(f"top eigenvalue {vals[0]!r} is not 1")

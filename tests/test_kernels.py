@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from eelab.errors import CapabilityError, ConfigError, SupportError
+from eelab.config import validate_config
+from eelab.eeladder import empirical_jump_chain_matrix, ledger_from_iid
+from eelab.errors import CapabilityError, ConfigError, NumericError, SupportError
 from eelab.kernels import (
     IndependenceKernel,
     MixtureKernel,
@@ -233,6 +235,82 @@ class TestGibbs:
         assert reversibility_gap(K, pi.probs) <= 1e-12
 
 
+def lstsq_stationary(K):
+    """The earlier solver: SVD least squares on pi (K - I) = 0 stacked on
+    sum(pi) = 1, then clipped at 0 and normalised."""
+    n = K.shape[0]
+    A = np.vstack([K.T - np.eye(n), np.ones((1, n))])
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum()
+
+
+def random_chain(n, seed):
+    """Dense random rows: irreducible and, for n >= 3, not reversible
+    (Kolmogorov's criterion fails on the cycle 0 -> 1 -> 2 -> 0)."""
+    K = np.random.default_rng(seed).random((n, n)) ** 3
+    K /= K.sum(axis=1, keepdims=True)
+    if n >= 3:
+        forward = K[0, 1] * K[1, 2] * K[2, 0]
+        backward = K[0, 2] * K[2, 1] * K[1, 0]
+        assert abs(forward - backward) > 1e-3 * max(forward, backward)
+    return K
+
+
+def block_chain(sizes, seed):
+    """Block-diagonal chain of dense random blocks: one closed class per
+    block, so the stationary law is not unique and the square system is
+    singular in exact arithmetic."""
+    rng = np.random.default_rng(seed)
+    K = np.zeros((sum(sizes), sum(sizes)))
+    start = 0
+    for size in sizes:
+        B = rng.random((size, size))
+        K[start:start + size, start:start + size] = B / B.sum(axis=1, keepdims=True)
+        start += size
+    return K
+
+
+def q3_chain():
+    """The q3 ledger-bias chain at 201 points with a 1000-record ledger."""
+    config = validate_config({"experiment": "q3", "model": {"points": 201}})
+    model = config.build_model()
+    levels = config.ladder.levels()
+    ledger = ledger_from_iid(model, levels[1], config.ladder.build().boundaries(),
+                             1000, RandomStream.from_seed(0))
+    return empirical_jump_chain_matrix(model, levels[0], levels[1], ledger,
+                                       float(config.q3["p_jump"]))
+
+
+# expected: the exact law, None to compare with lstsq_stationary, or
+# NumericError
+SOLVER_CASES = [
+    pytest.param(lambda: np.array([[0.9, 0.1], [0.3, 0.7]]), [0.75, 0.25],
+                 id="two_state"),
+    pytest.param(lambda: random_chain(2, 1), None, id="random_2"),
+    pytest.param(lambda: random_chain(7, 2), None, id="random_7"),
+    pytest.param(lambda: random_chain(201, 3), None, id="random_201"),
+    pytest.param(q3_chain, None, id="q3_empirical_chain"),
+    # two absorbing states: an exactly zero pivot
+    pytest.param(lambda: np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                   [0.5, 0.25, 0.25]]),
+                 NumericError, id="two_absorbing_states"),
+    # a singular system that LU answers with rounding noise along the null
+    # direction; for blocks of 5 and 6 states, seed 2, that noise leaves
+    # 0.095-0.5 of negative mass on every OpenBLAS kernel tried (Prescott
+    # to SapphireRapids), while blocks of 3 and 4 hit an exactly zero pivot
+    # on most of them. Clipped, it would be one block's law.
+    pytest.param(lambda: block_chain((5, 6), 2), NumericError,
+                 id="two_blocks_negative_mass"),
+    # rows that do not sum to 1: the dropped balance equation is not
+    # redundant, and only the stationarity check sees it
+    pytest.param(lambda: np.array([[0.5, 0.2], [0.3, 0.7]]), NumericError,
+                 id="rows_not_stochastic"),
+]
+
+
 class TestMatrixHelpers:
     def test_rows_sum_to_one_for_all_kernel_types(self):
         m = builtin_model("double_well_grid", points=15, bounds=(-2, 2))
@@ -247,7 +325,17 @@ class TestMatrixHelpers:
         for K in mats:
             assert np.abs(K.sum(axis=1) - 1.0).max() <= 1e-12
 
-    def test_stationary_distribution_solver(self):
-        K = np.array([[0.9, 0.1], [0.3, 0.7]])
+    @pytest.mark.parametrize("build, expected", SOLVER_CASES)
+    def test_stationary_distribution_solver(self, build, expected):
+        """The LU solve agrees with the exact law or with the earlier
+        least-squares solve at 1e-12, and refuses a system with no unique
+        stationary law that it cannot answer with a valid one."""
+        K = build()
+        if expected is NumericError:
+            with pytest.raises(NumericError):
+                stationary_distribution(K)
+            return
         pi = stationary_distribution(K)
-        np.testing.assert_allclose(pi, [0.75, 0.25], atol=1e-12)
+        want = lstsq_stationary(K) if expected is None else expected
+        np.testing.assert_allclose(pi, want, rtol=0, atol=1e-12)
+        assert stationary_gap(K, pi) <= 1e-12

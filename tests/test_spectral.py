@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from eelab.config import validate_config
 from eelab.errors import ReversibilityError, ShapeError
+from eelab.experiments import run_experiment
 from eelab.kernels import IndependenceKernel, MixtureKernel, RandomWalkKernel
 from eelab.spectral import (
     Partition,
@@ -41,7 +44,56 @@ def random_pair(rng, n):
     )
 
 
+def plain_eigenvalues(K, p):
+    """The symmetrisation of eigen_spectrum written as plain expressions,
+    one temporary per step."""
+    s = np.sqrt(p)
+    S = s[:, None] * K / s[None, :]
+    S = 0.5 * (S + S.T)
+    return np.linalg.eigvalsh(S)[::-1]
+
+
+def double_well_kernels(points):
+    """pi, q and the local, MIS and mixture kernels of the spectral
+    experiment's double well."""
+    config = validate_config({"experiment": "spectral", "model": {"points": points}})
+    model = config.build_model()
+    levels = config.ladder.levels()
+    pi = enumerate_distribution(model, levels[0])
+    q = enumerate_distribution(model, levels[1])
+    local = RandomWalkKernel(model, levels[0])
+    jump = IndependenceKernel(pi, q)
+    mix = MixtureKernel(float(config.q4["alpha"]), local, jump)
+    return pi, q, {"local": local, "mis": jump, "mixture": mix}
+
+
 class TestEigenSpectrum:
+    def test_in_place_symmetrisation_is_bit_identical(self):
+        """Reusing two work arrays changes no bit of the eigenvalues.
+        Compared on one machine: LAPACK output differs across BLAS kernels."""
+        K, p = random_reversible(np.random.default_rng(67), 40)
+        cases = [(K, p)]
+        pi, _, kernels = double_well_kernels(101)
+        cases += [(k.exact_matrix(), pi.probs) for k in kernels.values()]
+        for K, p in cases:
+            assert np.array_equal(eigen_spectrum(K, p).eigenvalues,
+                                  plain_eigenvalues(K, p))
+
+    def test_spectral_experiment_reports_are_bit_identical(self, tmp_path):
+        """The experiment builds each dense matrix once and forms the
+        mixture in place; its reports equal those of the kernels' own
+        exact matrices bit for bit."""
+        config = validate_config({"experiment": "spectral", "model": {"points": 101}})
+        out = run_experiment(config, out_dir=tmp_path / "spectral")
+        with open(out / "spectral.json", encoding="utf-8") as fh:
+            got = json.load(fh)
+        pi, q, kernels = double_well_kernels(101)
+        want = {"local": eigen_spectrum(kernels["local"].exact_matrix(), pi),
+                "mis": mis_gap_report(pi, q),
+                "mixture": eigen_spectrum(kernels["mixture"].exact_matrix(), pi)}
+        for name, rep in want.items():
+            assert got[name] == json.loads(json.dumps(rep.to_dict())), name
+
     def test_identity_kernel(self):
         pi = np.full(4, 0.25)
         rep = eigen_spectrum(np.eye(4), pi)
