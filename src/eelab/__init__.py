@@ -12,7 +12,6 @@ from .errors import (
     ConfigError,
     DomainError,
     EelabError,
-    EmptyRingError,
     NumericError,
     ReversibilityError,
     ShapeError,
@@ -24,11 +23,8 @@ from .statespace import (
     FiniteDistribution,
     LadderLevel,
     builtin_model,
-    energy,
     enumerate_distribution,
     geometric_ladder,
-    level_logdensity,
-    truncate_to_ring,
 )
 
 __all__ = [
@@ -36,7 +32,6 @@ __all__ = [
     "ConfigError",
     "DomainError",
     "EelabError",
-    "EmptyRingError",
     "NumericError",
     "ReversibilityError",
     "ShapeError",
@@ -46,10 +41,7 @@ __all__ = [
     "FiniteDistribution",
     "LadderLevel",
     "builtin_model",
-    "energy",
     "enumerate_distribution",
     "geometric_ladder",
-    "level_logdensity",
-    "truncate_to_ring",
     "__version__",
 ]

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError
+from .errors import ConfigError
 from .kernels import RandomWalkKernel
 from .rng import RandomStream
 from .statespace import (
@@ -189,8 +189,6 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int) -> TraceSet:
     level i at step t reads the upper ledger as it stood after upper step
     t: the records made at steps <= t, a prefix of each finished pool.
     """
-    if not model.enumerable:
-        raise CapabilityError("ladder runs require an enumerable model")
     K = config.n_levels
     logd = [level_logdensities(model, lv).tolist() for lv in config.levels]
     ledgers = [RingLedger(i, config.boundaries(), config.max_records) for i in range(K)]

@@ -18,11 +18,7 @@ class DomainError(EelabError):
 
 
 class CapabilityError(EelabError):
-    """Operation requires exact enumeration but the space is too large."""
-
-
-class EmptyRingError(EelabError):
-    """An energy-range restriction left no states behind."""
+    """The state space is larger than the enumeration cap."""
 
 
 class SupportError(EelabError):

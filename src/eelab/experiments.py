@@ -41,7 +41,8 @@ from .kernels import (
 )
 from .netpbm import read_pgm, write_label_pgm, write_overlay_ppm
 from .rng import RandomStream
-from .spectral import Partition, coarsen, eigen_spectrum, mis_gap_report, ratio_extremes, tv_distance
+from .spectral import Partition, coarsen, eigen_spectrum, ratio_extremes, tv_distance, with_mis_bounds
+from .spectral import mis_gap_report  # noqa: F401 (benchmarks/spans.py wraps it here)
 from .statespace import builtin_model, enumerate_distribution
 from .swcut import (
     GibbsSiteSampler,
@@ -315,17 +316,17 @@ def _kernel_reports(local, pi, q, alpha, prefix=""):
     kernel that proposes from q, and of their alpha-mixture, all
     targeting pi.
 
-    Each dense matrix is built once: the local one serves its own report
-    and then the mixture, formed in place with the arithmetic of
-    MixtureKernel.exact_matrix (the constructor still checks that the
-    two components target the same law).
+    Each dense matrix is built once: the local and the MIS one each serve
+    their own report and then the mixture, formed in place with the
+    arithmetic of MixtureKernel.exact_matrix (the constructor still
+    checks that the two components target the same law).
     """
     jump = IndependenceKernel(pi, q)
     MixtureKernel(alpha, local, jump)
     K_local = local.exact_matrix()
-    reports = {prefix + "local": eigen_spectrum(K_local, pi),
-               prefix + "mis": mis_gap_report(pi, q)}
     K = jump.exact_matrix()
+    reports = {prefix + "local": eigen_spectrum(K_local, pi),
+               prefix + "mis": with_mis_bounds(eigen_spectrum(K, pi), pi, q)}
     K *= 1.0 - alpha
     K_local *= alpha
     K += K_local

@@ -2,7 +2,8 @@
 
 Every kernel exposes step(state, rng) -> (state, accepted) and
 exact_matrix() -> dense row-stochastic ndarray whose diagonal absorbs
-all rejection mass; the random-walk kernel needs an enumerable model.
+all rejection mass; the random-walk kernel reads the model's energy
+table once and builds a move table over every state.
 Acceptance draws are skipped when the acceptance probability is exactly
 1, so the per-step rng consumption is: random-walk 1-2 uniforms,
 independence 1-2 uniforms, mixture 1 + component.
@@ -15,7 +16,6 @@ import math
 import numpy as np
 
 from .errors import (
-    CapabilityError,
     ConfigError,
     NumericError,
     ShapeError,
@@ -61,18 +61,44 @@ def reversibility_gap(K: np.ndarray, pi: np.ndarray) -> float:
     return float(np.abs(F - F.T).max())
 
 
-def stationary_distribution(K: np.ndarray) -> np.ndarray:
-    """Stationary law of an irreducible row-stochastic matrix.
+def _search_steps(support: np.ndarray, x: int) -> np.ndarray:
+    """Frontier-search step count from state x to every state along a
+    boolean support matrix's edges; -1 where x does not reach."""
+    steps = np.full(len(support), -1)
+    frontier = np.arange(len(support)) == x
+    k = 0
+    while frontier.any():
+        steps[frontier] = k
+        k += 1
+        frontier = support[frontier].any(axis=0) & (steps < 0)
+    return steps
 
-    Solved by LU as the square system pi (K - I) = 0 with its last
-    balance equation (redundant, as the rows of K - I sum to 0) replaced
-    by sum(pi) = 1; works for non-reversible kernels (used by the
+
+def stationary_distribution(K: np.ndarray) -> np.ndarray:
+    """Stationary law of a row-stochastic matrix with one closed class.
+
+    A chain with two closed classes has no unique law, so it raises
+    NumericError before any solve (transient states are allowed). Solved
+    by LU as the square system pi (K - I) = 0 with its last balance
+    equation (redundant, as the rows of K - I sum to 0) replaced by
+    sum(pi) = 1; works for non-reversible kernels (used by the
     ledger-bias experiment). The answer is checked independently of the
     solve: NumericError if the system is singular, if more than
     STATIONARY_TOL of negative mass is clipped, or if the normalised law
-    misses stationarity by more than STATIONARY_TOL. A reducible chain
-    passes only when the solve lands on one of its stationary laws.
+    misses stationarity by more than STATIONARY_TOL.
     """
+    # descend from state 0 until every state reaches x; if x's class is
+    # closed first, a state that never reaches it leads to a second one.
+    # Each move, to the farthest state x reaches that cannot return,
+    # goes to a class strictly below x's.
+    support, x = K > 0, 0
+    while not (to_x := _search_steps(support.T, x) >= 0).all():
+        from_x = _search_steps(support, x)
+        below = (from_x >= 0) & ~to_x
+        if not below.any():
+            raise NumericError("stationary distribution of a reducible chain "
+                               "with two or more closed classes")
+        x = int(np.argmax(np.where(below, from_x, -1)))
     n = K.shape[0]
     A = K.T - np.eye(n)
     A[n - 1] = 1.0
@@ -86,7 +112,7 @@ def stationary_distribution(K: np.ndarray) -> np.ndarray:
     if not negative <= STATIONARY_TOL:
         raise NumericError(
             f"stationary solve has negative mass {negative:.3e} > "
-            f"{STATIONARY_TOL:.0e}; is the chain reducible?")
+            f"{STATIONARY_TOL:.0e}")
     pi = np.clip(pi, 0.0, None)
     total = pi.sum()
     if total <= 0 or not np.isfinite(total):
@@ -115,17 +141,13 @@ class RandomWalkKernel:
 
     Proposals fall uniformly on the model's neighbor slots; out-of-range
     slots (None) count as automatic rejections, which keeps the proposal
-    symmetric at the boundary. The model must be enumerable: ``moves[x]``
-    holds one ``(y, p)`` pair per neighbor slot of x, where y is None for
-    an out-of-range slot and p is the acceptance probability from
-    ``_mh_accept`` (None: always accepted).
+    symmetric at the boundary. ``moves[x]`` holds one ``(y, p)`` pair per
+    neighbor slot of x, where y is None for an out-of-range slot and p is
+    the acceptance probability from ``_mh_accept`` (None: always
+    accepted). ConfigError if a state has no neighbor slot.
     """
 
     def __init__(self, model: EnergyModel, level: LadderLevel | None = None):
-        if not model.enumerable:
-            raise CapabilityError("random-walk kernel needs an enumerable model")
-        if model.proposal_size < 1:
-            raise ConfigError("model has an empty local neighborhood")
         self.model = model
         self._logd = (-model.energies() if level is None
                       else level_logdensities(model, level))
@@ -135,6 +157,8 @@ class RandomWalkKernel:
                   for y in model.neighbors(x))
             for x in range(model.size)
         ]
+        if not all(self.moves):
+            raise ConfigError("model has an empty local neighborhood")
 
     @property
     def target_probs(self) -> np.ndarray:
@@ -150,9 +174,9 @@ class RandomWalkKernel:
 
     def exact_matrix(self) -> np.ndarray:
         n = self.model.size
-        m = self.model.proposal_size
         K = np.zeros((n, n))
         for x in range(n):
+            m = len(self.moves[x])
             for y, p in self.moves[x]:
                 if y is None:
                     continue

@@ -126,8 +126,14 @@ def mis_gap_report(pi: FiniteDistribution, q: FiniteDistribution) -> SpectralRep
     which of the two equals lambda2 within 1e-9: "printed", "alternate",
     "both", or "neither".
     """
-    kernel = IndependenceKernel(pi, q)
-    report = eigen_spectrum(kernel.exact_matrix(), pi)
+    return with_mis_bounds(
+        eigen_spectrum(IndependenceKernel(pi, q).exact_matrix(), pi), pi, q)
+
+
+def with_mis_bounds(report: SpectralReport, pi: FiniteDistribution,
+                    q: FiniteDistribution) -> SpectralReport:
+    """Fill in the ratio extremes and both closed-form gap candidates of
+    mis_gap_report on the spectral report of the MIS kernel of (pi, q)."""
     rmin, rmax = ratio_extremes(pi, q)
     report.ratio_min_pi_over_q = rmin
     report.ratio_max_pi_over_q = rmax

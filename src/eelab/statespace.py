@@ -1,8 +1,10 @@
-"""State spaces, energy functions, tempered/truncated level densities.
+"""State spaces, energy tables, tempered/truncated level densities.
 
 States of every built-in model are integer indices 0..N-1 in a stable
-order. An energy model assigns a finite energy h(x) to each state; the
-target distribution is pi(x) proportional to exp(-h(x)). A ladder level
+order. An energy model is a table of the finite energy h(x) of every
+state, filled when the model is built; a space larger than the
+enumeration cap is refused then, before it is enumerated. The target
+distribution is pi(x) proportional to exp(-h(x)). A ladder level
 (T, H) defines the flattened density q(x) proportional to
 exp(-max(h(x), H) / T), so level 0 with T=1, H=-inf is exactly pi.
 
@@ -12,18 +14,12 @@ All normalization happens in the log domain via log-sum-exp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    ConfigError,
-    DomainError,
-    EmptyRingError,
-    ShapeError,
-)
+from .errors import CapabilityError, ConfigError, DomainError, ShapeError
 
 DEFAULT_ENUM_CAP = 2 ** 20
 
@@ -148,23 +144,20 @@ class FiniteDistribution:
 
 @dataclass
 class EnergyModel:
-    """An energy function over an indexed state space.
+    """A materialised energy table over states 0..N-1.
 
-    size is the total state count (may exceed the enumeration cap);
-    enumerable is True when exact enumeration is allowed. neighbor_fn
-    returns a fixed-length tuple of proposal candidates for the local
-    random-walk move, with None marking out-of-range slots that count
-    as automatic rejections.
+    h holds the energy of every state; neighbor_fn returns a fixed-length
+    tuple of proposal candidates for the local random-walk move, with
+    None marking out-of-range slots that count as automatic rejections.
     """
 
     kind: str
-    size: int
-    energy_fn: Callable[[int], float]
+    h: np.ndarray
     neighbor_fn: Callable[[int], tuple]
-    proposal_size: int
-    enumerable: bool
-    meta: dict = field(default_factory=dict)
-    _energies: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def size(self) -> int:
+        return len(self.h)
 
     def check_state(self, state: int) -> None:
         if not (0 <= state < self.size):
@@ -172,45 +165,18 @@ class EnergyModel:
                 f"state {state} outside space of size {self.size} ({self.kind})"
             )
 
-    def energy(self, state: int) -> float:
-        self.check_state(state)
-        if self._energies is not None:
-            return float(self._energies[state])
-        return float(self.energy_fn(state))
-
     def energies(self) -> np.ndarray:
-        """Energy of every state (enumerable models only)."""
-        if not self.enumerable:
-            raise CapabilityError(
-                f"{self.kind} model with {self.size} states is above the "
-                "enumeration cap"
-            )
-        if self._energies is None:
-            self._energies = np.array(
-                [self.energy_fn(s) for s in range(self.size)], dtype=np.float64
-            )
-        return self._energies
+        """Energy of every state."""
+        return self.h
 
     def neighbors(self, state: int) -> tuple:
         self.check_state(state)
         return self.neighbor_fn(state)
 
 
-def energy(model: EnergyModel, state: int) -> float:
-    """h(state); raises DomainError outside the space."""
-    return model.energy(state)
-
-
-def level_logdensity(model: EnergyModel, level: LadderLevel, state: int) -> float:
-    """log q_i(x) = -max(h(x), H_i) / T_i, unnormalized."""
-    h = model.energy(state)
-    return -max(h, level.truncation) / level.temperature
-
-
 def level_logdensities(model: EnergyModel, level: LadderLevel) -> np.ndarray:
-    """Vectorized log q_i over the whole (enumerable) space."""
-    h = model.energies()
-    return -np.maximum(h, level.truncation) / level.temperature
+    """log q_i(x) = -max(h(x), H_i) / T_i, unnormalized, for every state."""
+    return -np.maximum(model.h, level.truncation) / level.temperature
 
 
 def enumerate_distribution(
@@ -221,52 +187,34 @@ def enumerate_distribution(
     return FiniteDistribution.from_logweights(np.arange(model.size), logd)
 
 
-def truncate_to_ring(
-    dist: FiniteDistribution, model: EnergyModel, lo: float, hi: float
-) -> FiniteDistribution:
-    """Restrict dist to states with h(x) in [lo, hi) and renormalize."""
-    h = np.array([model.energy(int(s)) for s in dist.states])
-    mask = (h >= lo) & (h < hi)
-    if not mask.any():
-        raise EmptyRingError(f"no state of the distribution has energy in [{lo}, {hi})")
-    if mask.all():
-        return dist
-    probs = dist.probs[mask]
-    total = probs.sum()
-    if total <= 0:
-        raise EmptyRingError(
-            f"states in [{lo}, {hi}) carry zero probability mass"
-        )
-    return FiniteDistribution(dist.states[mask], probs / total)
-
-
 # ---------------------------------------------------------------------------
 # Built-in model kinds
 # ---------------------------------------------------------------------------
 
 
-def _path_neighbor_fn(n: int) -> Callable[[int], tuple]:
-    def nbrs(state: int) -> tuple:
-        return (state - 1 if state > 0 else None,
-                state + 1 if state < n - 1 else None)
-
-    return nbrs
+def _refuse_above_cap(kind: str, size: int, enum_cap: int) -> None:
+    if size > enum_cap:
+        raise CapabilityError(f"{kind} model with {size} states is above the "
+                              f"enumeration cap {enum_cap}")
 
 
-def _path_model(kind: str, h: np.ndarray, enum_cap: int, meta: dict) -> EnergyModel:
+def _path_model(kind: str, h: np.ndarray) -> EnergyModel:
     """States 0..n-1 with energies h, the local move proposing either
     neighbour on the path."""
     n = len(h)
-    return EnergyModel(
-        kind=kind,
-        size=n,
-        energy_fn=lambda s: float(h[s]),
-        neighbor_fn=_path_neighbor_fn(n),
-        proposal_size=2,
-        enumerable=n <= enum_cap,
-        meta=meta,
-        _energies=h,
-    )
+    return EnergyModel(kind, h, lambda s: (s - 1 if s > 0 else None,
+                                           s + 1 if s < n - 1 else None))
+
+
+def _grid(kind: str, points: int, bounds, enum_cap: int) -> np.ndarray:
+    """The points of a 1-D grid over [lo, hi], refused above the cap."""
+    if points < 2:
+        raise ConfigError(f"{kind} needs points >= 2")
+    lo, hi = float(bounds[0]), float(bounds[1])
+    if not lo < hi:
+        raise ConfigError(f"{kind} bounds must satisfy lo < hi")
+    _refuse_above_cap(kind, points, enum_cap)
+    return np.linspace(lo, hi, points)
 
 
 def _table_model(weights, enum_cap: int) -> EnergyModel:
@@ -275,7 +223,8 @@ def _table_model(weights, enum_cap: int) -> EnergyModel:
         raise ConfigError("table weights must be a non-empty 1-D sequence")
     if np.any(~np.isfinite(w)) or np.any(w <= 0):
         raise ConfigError("table weights must be finite and > 0")
-    return _path_model("table", -np.log(w), enum_cap, {"weights": w})
+    _refuse_above_cap("table", len(w), enum_cap)
+    return _path_model("table", -np.log(w))
 
 
 def _energy_table_model(energies, enum_cap: int) -> EnergyModel:
@@ -284,20 +233,15 @@ def _energy_table_model(energies, enum_cap: int) -> EnergyModel:
         raise ConfigError("energy table must be a non-empty 1-D sequence")
     if np.any(~np.isfinite(h)):
         raise ConfigError("energies must be finite")
-    return _path_model("energy_table", h, enum_cap, {})
+    _refuse_above_cap("energy_table", len(h), enum_cap)
+    return _path_model("energy_table", h)
 
 
-def _double_well_grid(points: int, bounds, depth: float, enum_cap: int) -> EnergyModel:
-    if points < 2:
-        raise ConfigError("double_well_grid needs points >= 2")
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not lo < hi:
-        raise ConfigError("double_well_grid bounds must satisfy lo < hi")
+def _double_well_grid(points: int, bounds, enum_cap: int, depth: float = 1.0) -> EnergyModel:
+    xs = _grid("double_well_grid", points, bounds, enum_cap)
     if depth <= 0:
         raise ConfigError("double_well_grid depth must be > 0")
-    xs = np.linspace(lo, hi, points)
-    h = depth * (xs ** 2 - 1.0) ** 2
-    return _path_model("double_well_grid", h, enum_cap, {"depth": depth, "grid": xs})
+    return _path_model("double_well_grid", depth * (xs ** 2 - 1.0) ** 2)
 
 
 def _gaussian_mixture_grid(means, sds, weights, points: int, bounds,
@@ -311,21 +255,13 @@ def _gaussian_mixture_grid(means, sds, weights, points: int, bounds,
         raise ConfigError("gaussian_mixture_grid: sds must be > 0")
     if np.any(weights <= 0):
         raise ConfigError("gaussian_mixture_grid: weights must be > 0")
-    if points < 2:
-        raise ConfigError("gaussian_mixture_grid needs points >= 2")
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not lo < hi:
-        raise ConfigError("gaussian_mixture_grid bounds must satisfy lo < hi")
-    xs = np.linspace(lo, hi, points)
+    xs = _grid("gaussian_mixture_grid", points, bounds, enum_cap)
     # h = -log sum_k w_k phi((x-m_k)/s_k)/s_k, computed stably in the log domain
     z = (xs[:, None] - means[None, :]) / sds[None, :]
     logcomp = np.log(weights[None, :] / sds[None, :]) - 0.5 * z ** 2
     m = logcomp.max(axis=1)
     h = -(m + np.log(np.exp(logcomp - m[:, None]).sum(axis=1)))
-    return _path_model(
-        "gaussian_mixture_grid", h, enum_cap,
-        {"means": means, "sds": sds, "weights": weights, "grid": xs},
-    )
+    return _path_model("gaussian_mixture_grid", h)
 
 
 def _potts_grid(width: int, height: int, labels: int, beta: float,
@@ -338,6 +274,7 @@ def _potts_grid(width: int, height: int, labels: int, beta: float,
         raise ConfigError("potts_grid needs beta >= 0")
     n_sites = width * height
     size = labels ** n_sites
+    _refuse_above_cap("potts_grid", size, enum_cap)
 
     # 4-neighborhood lattice edges over flat site indices (no wraparound)
     edges = []
@@ -358,11 +295,6 @@ def _potts_grid(width: int, height: int, labels: int, beta: float,
             state //= labels
         return digits
 
-    def energy_fn(state: int) -> float:
-        w = decode(state)
-        agree = sum(1 for i, j in edges if w[i] == w[j])
-        return -beta * agree
-
     def neighbor_fn(state: int) -> tuple:
         w = decode(state)
         out = []
@@ -373,28 +305,20 @@ def _potts_grid(width: int, height: int, labels: int, beta: float,
                     out.append(state + (v - cur) * powers[s])
         return tuple(out)
 
-    return EnergyModel(
-        kind="potts_grid",
-        size=size,
-        energy_fn=energy_fn,
-        neighbor_fn=neighbor_fn,
-        proposal_size=n_sites * (labels - 1),
-        enumerable=size <= enum_cap,
-        meta={
-            "width": width,
-            "height": height,
-            "labels": labels,
-            "beta": beta,
-        },
-    )
+    # -beta times the number of agreeing edges, one labeling at a time
+    h = np.array([-beta * sum(1 for i, j in edges if w[i] == w[j])
+                  for w in map(decode, range(size))], dtype=np.float64)
+    return EnergyModel("potts_grid", h, neighbor_fn)
 
 
-_MODEL_PARAMS = {
-    "table": ({"weights"}, set()),
-    "energy_table": ({"energies"}, set()),
-    "double_well_grid": ({"points", "bounds"}, {"depth"}),
-    "gaussian_mixture_grid": ({"means", "sds", "weights", "points", "bounds"}, set()),
-    "potts_grid": ({"width", "height", "labels", "beta"}, set()),
+# kind: (builder, required parameters, optional parameters)
+_MODEL_KINDS = {
+    "table": (_table_model, {"weights"}, set()),
+    "energy_table": (_energy_table_model, {"energies"}, set()),
+    "double_well_grid": (_double_well_grid, {"points", "bounds"}, {"depth"}),
+    "gaussian_mixture_grid": (_gaussian_mixture_grid,
+                              {"means", "sds", "weights", "points", "bounds"}, set()),
+    "potts_grid": (_potts_grid, {"width", "height", "labels", "beta"}, set()),
 }
 
 
@@ -405,32 +329,19 @@ def builtin_model(kind: str, enum_cap: int = DEFAULT_ENUM_CAP, **params) -> Ener
     double_well_grid(points, bounds, depth=1),
     gaussian_mixture_grid(means, sds, weights, points, bounds),
     potts_grid(width, height, labels, beta).
+
+    Raises CapabilityError, before enumerating, for a space of more than
+    enum_cap states.
     """
     if enum_cap < 1:
         raise ConfigError("enum_cap must be >= 1")
-    if kind not in _MODEL_PARAMS:
+    if kind not in _MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r}")
-    required, optional = _MODEL_PARAMS[kind]
+    build, required, optional = _MODEL_KINDS[kind]
     missing = required - params.keys()
     if missing:
         raise ConfigError(f"model kind {kind!r} missing parameters {sorted(missing)}")
     unknown = params.keys() - required - optional
     if unknown:
         raise ConfigError(f"model kind {kind!r} got unknown parameters {sorted(unknown)}")
-
-    if kind == "table":
-        return _table_model(params["weights"], enum_cap)
-    if kind == "energy_table":
-        return _energy_table_model(params["energies"], enum_cap)
-    if kind == "double_well_grid":
-        return _double_well_grid(
-            params["points"], params["bounds"], params.get("depth", 1.0), enum_cap
-        )
-    if kind == "gaussian_mixture_grid":
-        return _gaussian_mixture_grid(
-            params["means"], params["sds"], params["weights"],
-            params["points"], params["bounds"], enum_cap,
-        )
-    return _potts_grid(
-        params["width"], params["height"], params["labels"], params["beta"], enum_cap
-    )
+    return build(enum_cap=enum_cap, **params)

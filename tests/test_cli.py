@@ -187,6 +187,19 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    def test_over_cap_model_is_two_and_writes_nothing(self, tmp_path, capsys):
+        """2^25 labelings are refused when the config is loaded, so no
+        output directory is left behind without its DONE sentinel."""
+        cfg = write_config(tmp_path, {
+            "experiment": "run",
+            "model": {"kind": "potts_grid", "width": 5, "height": 5,
+                      "labels": 2, "beta": 0.1},
+        })
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "enumeration cap 1048576" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, {
             "experiment": "run", "seed": 1,

@@ -17,6 +17,7 @@ from eelab.kernels import (
 )
 from eelab.rng import RandomStream
 from eelab.statespace import (
+    EnergyModel,
     FiniteDistribution,
     LadderLevel,
     builtin_model,
@@ -88,11 +89,15 @@ class TestRandomWalk:
         assert np.all(np.abs(freq - K[1]) <= 3 * se + 1e-12)
 
     def test_non_enumerable_model_refused(self):
-        # 2^9 states above a cap of 100: no move table can be built
-        m = builtin_model("potts_grid", enum_cap=100, width=3, height=3,
+        # 2^9 states above a cap of 100: the model is refused before a
+        # move table could be built on it
+        with pytest.raises(CapabilityError, match="cap 100"):
+            builtin_model("potts_grid", enum_cap=100, width=3, height=3,
                           labels=2, beta=0.5)
-        assert not m.enumerable
-        with pytest.raises(CapabilityError):
+
+    def test_empty_neighborhood_refused(self):
+        m = EnergyModel("energy_table", np.zeros(2), lambda s: ())
+        with pytest.raises(ConfigError, match="empty local neighborhood"):
             RandomWalkKernel(m, LEVEL0)
 
 
@@ -297,11 +302,9 @@ SOLVER_CASES = [
     pytest.param(lambda: np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                    [0.5, 0.25, 0.25]]),
                  NumericError, id="two_absorbing_states"),
-    # a singular system that LU answers with rounding noise along the null
-    # direction; for blocks of 5 and 6 states, seed 2, that noise leaves
-    # 0.095-0.5 of negative mass on every OpenBLAS kernel tried (Prescott
-    # to SapphireRapids), while blocks of 3 and 4 hit an exactly zero pivot
-    # on most of them. Clipped, it would be one block's law.
+    # a singular system that LU would answer with rounding noise along the
+    # null direction (0.095-0.5 of negative mass for these blocks on every
+    # OpenBLAS kernel tried); the support-graph check refuses it first
     pytest.param(lambda: block_chain((5, 6), 2), NumericError,
                  id="two_blocks_negative_mass"),
     # rows that do not sum to 1: the dropped balance equation is not
@@ -324,6 +327,29 @@ class TestMatrixHelpers:
         ]
         for K in mats:
             assert np.abs(K.sum(axis=1) - 1.0).max() <= 1e-12
+
+    def test_stationary_distribution_refuses_every_reducible_chain(self):
+        """Two closed classes: the refusal does not depend on where rounding
+        in a singular LU lands, which differs by BLAS kernel."""
+        for seed in range(40):
+            with pytest.raises(NumericError, match="reducible"):
+                stationary_distribution(block_chain((3, 4), seed))
+
+    def test_stationary_distribution_allows_transient_states(self):
+        """One closed class and a transient state, which carries no mass:
+        state 2 that state 0 cannot reach, and state 0 that no state
+        reaches (a deep well's underflowed uphill moves make such chains)."""
+        K = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        for K, want in ((K, [0.5, 0.5, 0.0]), (K[::-1, ::-1], [0.0, 0.5, 0.5])):
+            np.testing.assert_allclose(stationary_distribution(K), want,
+                                       rtol=0, atol=1e-15)
+
+    def test_stationary_distribution_refuses_two_classes_below_a_transient(self):
+        # state 0 leaks into the closed classes {1, 2} and {3}
+        K = np.array([[0.4, 0.3, 0.0, 0.3], [0.0, 0.5, 0.5, 0.0],
+                      [0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(NumericError, match="reducible"):
+            stationary_distribution(K)
 
     @pytest.mark.parametrize("build, expected", SOLVER_CASES)
     def test_stationary_distribution_solver(self, build, expected):

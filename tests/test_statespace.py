@@ -3,21 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from eelab.errors import (
-    CapabilityError,
-    ConfigError,
-    DomainError,
-    EmptyRingError,
-)
+from eelab.errors import CapabilityError, ConfigError, DomainError
 from eelab.statespace import (
     FiniteDistribution,
     LadderLevel,
     builtin_model,
-    energy,
     enumerate_distribution,
     geometric_ladder,
-    level_logdensity,
-    truncate_to_ring,
+    level_logdensities,
     validate_ladder,
 )
 
@@ -28,44 +21,45 @@ class TestEnergy:
     def test_table_weights_give_log_energies(self):
         # unnormalized weights (1, 1/3): h(1) = -log(1/3) = ln 3
         m = builtin_model("table", weights=[1.0, 1.0 / 3.0])
-        assert energy(m, 1) == pytest.approx(math.log(3.0), abs=1e-12)
-        assert energy(m, 0) == pytest.approx(0.0, abs=1e-12)
+        assert m.energies()[1] == pytest.approx(math.log(3.0), abs=1e-12)
+        assert m.energies()[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_energy_is_deterministic(self):
         m = builtin_model("gaussian_mixture_grid", means=[-1, 1], sds=[0.4, 0.4],
                           weights=[1, 1], points=31, bounds=(-3, 3))
-        for s in (0, 7, 30):
-            assert energy(m, s) == energy(m, s)
+        again = builtin_model("gaussian_mixture_grid", means=[-1, 1], sds=[0.4, 0.4],
+                              weights=[1, 1], points=31, bounds=(-3, 3))
+        np.testing.assert_array_equal(m.energies(), again.energies())
 
     def test_double_well_zero_at_unit(self):
         m = builtin_model("double_well_grid", points=41, bounds=(-2.0, 2.0))
-        # x = 1 is a grid point of linspace(-2, 2, 41)
-        idx = int(np.argmin(np.abs(m.meta["grid"] - 1.0)))
-        assert m.meta["grid"][idx] == pytest.approx(1.0)
-        assert energy(m, idx) == pytest.approx(0.0, abs=1e-12)
+        # x = 1 is grid point 30 of linspace(-2, 2, 41)
+        assert np.linspace(-2.0, 2.0, 41)[30] == pytest.approx(1.0)
+        assert m.energies()[30] == pytest.approx(0.0, abs=1e-12)
 
     def test_state_outside_space_raises(self):
         m = builtin_model("table", weights=[1, 2])
+        m.check_state(1)
         with pytest.raises(DomainError):
-            energy(m, 2)
+            m.check_state(2)
         with pytest.raises(DomainError):
-            energy(m, -1)
+            m.neighbors(-1)
 
 
 class TestLevelLogdensity:
     def test_truncation_inactive(self):
         m = builtin_model("energy_table", energies=[2.0])
         lv = LadderLevel(1, 2.0, 1.0)
-        assert level_logdensity(m, lv, 0) == pytest.approx(-1.0, abs=1e-15)
+        assert level_logdensities(m, lv)[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_truncation_active(self):
         m = builtin_model("energy_table", energies=[-1.0])
         lv = LadderLevel(1, 2.0, 0.0)
-        assert level_logdensity(m, lv, 0) == pytest.approx(0.0, abs=1e-15)
+        assert level_logdensities(m, lv)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_level0_is_identity(self):
         m = builtin_model("energy_table", energies=[0.7])
-        assert level_logdensity(m, LEVEL0, 0) == -0.7
+        assert level_logdensities(m, LEVEL0)[0] == -0.7
 
 
 class TestEnumerateDistribution:
@@ -101,47 +95,10 @@ class TestEnumerateDistribution:
             assert np.all(d.probs > 0)
 
     def test_non_enumerable_raises_capability(self):
-        m = builtin_model("potts_grid", width=5, height=5, labels=3, beta=0.1,
+        # the model itself is refused, so nothing is left to enumerate
+        with pytest.raises(CapabilityError, match="cap 1000"):
+            builtin_model("potts_grid", width=5, height=5, labels=3, beta=0.1,
                           enum_cap=1000)
-        assert not m.enumerable
-        with pytest.raises(CapabilityError):
-            enumerate_distribution(m, LEVEL0)
-
-
-class TestTruncateToRing:
-    def test_full_range_returns_input_unchanged(self):
-        m = builtin_model("energy_table", energies=[0.5, 1.7])
-        d = enumerate_distribution(m, LEVEL0)
-        out = truncate_to_ring(d, m, -math.inf, math.inf)
-        assert out is d
-
-    def test_single_survivor(self):
-        m = builtin_model("energy_table", energies=[0.5, 1.7])
-        d = FiniteDistribution(np.arange(2), np.array([0.6, 0.4]))
-        out = truncate_to_ring(d, m, 0.0, 1.0)
-        assert list(out.states) == [0]
-        np.testing.assert_allclose(out.probs, [1.0])
-
-    def test_uniform_pair(self):
-        m = builtin_model("energy_table", energies=[0.0, 1.0, 2.0, 3.0])
-        d = FiniteDistribution(np.arange(4), np.full(4, 0.25))
-        out = truncate_to_ring(d, m, 1.0, 3.0)
-        assert list(out.states) == [1, 2]
-        np.testing.assert_allclose(out.probs, [0.5, 0.5], atol=1e-15)
-
-    def test_empty_restriction_raises(self):
-        m = builtin_model("energy_table", energies=[0.5, 1.7])
-        d = enumerate_distribution(m, LEVEL0)
-        with pytest.raises(EmptyRingError):
-            truncate_to_ring(d, m, 5.0, 6.0)
-
-    def test_idempotent(self):
-        m = builtin_model("energy_table", energies=[0.0, 1.0, 2.0, 3.0])
-        d = FiniteDistribution(np.arange(4), np.array([0.1, 0.2, 0.3, 0.4]))
-        once = truncate_to_ring(d, m, 1.0, 3.0)
-        twice = truncate_to_ring(once, m, 1.0, 3.0)
-        np.testing.assert_allclose(once.probs, twice.probs, atol=1e-15)
-        assert np.array_equal(once.states, twice.states)
 
 
 class TestBuiltinModels:
@@ -153,7 +110,7 @@ class TestBuiltinModels:
     def test_potts_grid_enumerates_16_labelings(self):
         m = builtin_model("potts_grid", width=2, height=2, labels=2, beta=0.5)
         assert m.size == 16
-        assert m.enumerable
+        assert m.energies().shape == (16,)
 
     def test_gaussian_mixture_symmetric_modes(self):
         m = builtin_model("gaussian_mixture_grid", means=[-1.0, 1.0],
@@ -179,12 +136,18 @@ class TestBuiltinModels:
         with pytest.raises(ConfigError):
             builtin_model("table", weights=[1], bogus=2)
 
-    def test_above_cap_model_is_created_non_enumerable(self):
-        m = builtin_model("potts_grid", width=4, height=4, labels=4, beta=0.2)
-        assert m.size == 4 ** 16
-        assert not m.enumerable
-        # energies still evaluable pointwise
-        assert np.isfinite(m.energy(12345))
+    @pytest.mark.parametrize("params", [
+        dict(kind="potts_grid", width=4, height=4, labels=4, beta=0.2),
+        dict(kind="double_well_grid", points=2 ** 20 + 1, bounds=(-2, 2)),
+        dict(kind="energy_table", energies=[0.0] * 5, enum_cap=4),
+        dict(kind="table", weights=[1.0] * 5, enum_cap=4),
+        dict(kind="gaussian_mixture_grid", means=[0], sds=[1], weights=[1],
+             points=5, bounds=(0, 1), enum_cap=4),
+    ], ids=lambda p: p["kind"])
+    def test_above_cap_model_is_refused(self, params):
+        """Every kind is refused at build time, at the default cap 2^20 too."""
+        with pytest.raises(CapabilityError, match="enumeration cap"):
+            builtin_model(**params)
 
 
 class TestLadder:
@@ -216,11 +179,12 @@ class TestLadder:
         h = np.sort(rng.uniform(1.0, 6.0, size=12))
         m = builtin_model("energy_table", energies=h)
         for lv in geometric_ladder(3, ratio=2.0, h_min=0.0, dh=0.5)[1:]:
+            logq = level_logdensities(m, lv)
             for xi in range(11):
                 for yi in range(xi + 1, 12):
                     if h[xi] == h[yi]:
                         continue
-                    lq = level_logdensity(m, lv, xi) - level_logdensity(m, lv, yi)
+                    lq = logq[xi] - logq[yi]
                     lpi = -h[xi] + h[yi]
                     assert lq <= lpi + 1e-12
 
