@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import EXPERIMENTS, load_config, validate_config
+from .config import EXPERIMENTS, read_config, validate_config
 from .errors import ConfigError, EelabError
 from .experiments import run_experiment
 
@@ -44,12 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.config is not None:
-            config = load_config(args.config, experiment=args.experiment)
-        else:
-            config = validate_config({"experiment": args.experiment})
-        if args.seed is not None:  # the override is validated like a config key
-            config = validate_config({**config.to_dict(), "seed": args.seed})
+        raw = read_config(args.config) if args.config is not None else {}
+        if args.seed is not None and isinstance(raw, dict):
+            raw = {**raw, "seed": args.seed}  # validated like a config key
+        # validated once, so the model is built once
+        config = validate_config(raw, experiment=args.experiment)
         out = run_experiment(config, out_dir=args.out, force=args.force)
     except ConfigError as exc:
         print(f"eelab: config error: {exc}", file=sys.stderr)

@@ -337,6 +337,9 @@ class ExperimentConfig:
     q3: dict = _spec_field(_Q3)
     q4: dict = _spec_field(_Q4)
     mixing: dict = _spec_field(_MIXING)
+    # (model section, model) of the last build_model; not a field, so
+    # to_dict and == ignore it
+    _built = None
 
     def _check_across(self, path: str, given: dict) -> None:
         bounds = self.model.get("bounds")
@@ -344,10 +347,17 @@ class ExperimentConfig:
                  f"must be [lo, hi], got {bounds!r}")
 
     def build_model(self) -> EnergyModel:
+        """The model the model section describes. validate_config builds
+        it, and later calls return that model until the section changes,
+        so an experiment does not fill the energy table a second time."""
+        if self._built is not None and self._built[0] == self.model:
+            return self._built[1]
         params = dict(self.model)
         kind = params.pop("kind", None)
         _require(kind is not None, "model.kind", "is required")
-        return builtin_model(kind, **params)
+        model = builtin_model(kind, **params)
+        self._built = (copy.deepcopy(self.model), model)
+        return model
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -376,13 +386,17 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
     return cfg
 
 
-def load_config(path, experiment: Optional[str] = None) -> ExperimentConfig:
-    """Load and validate a JSON config file."""
+def read_config(path):
+    """The raw JSON value of a config file, not yet validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    return validate_config(raw, experiment)
+
+
+def load_config(path, experiment: Optional[str] = None) -> ExperimentConfig:
+    """Load and validate a JSON config file."""
+    return validate_config(read_config(path), experiment)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -154,11 +154,16 @@ class LevelTrace:
 
 @dataclass
 class TraceSet:
-    """All level traces of one run plus the ledgers it produced."""
+    """All level traces of one run plus the ledgers it produced.
+
+    top_source holds what the top level's trace and ledger are a function
+    of (see run_ladder); a later run may take its top level from here.
+    """
 
     levels: list[LevelTrace]
     ledgers: list[RingLedger]
     burn_in: int
+    top_source: tuple = field(default=(), repr=False, compare=False)
 
     def empirical_counts(self, level: int, n_states: int,
                          upto: Optional[int] = None) -> np.ndarray:
@@ -173,7 +178,8 @@ class TraceSet:
         return FiniteDistribution.from_weights(np.arange(n_states), counts)
 
 
-def run_ladder(model: EnergyModel, config: LadderConfig, seed: int) -> TraceSet:
+def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
+               reuse: Optional[TraceSet] = None) -> TraceSet:
     """Run every level's chain, top level first, each to completion.
 
     Each level-step is a jump against the ledger of the level above with
@@ -188,6 +194,14 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int) -> TraceSet:
     parallel schedule, where every level advances once per macro step,
     level i at step t reads the upper ledger as it stood after upper step
     t: the records made at steps <= t, a prefix of each finished pool.
+
+    The top level never jumps, so its trace and ledger do not depend on
+    p_jump, jump_mode or the schedule beyond its step count. When reuse
+    is a run whose top level came from the same model object, seed, top
+    level, step count, burn_in, max_records, boundaries and init_state,
+    its top LevelTrace and RingLedger are taken as they are (the same
+    objects, not copies) instead of being run again; any other reuse is
+    ignored. q1 and q2 pass the first arm's run to the second this way.
     """
     K = config.n_levels
     logd = [level_logdensities(model, lv).tolist() for lv in config.levels]
@@ -204,6 +218,14 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int) -> TraceSet:
     serial = config.schedule == "serial"
     n_steps = config.steps_per_level if serial else config.macro_steps
     p_jump, mode, burn_in = config.p_jump, config.jump_mode, config.burn_in
+    # everything the top level's trace and ledger depend on; the top
+    # level's index (the level count minus one) picks its rng stream, and
+    # init_state None means the start is drawn from that stream
+    source = (model, seed, config.levels[-1], n_steps, burn_in,
+              config.max_records, tuple(config.boundaries()), config.init_state)
+    # the model compares by identity (== on its energy table is ambiguous)
+    given = reuse.top_source if reuse is not None else ()
+    shared = bool(given) and given[0] is model and given[1:] == source[1:]
     # Upper record k is made at upper step burn_in + k. Before lower step t
     # the upper level has taken its steps <= t (parallel) or all of them
     # (serial), so a jump sees the records with flat index <= t + lag.
@@ -212,47 +234,54 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int) -> TraceSet:
     local, jump, fallback = 2 * MOVE_LOCAL, 2 * MOVE_JUMP, 2 * MOVE_JUMP_FALLBACK
     traces = []
     for i in range(K - 1, -1, -1):
-        x = inits[i]
-        uniform = rngs[i].uniform
-        moves = RandomWalkKernel(model, config.levels[i]).moves
-        jumps = p_jump if i < K - 1 else 0.0
-        lo = logd[i]
-        hi = logd[i + 1] if jumps else None  # None: this level never jumps
-        visited, codes = [], []
-        for t in range(n_steps):
-            code = local
-            if jumps and uniform() < jumps:
-                ring = ring_list[x]
-                visible = bisect_right(pool_index[ring], t + lag)
-                # an empty pool draws no uniform, so its fallback is
-                # bit-identical to a plain local move
-                code = jump if visible else fallback
-            if code == jump:  # uniform over the visible records
-                j = int(uniform() * visible)
-                y = pools[ring][visible - 1 if j == visible else j]
-                logr = (lo[y] + hi[x]) - (lo[x] + hi[y])
-                if logr >= 0.0 or uniform() < math.exp(logr):
-                    x, code = y, code + 1
-            else:  # RandomWalkKernel.step on its move table
-                slots = moves[x]
-                m = len(slots)
-                j = int(uniform() * m)
-                y, p = slots[m - 1 if j == m else j]
-                if y is not None and (p is None or uniform() < p):
-                    x, code = y, code + 1
-            visited.append(x)
-            codes.append(code)
-        codes = np.asarray(codes, dtype=np.int8)
-        trace = LevelTrace(i, np.asarray(visited, dtype=np.int64), codes >> 1, codes & 1)
+        if shared and i == K - 1:
+            trace = reuse.levels[-1]
+            upper = ledgers[i] = reuse.ledgers[-1]
+            rings = ring_of[trace.states[burn_in:]]
+        else:
+            x = inits[i]
+            uniform = rngs[i].uniform
+            moves = RandomWalkKernel(model, config.levels[i]).moves
+            jumps = p_jump if i < K - 1 else 0.0
+            lo = logd[i]
+            hi = logd[i + 1] if jumps else None  # None: this level never jumps
+            visited, codes = [], []
+            for t in range(n_steps):
+                code = local
+                if jumps and uniform() < jumps:
+                    ring = ring_list[x]
+                    visible = bisect_right(pool_index[ring], t + lag)
+                    # an empty pool draws no uniform, so its fallback is
+                    # bit-identical to a plain local move
+                    code = jump if visible else fallback
+                if code == jump:  # uniform over the visible records
+                    j = int(uniform() * visible)
+                    y = pools[ring][visible - 1 if j == visible else j]
+                    logr = (lo[y] + hi[x]) - (lo[x] + hi[y])
+                    if logr >= 0.0 or uniform() < math.exp(logr):
+                        x, code = y, code + 1
+                else:  # RandomWalkKernel.step on its move table
+                    slots = moves[x]
+                    m = len(slots)
+                    j = int(uniform() * m)
+                    y, p = slots[m - 1 if j == m else j]
+                    if y is not None and (p is None or uniform() < p):
+                        x, code = y, code + 1
+                visited.append(x)
+                codes.append(code)
+            codes = np.asarray(codes, dtype=np.int8)
+            trace = LevelTrace(i, np.asarray(visited, dtype=np.int64),
+                               codes >> 1, codes & 1)
+            # fill the level's ledger in one pass
+            upper = ledgers[i]
+            recorded = trace.states[burn_in:]
+            rings = ring_of[recorded]
+            upper.extend(recorded, rings)
         traces.append(trace)
 
-        # fill the level's ledger in one pass; pools[ring] is the pool a
-        # jump from that ring draws from (its ring, or all records) and
-        # pool_index[ring] the flat indices of that pool's records
-        upper = ledgers[i]
-        recorded = trace.states[burn_in:]
-        rings = ring_of[recorded]
-        upper.extend(recorded, rings)
+        # pools[ring] is the pool a jump from that ring draws from (its
+        # ring, or all records) and pool_index[ring] the flat indices of
+        # that pool's records
         if mode == "restricted":
             rings = rings[:upper.total]
             pools = upper.rings
@@ -261,7 +290,7 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int) -> TraceSet:
         else:
             pools = [upper.all_records] * upper.n_rings
             pool_index = [range(upper.total)] * upper.n_rings
-    return TraceSet(traces[::-1], ledgers, burn_in)
+    return TraceSet(traces[::-1], ledgers, burn_in, source)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +80,37 @@ def write_csv(path: Path, header: list[str], rows) -> None:
                     f"row width {len(row)} does not match header {width}"
                 )
             fh.write(line % tuple(row))
+
+
+TRACE_CHUNK_ROWS = 16_384
+
+
+def write_trace_csv(path: Path, model, ts) -> None:
+    """A ladder run's trace.csv: one row per level-step, level 0 first,
+    with the bytes write_csv writes for the same rows.
+
+    Everything after a row's step is a function of its level, state,
+    move type and accepted flag, so each combination in a level's trace
+    is formatted once (found by np.unique of 8 * state + 2 * move type +
+    accepted, which stays small however large the model) and the rows are
+    joined from those tails, TRACE_CHUNK_ROWS at a time to bound memory.
+    """
+    h = model.energies().tolist()
+    ring_index = ts.ledgers[0].ring_index
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("step,level,state_id,energy,ring,move_type,accepted\n")
+        for tr in ts.levels:
+            keys, which = np.unique(8 * tr.states + 2 * tr.move_types + tr.accepted,
+                                    return_inverse=True)
+            tails = [f",{tr.level},{x},{h[x]},{ring_index(h[x])},{MOVE_NAMES[m]},{a}\n"
+                     for x, m, a in zip((keys >> 3).tolist(),
+                                        ((keys >> 1) & 3).tolist(),
+                                        (keys & 1).tolist())]
+            for start in range(0, len(tr), TRACE_CHUNK_ROWS):
+                stop = min(start + TRACE_CHUNK_ROWS, len(tr))
+                fh.write("".join(chain.from_iterable(zip(
+                    map(str, range(start, stop)),
+                    map(tails.__getitem__, which[start:stop].tolist())))))
 
 
 def write_json(path: Path, obj) -> None:
@@ -168,47 +199,57 @@ def _warmup_step(ladder) -> int:
 
 def _ladder_runs(config, model, variations, out: Path):
     """Run the ladder over (label, overrides) variations x replicates and
-    write TV curves, first-passage steps, and a summary."""
+    write TV curves, first-passage steps, and a summary.
+
+    Replicates are the outer loop: within one, each variation passes its
+    run to the next, whose run_ladder takes the top level from it when
+    the variations agree on it (they differ only in jump_mode or
+    schedule), and each replicate's runs are dropped before the next.
+    Rows are written variation by variation, as if that were the outer
+    loop."""
     pi = enumerate_distribution(model, config.ladder.levels()[0])
     init, target = _mode_targets(model)
-    curve_rows, passage_rows = [], []
-    summary = {}
+    arms = []
     for label, base_overrides in variations:
         overrides = dict(base_overrides)
         if config.ladder.init_state is None:
             overrides["init_state"] = init
         ladder = config.ladder.build(**overrides)
-        warm = _warmup_step(ladder)
-        final_tvs, passages, warm_passages, fallback_shares = [], [], [], []
-        for k in range(config.replicates):
-            seed = config.seed + k
-            ts = run_ladder(model, ladder, seed)
+        arms.append((label, ladder, _warmup_step(ladder),
+                     {"curves": [], "passages": [], "final_tvs": [],
+                      "fallback_shares": []}))
+    for k in range(config.replicates):
+        seed = config.seed + k
+        ts = None
+        for label, ladder, warm, rows in arms:
+            ts = run_ladder(model, ladder, seed, reuse=ts)
             curve = _tv_curve(ts, 0, model.size, pi, config.tv_checkpoints)
-            curve_rows.extend((label, seed, s, tv) for s, tv in curve)
+            rows["curves"].extend((label, seed, s, tv) for s, tv in curve)
             states = ts.levels[0].states
-            fp = _first_passage(states, target)
-            fp_warm = _first_passage(states[warm:], target)
-            passage_rows.append((label, seed, fp, fp_warm))
-            final_tvs.append(curve[-1][1])
+            rows["passages"].append((label, seed, _first_passage(states, target),
+                                     _first_passage(states[warm:], target)))
+            rows["final_tvs"].append(curve[-1][1])
             moves = ts.levels[0].move_types
-            fallback_shares.append(float((moves == 2).mean()))
-            if fp >= 0:
-                passages.append(fp)
-            if fp_warm >= 0:
-                warm_passages.append(fp_warm)
+            rows["fallback_shares"].append(float((moves == 2).mean()))
+    summary = {}
+    for label, _, _, rows in arms:
+        passages = [fp for _, _, fp, _ in rows["passages"] if fp >= 0]
+        warm_passages = [fp for _, _, _, fp in rows["passages"] if fp >= 0]
         summary[label] = {
-            "median_final_tv": float(np.median(final_tvs)),
+            "median_final_tv": float(np.median(rows["final_tvs"])),
             "median_first_passage": (float(np.median(passages)) if passages
                                      else None),
             "median_first_passage_after_warmup": (
                 float(np.median(warm_passages)) if warm_passages else None),
             "reached_second_mode": len(passages),
-            "mean_fallback_share": float(np.mean(fallback_shares)),
+            "mean_fallback_share": float(np.mean(rows["fallback_shares"])),
         }
-    write_csv(out / "tv_curves.csv", ["variant", "seed", "step", "tv"], curve_rows)
+    write_csv(out / "tv_curves.csv", ["variant", "seed", "step", "tv"],
+              [row for *_, rows in arms for row in rows["curves"]])
     write_csv(out / "first_passage.csv",
               ["variant", "seed", "first_passage_step",
-               "first_passage_after_warmup_step"], passage_rows)
+               "first_passage_after_warmup_step"],
+              [row for *_, rows in arms for row in rows["passages"]])
     write_json(out / "summary.json", summary)
 
 
@@ -221,25 +262,7 @@ def exp_run(config: ExperimentConfig, out: Path) -> None:
     """Single ladder run with the full trace exported."""
     model = config.build_model()
     ts = run_ladder(model, config.ladder.build(), config.seed)
-    # state_id, energy and ring are functions of the state: format each
-    # once per state and stream the rows from lookups
-    h = model.energies().tolist()
-    state_ids = [str(s) for s in range(model.size)]
-    energies = [str(e) for e in h]
-    rings = [str(r) for r in ts.ledgers[0].ring_table(h)]
-
-    def level_rows(tr):
-        states = tr.states.tolist()
-        return zip(range(len(tr)), repeat(tr.level),
-                   map(state_ids.__getitem__, states),
-                   map(energies.__getitem__, states),
-                   map(rings.__getitem__, states),
-                   map(MOVE_NAMES.__getitem__, tr.move_types.tolist()),
-                   tr.accepted.tolist())
-
-    write_csv(out / "trace.csv",
-              ["step", "level", "state_id", "energy", "ring", "move_type",
-               "accepted"], chain.from_iterable(map(level_rows, ts.levels)))
+    write_trace_csv(out / "trace.csv", model, ts)
     pi = enumerate_distribution(model, config.ladder.levels()[0])
     counts = ts.empirical_counts(0, model.size)
     tv = (tv_distance(counts / counts.sum(), pi.probs)

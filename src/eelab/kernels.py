@@ -39,14 +39,14 @@ STATIONARY_TOL = 1e-12
 
 
 def check_transition_matrix(K: np.ndarray, tol: float = ROW_SUM_TOL) -> None:
-    """Entries >= 0 and rows summing to 1 within tol."""
+    """Entries >= 0 and rows summing to 1 within tol (a NaN fails)."""
     K = np.asarray(K)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ShapeError(f"transition matrix must be square, got {K.shape}")
     if np.any(K < 0):
         raise NumericError("transition matrix has negative entries")
     err = np.abs(K.sum(axis=1) - 1.0).max()
-    if err > tol:
+    if not err <= tol:
         raise NumericError(f"row sums deviate from 1 by {err:.3e} > {tol:.0e}")
 
 

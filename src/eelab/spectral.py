@@ -58,7 +58,8 @@ def eigen_spectrum(
     """All eigenvalues of a reversible kernel, sorted descending.
 
     Rejects non-reversible input (reporting the worst violating pair)
-    rather than falling back to a complex eigensolver.
+    rather than falling back to a complex eigensolver. Every check is
+    written so that a NaN fails it.
     """
     p = pi.probs if isinstance(pi, FiniteDistribution) else np.asarray(pi, float)
     K = np.asarray(K, dtype=np.float64)
@@ -68,7 +69,7 @@ def eigen_spectrum(
         raise CapabilityError(f"dense eigensolver capped at {SPECTRAL_CAP} states")
     if len(p) != n:
         raise ShapeError("pi length does not match kernel size")
-    if np.any(p <= 0):
+    if not np.all(p > 0):
         raise ConfigError("eigen_spectrum requires strictly positive pi")
 
     # two n x n work arrays: F's buffer is reused for S, viol's for the
@@ -78,7 +79,7 @@ def eigen_spectrum(
     viol = F - F.T
     np.abs(viol, out=viol)
     err = viol.max()
-    if err > REVERSIBILITY_TOL:
+    if not err <= REVERSIBILITY_TOL:
         x, y = np.unravel_index(int(viol.argmax()), viol.shape)
         raise ReversibilityError(
             f"kernel is not reversible: |pi(x)K(x,y) - pi(y)K(y,x)| = {err:.3e} "
@@ -93,9 +94,9 @@ def eigen_spectrum(
     del F, S
     vals = np.linalg.eigvalsh(sym)[::-1]
 
-    if abs(vals[0] - 1.0) > EIGEN_RANGE_TOL:
+    if not abs(vals[0] - 1.0) <= EIGEN_RANGE_TOL:
         raise ReversibilityError(f"top eigenvalue {vals[0]!r} is not 1")
-    if vals[-1] < -1.0 - EIGEN_RANGE_TOL or vals[0] > 1.0 + EIGEN_RANGE_TOL:
+    if not (vals[-1] >= -1.0 - EIGEN_RANGE_TOL and vals[0] <= 1.0 + EIGEN_RANGE_TOL):
         raise ReversibilityError("eigenvalues fall outside [-1, 1]")
 
     lam2 = float(vals[1]) if n > 1 else float(vals[0])

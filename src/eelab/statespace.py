@@ -111,7 +111,7 @@ class FiniteDistribution:
             raise ShapeError("states and probs must be 1-D and equal length")
         if np.any(probs < 0):
             raise ConfigError("probabilities must be non-negative")
-        if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
+        if not abs(probs.sum() - 1.0) <= PROB_SUM_TOL:  # a NaN fails
             raise ConfigError(
                 f"probabilities must sum to 1 within {PROB_SUM_TOL}, "
                 f"got {probs.sum()!r}"

@@ -1,11 +1,16 @@
 import json
 import math
+from itertools import chain, repeat
 
+import numpy as np
 import pytest
 
 from eelab.cli import main
 from eelab.config import load_config, validate_config
+from eelab.eeladder import MOVE_JUMP_FALLBACK, MOVE_NAMES, LadderConfig, run_ladder
 from eelab.errors import ConfigError
+from eelab.experiments import write_trace_csv
+from eelab.statespace import builtin_model, geometric_ladder
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -200,6 +205,38 @@ class TestCliExitCodes:
         assert "enumeration cap 1048576" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--seed", "3"]])
+    def test_one_run_builds_the_model_once(self, tmp_path, monkeypatch, extra):
+        """Validation builds the model and the experiment uses that one,
+        so its energy table is filled once per run."""
+        import eelab.config
+
+        built = []
+        real = eelab.config.builtin_model
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(eelab.config, "builtin_model", counting)
+        cfg = write_config(tmp_path, {"experiment": "run",
+                                      "ladder": {"macro_steps": 50}})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     *extra]) == 0
+        assert len(built) == 1
+
+    def test_seed_override_writes_the_metadata_of_that_seed(self, tmp_path):
+        raw = {"experiment": "run", "ladder": {"macro_steps": 50},
+               "model": {"kind": "energy_table", "energies": [0.0, 1.0]}}
+        given = write_config(tmp_path, {**raw, "seed": 2}, "given.json")
+        assert main(["run", "--config", str(given), "--out", str(tmp_path / "a")]) == 0
+        other = write_config(tmp_path, {**raw, "seed": 1}, "other.json")
+        assert main(["run", "--config", str(other), "--seed", "2",
+                     "--out", str(tmp_path / "b")]) == 0
+        for name in ("metadata.json", "trace.csv", "summary.json"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, {
             "experiment": "run", "seed": 1,
@@ -239,6 +276,15 @@ class TestArtifacts:
         width = len(lines[0].split(","))
         assert all(len(line.split(",")) == width for line in lines)
         assert len(lines) == 1 + 60 * 2  # header + M rows per level
+
+    def test_model_is_rebuilt_after_its_section_changes(self):
+        cfg = validate_config({"experiment": "run"})
+        model = cfg.build_model()
+        assert cfg.build_model() is model
+        cfg.model["depth"] = 5.0
+        deeper = cfg.build_model()
+        assert deeper is not model
+        assert np.array_equal(deeper.energies(), 5.0 / 4.0 * model.energies())
 
     def test_csv_writes_numpy_scalars_as_plain_decimals(self, tmp_path):
         import numpy as np
@@ -329,3 +375,51 @@ def test_q3_runs_on_deep_wells(tmp_path, depth):
     ideal = json.loads((out / "summary.json").read_text())["idealized_kernel"]
     assert ideal["stationary_gap"] <= 1e-12
     assert ideal["reversibility_gap"] <= 1e-12
+
+
+def reference_trace_csv(path, model, ts):
+    """trace.csv as write_csv wrote it from per-row tuples: each value
+    through str via "%s", rows joined by LF."""
+    h = model.energies().tolist()
+    ring_of = ts.ledgers[0].ring_table(h)
+    rows = chain.from_iterable(
+        zip(range(len(tr)), repeat(tr.level), tr.states.tolist(),
+            [h[x] for x in tr.states.tolist()],
+            [ring_of[x] for x in tr.states.tolist()],
+            map(MOVE_NAMES.__getitem__, tr.move_types.tolist()),
+            tr.accepted.tolist())
+        for tr in ts.levels)
+    line = ",".join(["%s"] * 7) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("step,level,state_id,energy,ring,move_type,accepted\n")
+        for row in rows:
+            fh.write(line % tuple(row))
+
+
+# energies whose shortest round-trip forms differ in shape
+ODD_ENERGIES = [0.1, 1e-7, 2.5, 1e16, -0.0, 3.0, 1.0 / 3.0, 0.7, 2.0, 123456.789]
+
+
+@pytest.mark.parametrize("max_records", [None, 0, 7])
+@pytest.mark.parametrize("jump_mode", ["restricted", "unrestricted"])
+@pytest.mark.parametrize("schedule", ["parallel", "serial"])
+def test_trace_writer_matches_the_row_by_row_path(tmp_path, monkeypatch, schedule,
+                                                  jump_mode, max_records):
+    """Three levels, with jump fallbacks before the upper ledgers fill;
+    chunk boundaries fall inside each level's rows."""
+    from eelab import experiments
+
+    monkeypatch.setattr(experiments, "TRACE_CHUNK_ROWS", 700)
+    model = builtin_model("energy_table", energies=ODD_ENERGIES)
+    cfg = LadderConfig(levels=geometric_ladder(3, ratio=2.0, h_min=0.5, dh=1.0),
+                       burn_in=40, p_jump=0.4, jump_mode=jump_mode,
+                       schedule=schedule, macro_steps=3000, steps_per_level=3000,
+                       max_records=max_records)
+    ts = run_ladder(model, cfg, seed=11)
+    fallbacks = sum(int((tr.move_types == MOVE_JUMP_FALLBACK).sum()) for tr in ts.levels)
+    # an empty upper pool makes a fallback: always with max_records 0, and
+    # on the parallel schedule before step burn_in
+    assert fallbacks or (schedule == "serial" and max_records != 0)
+    reference_trace_csv(tmp_path / "want.csv", model, ts)
+    write_trace_csv(tmp_path / "got.csv", model, ts)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -304,6 +304,119 @@ def test_run_matches_interleaved_reference(schedule, jump_mode, n_levels):
                     assert led.all_records == flat, case
 
 
+def assert_same_run(ts, fresh):
+    """Every trace column and every ledger of two runs are equal."""
+    for tr, want in zip(ts.levels, fresh.levels, strict=True):
+        assert tr.level == want.level
+        assert tr.states.tolist() == want.states.tolist()
+        assert tr.move_types.tolist() == want.move_types.tolist()
+        assert tr.accepted.tolist() == want.accepted.tolist()
+    for led, want in zip(ts.ledgers, fresh.ledgers, strict=True):
+        assert led.rings == want.rings
+        assert led.all_records == want.all_records
+
+
+FLIP = {"jump_mode": {"restricted": "unrestricted", "unrestricted": "restricted"},
+        "schedule": {"parallel": "serial", "serial": "parallel"}}
+
+
+@pytest.mark.parametrize("flip", ["jump_mode", "schedule"])
+@pytest.mark.parametrize("n_levels", [1, 2, 3])
+@pytest.mark.parametrize("jump_mode", ["restricted", "unrestricted"])
+@pytest.mark.parametrize("schedule", ["parallel", "serial"])
+def test_reused_top_level_equals_a_fresh_run(schedule, jump_mode, n_levels, flip):
+    """A run that takes its top level from a run in the other jump mode or
+    schedule equals a fresh run, over the interleaved reference's grid."""
+    model = two_mode_model()
+    levels = geometric_ladder(n_levels, ratio=4.0, h_min=0.5, dh=0.5)
+    seed = 0
+    for max_records in (None, 0, 1, 300):
+        for burn_in in (0, 60, STEPS + 40):
+            for p_jump in (0.0, 0.2, 1.0):
+                seed += 1
+                kw = dict(levels=levels, burn_in=burn_in, p_jump=p_jump,
+                          jump_mode=jump_mode, schedule=schedule,
+                          macro_steps=STEPS, steps_per_level=STEPS,
+                          max_records=max_records)
+                first = run_ladder(model, LadderConfig(**kw), seed)
+                kw[flip] = FLIP[flip][kw[flip]]
+                cfg = LadderConfig(**kw)
+                ts = run_ladder(model, cfg, seed, reuse=first)
+                assert ts.levels[-1] is first.levels[-1]
+                assert ts.ledgers[-1] is first.ledgers[-1]
+                assert_same_run(ts, run_ladder(model, cfg, seed))
+
+
+def _differs(field):
+    """(first run's model, config and seed, second's) that differ only in
+    one thing the top level depends on."""
+    model = two_mode_model()
+    base = dict(levels=geometric_ladder(2, ratio=4.0, h_min=0.5, dh=0.5),
+                burn_in=60, p_jump=0.2, macro_steps=STEPS, steps_per_level=STEPS)
+    first, second, seeds, models = dict(base), dict(base), (5, 5), (model, model)
+    if field == "seed":
+        seeds = (5, 6)
+    elif field == "model object":
+        models = (model, two_mode_model())
+    elif field == "model energies":
+        models = (model, two_mode_model(depth=3.0))
+    elif field == "burn_in":
+        second["burn_in"] = 61
+    elif field == "max_records":
+        second["max_records"] = 100
+    elif field == "boundaries":
+        second["ring_boundaries"] = [1.5]
+    elif field == "step count":
+        second["macro_steps"] = STEPS + 1
+    elif field == "schedule step count":
+        # parallel runs macro_steps, serial steps_per_level
+        first["steps_per_level"] = STEPS + 1
+        second.update(schedule="serial", steps_per_level=STEPS + 1)
+    elif field == "start state":
+        first["init_state"], second["init_state"] = 3, 4
+    elif field == "drawn start state":
+        # the start the top level's stream draws, given instead: the
+        # stream then makes one draw fewer
+        second["init_state"] = RandomStream.from_seed(5).spawn(2)[1].randint(model.size)
+    elif field == "level count":
+        second["levels"] = geometric_ladder(3, ratio=4.0, h_min=0.5, dh=0.5)
+    elif field == "top level":
+        second["levels"] = geometric_ladder(2, ratio=5.0, h_min=0.5, dh=0.5)
+    return (models[0], LadderConfig(**first), seeds[0]), (
+        models[1], LadderConfig(**second), seeds[1])
+
+
+KEY_FIELDS = ["seed", "model object", "model energies", "burn_in", "max_records",
+              "boundaries", "step count", "schedule step count", "start state",
+              "drawn start state", "level count", "top level"]
+
+
+@pytest.mark.parametrize("field", KEY_FIELDS)
+def test_reuse_of_a_different_top_level_is_not_taken(field):
+    (m1, c1, s1), (m2, c2, s2) = _differs(field)
+    first = run_ladder(m1, c1, s1)
+    ts = run_ladder(m2, c2, s2, reuse=first)
+    assert ts.levels[-1] is not first.levels[-1]
+    assert ts.ledgers[-1] is not first.ledgers[-1]
+    assert_same_run(ts, run_ladder(m2, c2, s2))
+
+
+def test_reuse_is_taken_across_equal_spellings_of_the_top_level():
+    """Default ring boundaries and the same ones given explicitly, and
+    parallel macro_steps equal to serial steps_per_level, share a top
+    level."""
+    model = two_mode_model()
+    levels = geometric_ladder(2, ratio=4.0, h_min=0.5, dh=0.5)
+    c1 = LadderConfig(levels=levels, burn_in=60, macro_steps=STEPS,
+                      steps_per_level=STEPS + 7)
+    c2 = LadderConfig(levels=levels, burn_in=60, schedule="serial",
+                      steps_per_level=STEPS, ring_boundaries=[0.5 + 0.5])
+    first = run_ladder(model, c1, 9)
+    ts = run_ladder(model, c2, 9, reuse=first)
+    assert ts.levels[-1] is first.levels[-1]
+    assert_same_run(ts, run_ladder(model, c2, 9))
+
+
 def test_level0_without_jumps_is_the_local_kernel_chain():
     model = two_mode_model()
     cfg = small_config(p_jump=0.0, macro_steps=500)

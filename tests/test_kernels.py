@@ -328,6 +328,11 @@ class TestMatrixHelpers:
         for K in mats:
             assert np.abs(K.sum(axis=1) - 1.0).max() <= 1e-12
 
+    def test_check_transition_matrix_refuses_a_nan_entry(self):
+        K = np.array([[0.5, 0.5], [np.nan, 0.5]])
+        with pytest.raises(NumericError, match="row sums"):
+            check_transition_matrix(K)
+
     def test_stationary_distribution_refuses_every_reducible_chain(self):
         """Two closed classes: the refusal does not depend on where rounding
         in a singular LU lands, which differs by BLAS kernel."""

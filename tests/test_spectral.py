@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eelab.config import validate_config
-from eelab.errors import ReversibilityError, ShapeError
+from eelab.errors import ConfigError, NumericError, ReversibilityError, ShapeError
 from eelab.experiments import run_experiment
 from eelab.kernels import IndependenceKernel, MixtureKernel, RandomWalkKernel
 from eelab.spectral import (
@@ -117,6 +117,29 @@ class TestEigenSpectrum:
         with pytest.raises(ReversibilityError) as err:
             eigen_spectrum(K, pi)
         assert "pair" in str(err.value)
+
+    def test_rejects_a_nan_kernel_entry(self):
+        K = np.array([[0.5, 0.5], [np.nan, 0.5]])
+        with pytest.raises(NumericError, match="row sums"):
+            eigen_spectrum(K, np.full(2, 0.5))
+
+    def test_rejects_a_nan_in_pi(self):
+        with pytest.raises(ConfigError, match="positive pi"):
+            eigen_spectrum(np.full((2, 2), 0.5), np.array([0.5, np.nan]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_reversibility_check_fails_on_nan(self):
+        # an infinite pi passes the positivity check, and inf - inf is NaN
+        with pytest.raises(ReversibilityError, match="not reversible"):
+            eigen_spectrum(np.full((2, 2), 0.5), np.array([0.5, np.inf]))
+
+    @pytest.mark.parametrize("vals, message", [([np.nan, np.nan], "top eigenvalue"),
+                                               ([np.nan, 1.0], "outside")])
+    def test_eigenvalue_checks_fail_on_nan(self, monkeypatch, vals, message):
+        """vals are ascending, as eigvalsh returns them."""
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array(vals))
+        with pytest.raises(ReversibilityError, match=message):
+            eigen_spectrum(np.full((2, 2), 0.5), np.full(2, 0.5))
 
     def test_eigenpair_residuals_on_random_kernels(self):
         """The symmetrized solve gives the eigenvalues of K itself, sorted

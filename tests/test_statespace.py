@@ -196,6 +196,10 @@ class TestFiniteDistribution:
         with pytest.raises(ConfigError):
             FiniteDistribution(np.arange(2), np.array([0.6, 0.6]))
 
+    def test_rejects_a_nan_probability(self):
+        with pytest.raises(ConfigError, match="sum to 1"):
+            FiniteDistribution(np.arange(2), np.array([0.5, np.nan]))
+
     def test_from_logweights_handles_huge_exponents(self):
         d = FiniteDistribution.from_logweights(np.arange(3), [-700.0, -701.0, -1400.0])
         assert abs(d.probs.sum() - 1.0) <= 1e-12
