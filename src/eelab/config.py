@@ -345,6 +345,11 @@ class ExperimentConfig:
         bounds = self.model.get("bounds")
         _require(bounds is None or len(bounds) == 2, "model.bounds",
                  f"must be [lo, hi], got {bounds!r}")
+        steps = self.ladder.macro_steps, self.ladder.steps_per_level
+        _require(self.experiment != "q2" or steps[0] == steps[1],
+                 "ladder.steps_per_level", f"q2 compares the schedules at one "
+                 f"step budget, so it must equal ladder.macro_steps ({steps[0]}), "
+                 f"got {steps[1]}")
 
     def build_model(self) -> EnergyModel:
         """The model the model section describes. validate_config builds

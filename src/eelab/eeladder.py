@@ -1,10 +1,13 @@
-"""Equi-energy ladder: ring ledgers, jump moves, and run schedules.
+"""Equi-energy ladder: energy rings, jump moves, and run schedules.
 
 A run keeps one chain per ladder level. Each level's chain mixes local
 random-walk moves with jump moves that propose a state recorded by the
 level above, either from the energy ring of the current state
-(restricted) or from all records (unrestricted). A jump from x to y at
-level i is accepted with probability
+(restricted) or from all records (unrestricted). A level's records are
+its trace's states from step burn_in on, at most max_records of them:
+its ledger is derived from its trace (TraceSet.ledger), and a state's
+ring from its energy (ring_table). A jump from x to y at level i is
+accepted with probability
 
     min(1, [d_i(y) * d_{i+1}(x)] / [d_i(x) * d_{i+1}(y)])
 
@@ -31,7 +34,6 @@ from .kernels import RandomWalkKernel
 from .rng import RandomStream
 from .statespace import (
     EnergyModel,
-    FiniteDistribution,
     LadderLevel,
     enumerate_distribution,
     level_logdensities,
@@ -44,56 +46,36 @@ MOVE_JUMP_FALLBACK = 2
 MOVE_NAMES = {MOVE_LOCAL: "local", MOVE_JUMP: "jump", MOVE_JUMP_FALLBACK: "jump_fallback"}
 
 
-class RingLedger:
-    """Append-only store of recorded states grouped into energy rings.
+def ring_table(energies, boundaries) -> np.ndarray:
+    """The ring of each energy.
 
     boundaries H_1 <= ... <= H_{K-1} define rings R_j = {x : h(x) in
-    [H_j, H_{j+1})} with H_0 = -inf and H_K = +inf. Records are never
-    dropped; an optional max_records cap stops recording once reached.
+    [H_j, H_{j+1})} with H_0 = -inf and H_K = +inf; equal boundaries
+    leave an empty ring between them.
     """
+    b = np.asarray(boundaries, dtype=np.float64)
+    if np.any(b[1:] < b[:-1]):
+        raise ConfigError("ring boundaries must be sorted")
+    return np.searchsorted(b, np.asarray(energies, dtype=np.float64), side="right")
 
-    def __init__(self, level: int, boundaries, max_records: Optional[int] = None):
-        b = [float(v) for v in boundaries]
-        if any(y < x for x, y in zip(b, b[1:])):
-            raise ConfigError("ring boundaries must be sorted")
-        if max_records is not None and max_records < 0:
-            raise ConfigError("max_records must be >= 0")
-        self.level = level
-        self.boundaries = b
-        self.max_records = max_records
-        self.rings: list[list[int]] = [[] for _ in range(len(b) + 1)]
-        self._flat: list[int] = []
 
-    @property
-    def n_rings(self) -> int:
-        return len(self.rings)
+@dataclass(frozen=True, eq=False)
+class RingLedger:
+    """Recorded states (int64, in record order) and the ring of each:
+    rings[k] is the ring of records[k] under boundaries. A run's ledgers
+    are views of its traces (TraceSet.ledger)."""
+
+    records: np.ndarray
+    rings: np.ndarray
+    boundaries: tuple
 
     @property
     def total(self) -> int:
-        return len(self._flat)
+        return len(self.records)
 
     @property
-    def all_records(self) -> list[int]:
-        return self._flat
-
-    def ring_index(self, energy: float) -> int:
-        """The unique j with energy in [H_j, H_{j+1}) (left-closed)."""
-        return bisect_right(self.boundaries, energy)
-
-    def ring_table(self, energies) -> list[int]:
-        """ring_index of every state's energy, indexed by state."""
-        return [self.ring_index(float(e)) for e in energies]
-
-    def extend(self, states, rings) -> None:
-        """Append states in order, rings[k] being the ring of states[k],
-        until max_records is reached."""
-        states, rings = np.asarray(states), np.asarray(rings)
-        if self.max_records is not None:
-            room = max(self.max_records - len(self._flat), 0)
-            states, rings = states[:room], rings[:room]
-        for j, ring in enumerate(self.rings):
-            ring.extend(states[rings == j].tolist())
-        self._flat.extend(states.tolist())
+    def n_rings(self) -> int:
+        return len(self.boundaries) + 1
 
 
 @dataclass
@@ -127,10 +109,20 @@ class LadderConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.macro_steps < 0 or self.steps_per_level < 0:
             raise ConfigError("step counts must be >= 0")
+        if self.max_records is not None and self.max_records < 0:
+            raise ConfigError("max_records must be >= 0")
+        b = self.ring_boundaries
+        if b is not None and any(y < x for x, y in zip(b, b[1:])):
+            raise ConfigError("ring boundaries must be sorted")
 
     @property
     def n_levels(self) -> int:
         return len(self.levels)
+
+    @property
+    def n_steps(self) -> int:
+        """Steps each level takes on this config's schedule."""
+        return self.steps_per_level if self.schedule == "serial" else self.macro_steps
 
     def boundaries(self) -> list[float]:
         if self.ring_boundaries is not None:
@@ -154,16 +146,26 @@ class LevelTrace:
 
 @dataclass
 class TraceSet:
-    """All level traces of one run plus the ledgers it produced.
+    """All level traces of one run, and what its ledgers derive from:
+    burn_in, max_records, the ring boundaries and ring_of, the ring of
+    every state of the run's model.
 
-    top_source holds what the top level's trace and ledger are a function
-    of (see run_ladder); a later run may take its top level from here.
+    top_source holds what the top level's trace is a function of (see
+    run_ladder); a later run may take its top level from here.
     """
 
     levels: list[LevelTrace]
-    ledgers: list[RingLedger]
     burn_in: int
+    max_records: Optional[int]
+    boundaries: tuple
+    ring_of: np.ndarray
     top_source: tuple = field(default=(), repr=False, compare=False)
+
+    def ledger(self, level: int) -> RingLedger:
+        """The level's records: its states from step burn_in on, at most
+        max_records of them."""
+        records = self.levels[level].states[self.burn_in:][:self.max_records]
+        return RingLedger(records, self.ring_of[records], self.boundaries)
 
     def empirical_counts(self, level: int, n_states: int,
                          upto: Optional[int] = None) -> np.ndarray:
@@ -172,42 +174,38 @@ class TraceSet:
         states = tr.states[self.burn_in:upto]
         return np.bincount(states, minlength=n_states).astype(np.float64)
 
-    def empirical_distribution(self, level: int, n_states: int,
-                               upto: Optional[int] = None) -> FiniteDistribution:
-        counts = self.empirical_counts(level, n_states, upto)
-        return FiniteDistribution.from_weights(np.arange(n_states), counts)
-
 
 def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
                reuse: Optional[TraceSet] = None) -> TraceSet:
     """Run every level's chain, top level first, each to completion.
 
-    Each level-step is a jump against the ledger of the level above with
-    probability p_jump (never at the top level), else a local move; a
-    jump whose pool holds no visible record falls back to the local move.
-    From step burn_in on, the new state is recorded in the level's own
-    ledger.
+    Each level-step is a jump against the records of the level above
+    with probability p_jump (never at the top level), else a local move;
+    a jump whose pool holds no visible record falls back to the local
+    move. A level's records are the states of its trace from step burn_in
+    on, at most max_records of them (TraceSet.ledger).
 
-    Ledgers are append-only and a level never writes to the one above, so
-    running each level to completion is exact for both schedules. On the
-    serial schedule a level reads the finished upper ledger. On the
+    A level never writes to the level above, so running each level to
+    completion is exact for both schedules: before level i runs, the
+    jump pools are built from the finished trace of level i + 1, one per
+    ring. On the serial schedule a level reads every upper record. On the
     parallel schedule, where every level advances once per macro step,
-    level i at step t reads the upper ledger as it stood after upper step
-    t: the records made at steps <= t, a prefix of each finished pool.
+    level i at step t reads the records the upper level made at its steps
+    <= t, a prefix of each pool.
 
-    The top level never jumps, so its trace and ledger do not depend on
-    p_jump, jump_mode or the schedule beyond its step count. When reuse
-    is a run whose top level came from the same model object, seed, top
-    level, step count, burn_in, max_records, boundaries and init_state,
-    its top LevelTrace and RingLedger are taken as they are (the same
-    objects, not copies) instead of being run again; any other reuse is
-    ignored. q1 and q2 pass the first arm's run to the second this way.
+    The top level never jumps, so its trace depends only on the model,
+    the seed, the top level (whose index, the level count minus one,
+    picks its rng stream), the step count and init_state. When reuse is
+    a run whose top level came from the same model object and equal
+    values of the other four, its top LevelTrace is taken as it is (the
+    same object, not a copy) instead of being run again; any other reuse
+    is ignored. q1 and q2 pass the first arm's run to the second this way.
     """
     K = config.n_levels
     logd = [level_logdensities(model, lv).tolist() for lv in config.levels]
-    ledgers = [RingLedger(i, config.boundaries(), config.max_records) for i in range(K)]
-    ring_list = ledgers[0].ring_table(model.energies())
-    ring_of = np.asarray(ring_list)
+    boundaries = tuple(config.boundaries())
+    ring_of = ring_table(model.energies(), boundaries)
+    ring_list = ring_of.tolist()
     rngs = RandomStream.from_seed(seed).spawn(K)
     inits = []
     for rng in rngs:
@@ -216,13 +214,11 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
         inits.append(s)
 
     serial = config.schedule == "serial"
-    n_steps = config.steps_per_level if serial else config.macro_steps
-    p_jump, mode, burn_in = config.p_jump, config.jump_mode, config.burn_in
-    # everything the top level's trace and ledger depend on; the top
-    # level's index (the level count minus one) picks its rng stream, and
-    # init_state None means the start is drawn from that stream
-    source = (model, seed, config.levels[-1], n_steps, burn_in,
-              config.max_records, tuple(config.boundaries()), config.init_state)
+    n_steps = config.n_steps
+    p_jump, mode, burn_in, cap = (config.p_jump, config.jump_mode, config.burn_in,
+                                  config.max_records)
+    # init_state None means the start is drawn from the top level's stream
+    source = (model, seed, config.levels[-1], n_steps, config.init_state)
     # the model compares by identity (== on its energy table is ambiguous)
     given = reuse.top_source if reuse is not None else ()
     shared = bool(given) and given[0] is model and given[1:] == source[1:]
@@ -232,65 +228,59 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
     lag = (n_steps if serial else 0) - burn_in
     # a step's trace code is 2 * move type + accepted
     local, jump, fallback = 2 * MOVE_LOCAL, 2 * MOVE_JUMP, 2 * MOVE_JUMP_FALLBACK
+    n_rings = len(boundaries) + 1
     traces = []
     for i in range(K - 1, -1, -1):
         if shared and i == K - 1:
-            trace = reuse.levels[-1]
-            upper = ledgers[i] = reuse.ledgers[-1]
-            rings = ring_of[trace.states[burn_in:]]
-        else:
-            x = inits[i]
-            uniform = rngs[i].uniform
-            moves = RandomWalkKernel(model, config.levels[i]).moves
-            jumps = p_jump if i < K - 1 else 0.0
-            lo = logd[i]
-            hi = logd[i + 1] if jumps else None  # None: this level never jumps
-            visited, codes = [], []
-            for t in range(n_steps):
-                code = local
-                if jumps and uniform() < jumps:
-                    ring = ring_list[x]
-                    visible = bisect_right(pool_index[ring], t + lag)
-                    # an empty pool draws no uniform, so its fallback is
-                    # bit-identical to a plain local move
-                    code = jump if visible else fallback
-                if code == jump:  # uniform over the visible records
-                    j = int(uniform() * visible)
-                    y = pools[ring][visible - 1 if j == visible else j]
-                    logr = (lo[y] + hi[x]) - (lo[x] + hi[y])
-                    if logr >= 0.0 or uniform() < math.exp(logr):
-                        x, code = y, code + 1
-                else:  # RandomWalkKernel.step on its move table
-                    slots = moves[x]
-                    m = len(slots)
-                    j = int(uniform() * m)
-                    y, p = slots[m - 1 if j == m else j]
-                    if y is not None and (p is None or uniform() < p):
-                        x, code = y, code + 1
-                visited.append(x)
-                codes.append(code)
-            codes = np.asarray(codes, dtype=np.int8)
-            trace = LevelTrace(i, np.asarray(visited, dtype=np.int64),
-                               codes >> 1, codes & 1)
-            # fill the level's ledger in one pass
-            upper = ledgers[i]
-            recorded = trace.states[burn_in:]
-            rings = ring_of[recorded]
-            upper.extend(recorded, rings)
-        traces.append(trace)
-
-        # pools[ring] is the pool a jump from that ring draws from (its
-        # ring, or all records) and pool_index[ring] the flat indices of
-        # that pool's records
-        if mode == "restricted":
-            rings = rings[:upper.total]
-            pools = upper.rings
-            pool_index = [np.flatnonzero(rings == j).tolist()
-                          for j in range(upper.n_rings)]
-        else:
-            pools = [upper.all_records] * upper.n_rings
-            pool_index = [range(upper.total)] * upper.n_rings
-    return TraceSet(traces[::-1], ledgers, burn_in, source)
+            traces.append(reuse.levels[-1])
+            continue
+        if traces:
+            # the records of the level above: pools[ring] is the pool a
+            # jump from that ring draws from (its ring, or all records) and
+            # pool_index[ring] the flat indices of that pool's records
+            recorded = traces[-1].states[burn_in:][:cap]
+            if mode == "restricted":
+                rings = ring_of[recorded]
+                masks = [rings == j for j in range(n_rings)]
+                pools = [recorded[m].tolist() for m in masks]
+                pool_index = [np.flatnonzero(m).tolist() for m in masks]
+            else:
+                pools = [recorded.tolist()] * n_rings
+                pool_index = [range(len(recorded))] * n_rings
+        x = inits[i]
+        uniform = rngs[i].uniform
+        moves = RandomWalkKernel(model, config.levels[i]).moves
+        jumps = p_jump if i < K - 1 else 0.0
+        lo = logd[i]
+        hi = logd[i + 1] if jumps else None  # None: this level never jumps
+        visited, codes = [], []
+        for t in range(n_steps):
+            code = local
+            if jumps and uniform() < jumps:
+                ring = ring_list[x]
+                visible = bisect_right(pool_index[ring], t + lag)
+                # an empty pool draws no uniform, so its fallback is
+                # bit-identical to a plain local move
+                code = jump if visible else fallback
+            if code == jump:  # uniform over the visible records
+                j = int(uniform() * visible)
+                y = pools[ring][visible - 1 if j == visible else j]
+                logr = (lo[y] + hi[x]) - (lo[x] + hi[y])
+                if logr >= 0.0 or uniform() < math.exp(logr):
+                    x, code = y, code + 1
+            else:  # RandomWalkKernel.step on its move table
+                slots = moves[x]
+                m = len(slots)
+                j = int(uniform() * m)
+                y, p = slots[m - 1 if j == m else j]
+                if y is not None and (p is None or uniform() < p):
+                    x, code = y, code + 1
+            visited.append(x)
+            codes.append(code)
+        codes = np.asarray(codes, dtype=np.int8)
+        traces.append(LevelTrace(i, np.asarray(visited, dtype=np.int64),
+                                 codes >> 1, codes & 1))
+    return TraceSet(traces[::-1], burn_in, cap, boundaries, ring_of, source)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +328,7 @@ def idealized_jump_matrix(
     level-lo target.
     """
     q_hi = enumerate_distribution(model, level_hi).probs
-    rings = RingLedger(level_hi.index, boundaries)
-    ring_of = np.array(rings.ring_table(model.energies()))
+    ring_of = ring_table(model.energies(), boundaries)
     pools = []
     for r in np.unique(ring_of):
         members = np.flatnonzero(ring_of == r)
@@ -370,14 +359,14 @@ def empirical_jump_chain_matrix(
     n = model.size
     K_local = RandomWalkKernel(model, level_lo).exact_matrix()
     if jump_mode == "restricted":
-        ring_of = np.asarray(ledger.ring_table(model.energies()))
+        ring_of = ring_table(model.energies(), ledger.boundaries)
         sources = [np.flatnonzero(ring_of == j) for j in range(ledger.n_rings)]
-        records = ledger.rings
+        records = [ledger.records[ledger.rings == j] for j in range(ledger.n_rings)]
     else:
-        sources, records = [np.arange(n)], [ledger.all_records]
+        sources, records = [np.arange(n)], [ledger.records]
     pools = []
     for xs, pool in zip(sources, records):
-        counts = np.bincount(np.asarray(pool, dtype=np.int64), minlength=n)
+        counts = np.bincount(pool, minlength=n)
         ys = np.flatnonzero(counts)
         pools.append((xs, ys, counts[ys] / len(pool)))
     K_jump = _jump_kernel(K_local, level_logdensities(model, level_lo),
@@ -396,8 +385,6 @@ def ledger_from_iid(
     dist = enumerate_distribution(model, level)
     cum = np.cumsum(dist.probs)
     cum[-1] = 1.0
-    ledger = RingLedger(level.index, boundaries)
-    ring_of = np.asarray(ledger.ring_table(model.energies()))
     draws = np.searchsorted(cum, rng.uniforms(n_records), side="right")
-    ledger.extend(draws, ring_of[draws])
-    return ledger
+    rings = ring_table(model.energies(), boundaries)[draws]
+    return RingLedger(draws, rings, tuple(boundaries))

@@ -18,6 +18,7 @@ import math
 import os
 from itertools import chain
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -96,13 +97,13 @@ def write_trace_csv(path: Path, model, ts) -> None:
     joined from those tails, TRACE_CHUNK_ROWS at a time to bound memory.
     """
     h = model.energies().tolist()
-    ring_index = ts.ledgers[0].ring_index
+    ring = ts.ring_of.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("step,level,state_id,energy,ring,move_type,accepted\n")
         for tr in ts.levels:
             keys, which = np.unique(8 * tr.states + 2 * tr.move_types + tr.accepted,
                                     return_inverse=True)
-            tails = [f",{tr.level},{x},{h[x]},{ring_index(h[x])},{MOVE_NAMES[m]},{a}\n"
+            tails = [f",{tr.level},{x},{h[x]},{ring[x]},{MOVE_NAMES[m]},{a}\n"
                      for x, m, a in zip((keys >> 3).tolist(),
                                         ((keys >> 1) & 3).tolist(),
                                         (keys & 1).tolist())]
@@ -185,15 +186,19 @@ def _first_passage(states: np.ndarray, target: np.ndarray) -> int:
     return int(hits[0]) if len(hits) else -1
 
 
-def _warmup_step(ladder) -> int:
-    """The first level-0 step at which the level-1 ledger holds a record.
+def _warmup_step(ladder) -> Optional[int]:
+    """The first level-0 step at which the level-1 ledger holds a record,
+    or None if it never does (a single level, max_records 0, or burn_in
+    >= the step count).
 
     On the parallel schedule level 1 records from its step burn_in on,
     just before level 0 takes the same step; on the serial one level 1
-    has run to completion before level 0 starts (its ledger stays empty
-    only if steps_per_level <= burn_in). Before this step every jump
-    falls back to a local move.
+    has run to completion before level 0 starts. Before this step every
+    jump falls back to a local move.
     """
+    if (ladder.n_levels < 2 or ladder.max_records == 0
+            or ladder.burn_in >= ladder.n_steps):
+        return None
     return ladder.burn_in if ladder.schedule == "parallel" else 0
 
 
@@ -227,6 +232,7 @@ def _ladder_runs(config, model, variations, out: Path):
             rows["curves"].extend((label, seed, s, tv) for s, tv in curve)
             states = ts.levels[0].states
             rows["passages"].append((label, seed, _first_passage(states, target),
+                                     -1 if warm is None else
                                      _first_passage(states[warm:], target)))
             rows["final_tvs"].append(curve[-1][1])
             moves = ts.levels[0].move_types
@@ -273,7 +279,7 @@ def exp_run(config: ExperimentConfig, out: Path) -> None:
             str(tr.level): (float(tr.accepted.mean()) if len(tr) else None)
             for tr in ts.levels
         },
-        "ledger_totals": [led.total for led in ts.ledgers],
+        "ledger_totals": [ts.ledger(i).total for i in range(len(ts.levels))],
     }
     write_json(out / "summary.json", summary)
 

@@ -1,5 +1,6 @@
 import json
 import math
+from bisect import bisect_right
 from itertools import chain, repeat
 
 import numpy as np
@@ -140,6 +141,16 @@ def _case_id(raw, extra, key_path):
     except ValueError:
         non_finite = "(non-finite)"
     return key_path + ("(cli)" if extra else "") + non_finite
+
+
+def test_q2_arms_run_one_step_budget(tmp_path, capsys):
+    """Parallel macro_steps and serial steps_per_level must agree in q2."""
+    cfg = write_config(tmp_path, {"experiment": "q2", "ladder": {"macro_steps": 500}})
+    code = main(["q2", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("eelab: config error: ladder.steps_per_level: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("raw,extra,key_path", MALFORMED,
@@ -335,6 +346,10 @@ class TestArtifacts:
         summary = json.loads((out / "summary.json").read_text())
         for variant in ("restricted", "unrestricted"):
             assert summary[variant]["mean_fallback_share"] == 1.0
+            # no jump ever finds a record, so there is no warm-up step
+            assert summary[variant]["median_first_passage_after_warmup"] is None
+        rows = (out / "first_passage.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["-1"] * 4
 
     def test_q4_on_two_state_instance_emits_canonical_eigenvalue(self, tmp_path):
         """Target (3/4, 1/4) with the truncation above both energies makes
@@ -381,7 +396,7 @@ def reference_trace_csv(path, model, ts):
     """trace.csv as write_csv wrote it from per-row tuples: each value
     through str via "%s", rows joined by LF."""
     h = model.energies().tolist()
-    ring_of = ts.ledgers[0].ring_table(h)
+    ring_of = [bisect_right(ts.boundaries, e) for e in h]
     rows = chain.from_iterable(
         zip(range(len(tr)), repeat(tr.level), tr.states.tolist(),
             [h[x] for x in tr.states.tolist()],

@@ -13,6 +13,7 @@ from eelab.eeladder import (
     empirical_jump_chain_matrix,
     idealized_jump_matrix,
     ledger_from_iid,
+    ring_table,
     run_ladder,
 )
 from eelab.errors import ConfigError
@@ -49,42 +50,70 @@ def small_config(**kw):
     return LadderConfig(**defaults)
 
 
+def make_ledger(model, records, boundaries):
+    """A RingLedger of the given records of model's states."""
+    records = np.asarray(records, dtype=np.int64)
+    return RingLedger(records, ring_table(model.energies(), boundaries)[records],
+                      tuple(boundaries))
+
+
 class TestRingIndex:
     def test_boundary_conventions(self):
-        led = RingLedger(1, [1.0, 2.0])
-        assert led.ring_index(0.5) == 0
-        assert led.ring_index(1.0) == 1  # left-closed
-        assert led.ring_index(3.7) == 2
+        # left-closed: an energy on a boundary is in the ring above it
+        assert ring_table([0.5, 1.0, 3.7], [1.0, 2.0]).tolist() == [0, 1, 2]
 
     def test_every_energy_has_a_ring(self):
-        led = RingLedger(0, [0.0, 1.0, 5.0])
-        for e in (-1e9, -0.001, 0.0, 0.5, 4.999, 5.0, 1e9):
-            assert 0 <= led.ring_index(e) < led.n_rings
-
+        energies = [-1e9, -0.001, 0.0, 0.5, 4.999, 5.0, 1e9]
+        rings = ring_table(energies, [0.0, 1.0, 5.0])
+        assert np.all((rings >= 0) & (rings < 4))
 
     def test_ring_table_applies_ring_index_per_state(self):
-        led = RingLedger(0, [0.0, 1.0])
         energies = np.array([-0.5, 0.0, 0.99, 1.0, 7.0])
-        assert led.ring_table(energies) == [0, 1, 1, 2, 2]
+        assert ring_table(energies, [0.0, 1.0]).tolist() == [0, 1, 1, 2, 2]
+
+    def test_ring_table_equals_bisect_right(self):
+        gen = np.random.default_rng(8)
+        layouts = [[], [0.5], [-1.0, 0.25, 0.25, 1.5], [0.0, 0.0, 0.0],
+                   sorted(gen.normal(size=6).tolist())]
+        for bounds in layouts:
+            # random energies, and every boundary itself
+            energies = gen.normal(size=200).tolist() + bounds + [-math.inf, math.inf]
+            got = ring_table(energies, bounds)
+            assert got.tolist() == [bisect_right(bounds, e) for e in energies], bounds
+
+    def test_unsorted_boundaries_raise(self):
+        with pytest.raises(ConfigError):
+            ring_table([0.0], [1.0, 0.5])
+        with pytest.raises(ConfigError):
+            ledger_from_iid(two_mode_model(), LadderLevel(1, 4.0, 0.5),
+                            [2.0, 1.0], 10, RandomStream.from_seed(1))
 
 
 class TestRecord:
     def test_totals_count_records(self):
-        led = RingLedger(1, [1.0, 2.0])
-        led.extend(range(10), [led.ring_index(0.3 * k) for k in range(10)])
+        model = two_mode_model()
+        led = ledger_from_iid(model, LadderLevel(1, 4.0, 0.5), [1.0, 2.0], 10,
+                              RandomStream.from_seed(2))
         assert led.total == 10
+        assert led.n_rings == 3
 
     def test_energy_routes_to_ring(self):
-        led = RingLedger(1, [1.0, 2.0])
-        led.extend([7], [led.ring_index(1.5)])
-        assert led.rings[1] == [7]
+        model = two_mode_model()
+        h = model.energies()
+        led = ledger_from_iid(model, LadderLevel(1, 4.0, 0.5), [1.0, 2.0], 500,
+                              RandomStream.from_seed(3))
+        assert led.rings.tolist() == [bisect_right([1.0, 2.0], h[x])
+                                      for x in led.records.tolist()]
 
     def test_max_records_cap(self):
-        led = RingLedger(1, [1.0], max_records=3)
-        led.extend([0, 1], [0, 0])
-        led.extend(range(2, 10), [0] * 8)
-        assert led.total == 3
-        assert led.rings[0] == [0, 1, 2]  # nothing below the cap is dropped
+        """A ledger holds the first max_records post-burn-in states of its
+        level's trace: nothing below the cap is dropped."""
+        for cap in (0, 3, 10_000):
+            cfg = small_config(burn_in=50, macro_steps=300, max_records=cap)
+            ts = run_ladder(two_mode_model(), cfg, seed=4)
+            for i, tr in enumerate(ts.levels):
+                want = tr.states[50:50 + cap].tolist()
+                assert ts.ledger(i).records.tolist() == want, cap
 
 
 class TestJumpAcceptance:
@@ -93,8 +122,7 @@ class TestJumpAcceptance:
         x -> y is accepted with probability exp(-0.05)."""
         model = builtin_model("energy_table", energies=[0.5, 0.6])
         lv1 = LadderLevel(1, 2.0, 0.0)
-        ledger = RingLedger(1, [])  # single ring
-        ledger.extend([1], [0])
+        ledger = make_ledger(model, [1], [])  # single ring
         K = empirical_jump_chain_matrix(model, LEVEL0, lv1, ledger, p_jump=1.0)
         assert K[0, 1] == pytest.approx(math.exp(-0.05), abs=1e-12)
 
@@ -103,15 +131,14 @@ class TestJumpAcceptance:
         so the kernel entry equals the full proposal mass."""
         model = builtin_model("energy_table", energies=[0.5, 0.6])
         lv1 = LadderLevel(1, 2.0, 0.0)
-        ledger = RingLedger(1, [])
-        ledger.extend([0], [0])  # proposing the lower-energy state from x=1
+        ledger = make_ledger(model, [0], [])  # proposing the lower-energy state from x=1
         K = empirical_jump_chain_matrix(model, LEVEL0, lv1, ledger, p_jump=1.0)
         assert K[1, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_ledger_reduces_to_local_kernel(self):
         model = two_mode_model(10)
         lv1 = LadderLevel(1, 4.0, 1.0)
-        empty = RingLedger(1, [1.0])
+        empty = make_ledger(model, [], [1.0])
         K = empirical_jump_chain_matrix(model, LEVEL0, lv1, empty, p_jump=0.7)
         K_local = RandomWalkKernel(model, LEVEL0).exact_matrix()
         np.testing.assert_allclose(K, K_local, atol=1e-15)
@@ -161,23 +188,25 @@ class TestRuns:
         cfg = small_config()
         ts = run_ladder(model, cfg, seed=3)
         h = model.energies()
-        for led in ts.ledgers:
-            for j, states in enumerate(led.rings):
-                for s in states:
-                    assert led.ring_index(float(h[s])) == j
-            assert sum(len(states) for states in led.rings) == led.total
+        for i in range(cfg.n_levels):
+            led = ts.ledger(i)
+            assert led.rings.tolist() == [bisect_right(cfg.boundaries(), h[s])
+                                          for s in led.records.tolist()]
+            assert np.all(led.rings < led.n_rings)
 
     def test_burn_in_states_absent_from_ledger(self):
         model = two_mode_model()
         cfg = small_config(burn_in=150, macro_steps=400)
         ts = run_ladder(model, cfg, seed=3)
-        for led in ts.ledgers:
-            assert led.total == 400 - 150
+        for i, tr in enumerate(ts.levels):
+            assert ts.ledger(i).total == 400 - 150
+            assert ts.ledger(i).records.tolist() == tr.states[150:].tolist()
 
     @pytest.mark.parametrize("schedule", ["parallel", "serial"])
     def test_warmup_step_is_the_first_jump_with_a_ledger(self, schedule):
         """Every level-0 jump before the warm-up step finds the level-1
-        ledger empty; the one at the warm-up step finds a record."""
+        ledger empty; the one at the warm-up step finds a record. When the
+        ledger never holds one, there is no warm-up step."""
         cfg = small_config(schedule=schedule, p_jump=1.0,
                            jump_mode="unrestricted", burn_in=120,
                            macro_steps=300, steps_per_level=300)
@@ -186,6 +215,13 @@ class TestRuns:
         assert warm == (120 if schedule == "parallel" else 0)
         assert np.all(moves[:warm] == MOVE_JUMP_FALLBACK)
         assert moves[warm] == MOVE_JUMP
+        for empty in (small_config(schedule=schedule, p_jump=1.0, max_records=0),
+                      small_config(schedule=schedule, p_jump=1.0, burn_in=300,
+                                   macro_steps=300, steps_per_level=300)):
+            assert _warmup_step(empty) is None
+            moves = run_ladder(two_mode_model(), empty, seed=3).levels[0].move_types
+            assert np.all(moves == MOVE_JUMP_FALLBACK)
+        assert _warmup_step(small_config(levels=[LEVEL0], schedule=schedule)) is None
 
     def test_serial_ledger_matches_own_trace(self):
         """In a serial run the upper ledger is written only by its own level
@@ -194,8 +230,8 @@ class TestRuns:
         model = two_mode_model()
         cfg = small_config(schedule="serial", steps_per_level=500, burn_in=50)
         ts = run_ladder(model, cfg, seed=13)
-        recorded = ts.ledgers[1].all_records
-        assert recorded == list(ts.levels[1].states[50:])
+        recorded = ts.ledger(1).records.tolist()
+        assert recorded == ts.levels[1].states[50:].tolist()
 
     def test_init_state_honored(self):
         model = two_mode_model()
@@ -212,6 +248,10 @@ class TestRuns:
             LadderConfig(levels=levels, jump_mode="sideways")
         with pytest.raises(ConfigError):
             LadderConfig(levels=levels, burn_in=-1)
+        with pytest.raises(ConfigError):
+            LadderConfig(levels=levels, max_records=-1)
+        with pytest.raises(ConfigError):
+            LadderConfig(levels=levels, ring_boundaries=[2.0, 1.0])
 
 
 def interleaved_run(model, cfg, seed):
@@ -299,9 +339,11 @@ def test_run_matches_interleaved_reference(schedule, jump_mode, n_levels):
                     assert tr.states.tolist() == states, case
                     assert tr.move_types.tolist() == moves, case
                     assert tr.accepted.tolist() == [int(a) for a in accepted], case
-                for led, (rings, flat) in zip(ts.ledgers, ledgers):
-                    assert led.rings == rings, case
-                    assert led.all_records == flat, case
+                for i, (rings, flat) in enumerate(ledgers):
+                    led = ts.ledger(i)
+                    assert led.records.tolist() == flat, case
+                    assert [led.records[led.rings == j].tolist()
+                            for j in range(led.n_rings)] == rings, case
 
 
 def assert_same_run(ts, fresh):
@@ -311,9 +353,11 @@ def assert_same_run(ts, fresh):
         assert tr.states.tolist() == want.states.tolist()
         assert tr.move_types.tolist() == want.move_types.tolist()
         assert tr.accepted.tolist() == want.accepted.tolist()
-    for led, want in zip(ts.ledgers, fresh.ledgers, strict=True):
-        assert led.rings == want.rings
-        assert led.all_records == want.all_records
+    for i in range(len(fresh.levels)):
+        led, want = ts.ledger(i), fresh.ledger(i)
+        assert led.records.tolist() == want.records.tolist()
+        assert led.rings.tolist() == want.rings.tolist()
+        assert led.boundaries == want.boundaries
 
 
 FLIP = {"jump_mode": {"restricted": "unrestricted", "unrestricted": "restricted"},
@@ -343,7 +387,6 @@ def test_reused_top_level_equals_a_fresh_run(schedule, jump_mode, n_levels, flip
                 cfg = LadderConfig(**kw)
                 ts = run_ladder(model, cfg, seed, reuse=first)
                 assert ts.levels[-1] is first.levels[-1]
-                assert ts.ledgers[-1] is first.ledgers[-1]
                 assert_same_run(ts, run_ladder(model, cfg, seed))
 
 
@@ -386,9 +429,9 @@ def _differs(field):
         models[1], LadderConfig(**second), seeds[1])
 
 
-KEY_FIELDS = ["seed", "model object", "model energies", "burn_in", "max_records",
-              "boundaries", "step count", "schedule step count", "start state",
-              "drawn start state", "level count", "top level"]
+KEY_FIELDS = ["seed", "model object", "model energies", "step count",
+              "schedule step count", "start state", "drawn start state",
+              "level count", "top level"]
 
 
 @pytest.mark.parametrize("field", KEY_FIELDS)
@@ -397,7 +440,17 @@ def test_reuse_of_a_different_top_level_is_not_taken(field):
     first = run_ladder(m1, c1, s1)
     ts = run_ladder(m2, c2, s2, reuse=first)
     assert ts.levels[-1] is not first.levels[-1]
-    assert ts.ledgers[-1] is not first.ledgers[-1]
+    assert_same_run(ts, run_ladder(m2, c2, s2))
+
+
+@pytest.mark.parametrize("field", ["burn_in", "max_records", "boundaries"])
+def test_reuse_across_ledger_settings_equals_a_fresh_run(field):
+    """burn_in, max_records and the ring boundaries shape only the
+    ledgers, which derive from the traces: the top level is reused."""
+    (m1, c1, s1), (m2, c2, s2) = _differs(field)
+    first = run_ladder(m1, c1, s1)
+    ts = run_ladder(m2, c2, s2, reuse=first)
+    assert ts.levels[-1] is first.levels[-1]
     assert_same_run(ts, run_ladder(m2, c2, s2))
 
 
@@ -455,9 +508,7 @@ class TestIdealizedJump:
 
         assert stationary_gap(K, pi.probs) <= 1e-12
         assert reversibility_gap(K, pi.probs) <= 1e-12
-        h = model.energies()
-        led = RingLedger(0, boundaries)
-        rings = np.array([led.ring_index(float(e)) for e in h])
+        rings = np.array([bisect_right(boundaries, e) for e in model.energies()])
         cross = K[rings[:, None] != rings[None, :]]
         assert np.all(cross == 0.0)
 
@@ -490,11 +541,10 @@ def loop_idealized_jump_matrix(model, level_lo, level_hi, boundaries):
     logd_lo = level_logdensities(model, level_lo)
     logd_hi = level_logdensities(model, level_hi)
     q_hi = enumerate_distribution(model, level_hi)
-    rings = RingLedger(level_hi.index, boundaries)
-    ring_of = np.array(rings.ring_table(h))
+    ring_of = np.array([bisect_right(boundaries, e) for e in h])
     n = model.size
     K = np.zeros((n, n))
-    for r in range(rings.n_rings):
+    for r in range(len(boundaries) + 1):
         members = np.nonzero(ring_of == r)[0]
         if len(members) == 0:
             continue
@@ -514,14 +564,15 @@ def loop_idealized_jump_matrix(model, level_lo, level_hi, boundaries):
 
 def loop_empirical_jump_chain_matrix(model, level_lo, level_hi, ledger, p_jump,
                                      jump_mode="restricted"):
-    ring_of = ledger.ring_table(model.energies())
+    ring_of = [bisect_right(ledger.boundaries, e) for e in model.energies()]
     logd_lo = level_logdensities(model, level_lo)
     logd_hi = level_logdensities(model, level_hi)
     K_local = RandomWalkKernel(model, level_lo).exact_matrix()
     n = model.size
     K_jump = np.zeros((n, n))
     for x in range(n):
-        pool = ledger.rings[ring_of[x]] if jump_mode == "restricted" else ledger.all_records
+        pool = [y for y in ledger.records.tolist()
+                if jump_mode == "unrestricted" or ring_of[y] == ring_of[x]]
         if not pool:
             K_jump[x] = K_local[x]
             continue
@@ -562,10 +613,7 @@ class TestJumpKernelMatchesLoops:
         b = RING_LAYOUTS[layout]
         full = ledger_from_iid(self.model, self.levels[1], b, size,
                                RandomStream.from_seed(size + 7))
-        ledger = RingLedger(1, b, max_records=cap)
-        ring_of = np.asarray(ledger.ring_table(self.model.energies()))
-        records = np.asarray(full.all_records, dtype=np.int64)
-        ledger.extend(records, ring_of[records])
+        ledger = RingLedger(full.records[:cap], full.rings[:cap], full.boundaries)
         assert ledger.total == (size if cap is None else min(size, cap))
         args = (self.model, *self.levels, ledger, 0.6, jump_mode)
         K = empirical_jump_chain_matrix(*args)
