@@ -53,8 +53,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"eelab: config error: {exc}", file=sys.stderr)
         return 1
-    except (EelabError, OSError, FloatingPointError) as exc:
-        print(f"eelab: error: {exc}", file=sys.stderr)
+    except (EelabError, OSError, FloatingPointError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"eelab: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     print(f"eelab: {config.experiment} complete, artifacts in {out}")
     return 0

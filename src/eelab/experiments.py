@@ -506,16 +506,18 @@ def exp_swcut_vs_gibbs(config: ExperimentConfig, out: Path) -> None:
     target = float(config.mixing["target_agreement"])
     check_every = int(config.mixing["check_every"])
 
+    # built once: construction draws nothing, and a sampler's likelihood
+    # rebuilds its statistics when handed a replicate's new label array
+    samplers = {
+        "swcut": SwCutSampler(image, seg.n_labels, seg.beta, cfg, aff,
+                              seg.cluster_pick),
+        "gibbs": GibbsSiteSampler(image, seg.n_labels, seg.beta, cfg),
+    }
     rows = []
     results = {"swcut": [], "gibbs": []}
     for k in range(config.replicates):
         seed = config.seed + k
-        for name in ("swcut", "gibbs"):
-            if name == "swcut":
-                sampler = SwCutSampler(image, seg.n_labels, seg.beta, cfg, aff,
-                                       seg.cluster_pick)
-            else:
-                sampler = GibbsSiteSampler(image, seg.n_labels, seg.beta, cfg)
+        for name, sampler in samplers.items():
             rng = RandomStream.from_seed(seed)
             sweeps = _sweeps_to_agreement(sampler, image, truth, seg.n_labels,
                                           rng, max_sweeps, target, check_every)

@@ -339,32 +339,40 @@ def _components(
 
 def _component_roots(width: int, height: int, on: np.ndarray) -> np.ndarray:
     """Each pixel's component root -- the smallest pixel of its component
-    -- under the on-bonds (a mask over lattice_edges), in O(log n) array
-    passes (Shiloach & Vishkin's hook-and-shortcut scheme)."""
+    -- under the on-bonds (a mask over lattice_edges), by Shiloach &
+    Vishkin's hook-and-shortcut scheme over row runs: each round hooks
+    roots across the pairs of runs that vertical bonds join, jumps
+    pointers to a fixed point and keeps the pairs whose roots still
+    differ. Parent <= pixel throughout, so each root is its component's
+    minimum. At 32x32 numpy's per-call overhead is most of the cost, so a
+    round is a handful of whole-array calls."""
     n = width * height
     n_h = height * (width - 1)
-    # horizontal bonds join row runs; each pixel's root is its run's start
+    # horizontal bonds join row runs; each pixel starts at its run's start
     start = np.ones((height, width), dtype=bool)
     start[:, 1:] = ~on[:n_h].reshape(height, width - 1)
     root = np.maximum.accumulate(np.where(start.reshape(-1), np.arange(n), 0))
-    # vertical bond n_h + a joins pixel a to the pixel below it
-    a = np.flatnonzero(on[n_h:])
-    b = a + width
-    while True:
-        ra, rb = root[a], root[b]
-        cross = ra != rb
-        if not cross.any():
-            return root
-        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
-        # hook the larger root of each crossing bond under the smallest
-        # root it meets, then jump pointers until every pixel points at a
-        # root; parent <= pixel throughout, so each root is its minimum
-        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+    # vertical bond n_h + a joins pixel a's run to the run below; it joins
+    # the same two runs as bond a - 1 when that is on and neither pixel
+    # starts a run, and is dropped
+    v = on[n_h:].reshape(height - 1, width)
+    keep = start[:-1] | start[1:]
+    keep[:, 1:] |= ~v[:, :-1]
+    keep &= v
+    a = keep.reshape(-1).nonzero()[0]
+    pairs = root.take((a, a + width))
+    while pairs.shape[1]:
+        # each pair both ways round: the larger root takes the smallest
+        # root it meets, the smaller one keeps itself
+        np.minimum.at(root, pairs.ravel(), pairs[::-1].ravel())
         while True:
-            up = root[root]
-            if (up == root).all():
+            up = root.take(root)
+            if up.tobytes() == root.tobytes():
                 break
             root = up
+        pairs = root.take(pairs)
+        pairs = pairs.compress(pairs[0] != pairs[1], axis=1)
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +547,10 @@ def _draw_label(logw: list[float], rng: RandomStream) -> int:
 
 # Lattices of at most this many pixels form clusters with the scalar
 # union-find, where numpy's per-call overhead costs more than the array
-# passes save. Timed on 2 vCPUs, the two paths break even between 12x12
-# and 16x16 (the vector path is 1.5x slower at 8x8, 1.3x faster at
-# 16x16); the crossover keeps every lattice up to 16x16 on the scalar path.
-_SCALAR_MAX_PIXELS = 256
+# passes save. Timed per move on 2 vCPUs, the paths break even between
+# 9x9 and 10x10 (the vector path is 1.1-1.4x slower at 8x8, 1.3x faster
+# at 12x12 and 1.9x at 16x16), so lattices up to 9x9 stay scalar.
+_SCALAR_MAX_PIXELS = 81
 
 # Largest state space of GibbsSiteSampler.exact_matrix (128 MB of matrix)
 _EXACT_MAX_STATES = 4096
@@ -558,7 +566,9 @@ class SwCutSampler:
     A move draws a bond for every same-label lattice edge and groups the
     whole field, because the uniform pick needs the number of clusters.
     Above _SCALAR_MAX_PIXELS pixels the grouping is _component_roots'
-    array passes and the cut sums of a cluster of more than 32 pixels
+    hook-and-jump rounds over the pairs of row runs the vertical bonds
+    join, the uniform pick finds the roots against one pixel-index array
+    built here, and the cut sums of a cluster of more than 32 pixels are
     one bincount; smaller lattices keep the scalar union-find and loops.
     Both paths give the same cluster, member order and float sums, so
     every draw and result is identical.
@@ -597,6 +607,7 @@ class SwCutSampler:
         ]
         self._in_v0 = [False] * self.n
         self._vector = self.n > _SCALAR_MAX_PIXELS
+        self._pixels = np.arange(self.n)
         self.likelihood = RegionLikelihood(image, n_labels, region_cfg)
 
     # -- one cluster move ----------------------------------------------------
@@ -646,11 +657,11 @@ class SwCutSampler:
         """The picked cluster and its cut sums, from component roots."""
         root = _component_roots(self.image.width, self.image.height, on)
         if self.cluster_pick == "uniform":
-            roots = np.flatnonzero(root == np.arange(self.n))
+            roots = (root == self._pixels).nonzero()[0]
             in_v0 = root == roots[rng.randint(len(roots))]
         else:
             in_v0 = root == root[rng.randint(self.n)]
-        v0 = np.flatnonzero(in_v0)
+        v0 = in_v0.nonzero()[0]
         if len(v0) <= 32:
             v0 = v0.tolist()
             return (v0, *self._cut_sums(lab, v0))

@@ -6,6 +6,7 @@ from itertools import chain, repeat
 import numpy as np
 import pytest
 
+from eelab import experiments
 from eelab.cli import main
 from eelab.config import load_config, validate_config
 from eelab.eeladder import MOVE_JUMP_FALLBACK, MOVE_NAMES, LadderConfig, run_ladder
@@ -202,6 +203,17 @@ class TestCliExitCodes:
         code = main(["segment", "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("exc", [
+        MemoryError("Unable to allocate 74.5 GiB for an array"), MemoryError()])
+    def test_out_of_memory_is_two(self, tmp_path, capsys, monkeypatch, exc):
+        def exhausted(config, out):
+            raise exc
+
+        monkeypatch.setitem(experiments._EXPERIMENTS, "segment", exhausted)
+        assert main(["segment", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"eelab: error: {str(exc) or 'MemoryError'}\n"
 
     def test_over_cap_model_is_two_and_writes_nothing(self, tmp_path, capsys):
         """2^25 labelings are refused when the config is loaded, so no
@@ -422,8 +434,6 @@ def test_trace_writer_matches_the_row_by_row_path(tmp_path, monkeypatch, schedul
                                                   jump_mode, max_records):
     """Three levels, with jump fallbacks before the upper ledgers fill;
     chunk boundaries fall inside each level's rows."""
-    from eelab import experiments
-
     monkeypatch.setattr(experiments, "TRACE_CHUNK_ROWS", 700)
     model = builtin_model("energy_table", energies=ODD_ENERGIES)
     cfg = LadderConfig(levels=geometric_ladder(3, ratio=2.0, h_min=0.5, dh=1.0),

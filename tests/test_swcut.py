@@ -261,21 +261,121 @@ COMPONENT_SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (3, 3), (15, 17), (16, 16),
                     (17, 16), (32, 32), (64, 64)]
 
 
+def assert_roots_match_union_find(width, height, on):
+    ei, ej = lattice_edges(width, height)
+    n = width * height
+    comps = _components(n, ei, ej, on)
+    root = _component_roots(width, height, on)
+    roots = np.flatnonzero(root == np.arange(n))
+    assert len(roots) == len(comps)
+    for r, members in zip(roots, comps):
+        assert np.flatnonzero(root == r).tolist() == members
+
+
+def path_bonds(width, height, cells):
+    """The bond mask joining each (row, col) cell to the next in cells,
+    4-neighbours all."""
+    ei, ej = lattice_edges(width, height)
+    edge = {(a, b): k for k, (a, b) in enumerate(zip(ei.tolist(), ej.tolist()))}
+    px = [r * width + c for r, c in cells]
+    on = np.zeros(len(ei), dtype=bool)
+    for a, b in zip(px, px[1:]):
+        on[edge[min(a, b), max(a, b)]] = True
+    return on
+
+
+def serpentine(width, height):
+    return [(r, c if r % 2 == 0 else width - 1 - c)
+            for r in range(height) for c in range(width)]
+
+
+def spiral(width, height):
+    """Every cell, from the top-left corner inwards, clockwise."""
+    cells, top, bottom, left, right = [], 0, height - 1, 0, width - 1
+    while top <= bottom and left <= right:
+        cells += [(top, c) for c in range(left, right + 1)]
+        cells += [(r, right) for r in range(top + 1, bottom + 1)]
+        if top < bottom:
+            cells += [(bottom, c) for c in range(right - 1, left - 1, -1)]
+        if left < right:
+            cells += [(r, left) for r in range(bottom - 1, top, -1)]
+        top, bottom, left, right = top + 1, bottom - 1, left + 1, right - 1
+    return cells
+
+
+def comb(width, height):
+    """A spine along the bottom row and a tooth up every other column;
+    the smallest pixel tops the first tooth, far from most of the comb."""
+    on = path_bonds(width, height, [(height - 1, c) for c in range(width)])
+    for c in range(0, width, 2):
+        on |= path_bonds(width, height, [(r, c) for r in range(height)])
+    return on
+
+
+def adversarial_bonds():
+    """Bond masks that need several hook rounds, deep pointer chains or
+    many bonds between the same two runs."""
+    w, h = 13, 11
+    n_h = h * (w - 1)
+    masks = {
+        "serpentine_rows": (w, h, path_bonds(w, h, serpentine(w, h))),
+        "serpentine_cols": (w, h, path_bonds(
+            w, h, [(r, c) for c, r in serpentine(h, w)])),
+        "spiral": (w, h, path_bonds(w, h, spiral(w, h))),
+        "comb": (w, h, comb(w, h)),
+    }
+    # the bar in rows 6-10 of col 0, whose top is lowest, is joined by the
+    # runs in rows 8 and 10 to the bars in rows 2-7 of col 3 and rows 0-9
+    # of col 5, which do not touch: round 2 hooks it under the col-5 bar,
+    # round 3 hooks the col-3 bar
+    bars = [[(r, 0) for r in range(6, 11)], [(r, 3) for r in range(2, 8)],
+            [(r, 5) for r in range(10)], [(8, c) for c in range(4)],
+            [(10, c) for c in range(6)], [(9, 5), (10, 5)], [(7, 3), (8, 3)]]
+    masks["three_rounds"] = (w, h, np.any(
+        [path_bonds(w, h, cells) for cells in bars], axis=0))
+    lab = np.add.outer(np.arange(h), np.arange(w)).reshape(-1) % 2
+    ei, ej = lattice_edges(w, h)
+    masks["checkerboard"] = (w, h, lab[ei] == lab[ej])
+    vertical = np.zeros(len(ei), dtype=bool)
+    vertical[n_h:] = True
+    masks["vertical_only"] = (w, h, vertical)
+    # rows 4 and 5 each one run, joined by every vertical bond but two;
+    # row 6 hangs off row 5's last pixel, rows 2-3 off row 4's first
+    two_runs = path_bonds(w, h, [(4, c) for c in range(w)])
+    two_runs |= path_bonds(w, h, [(5, c) for c in range(w)])
+    for c in range(w):
+        if c not in (3, 7):
+            two_runs |= path_bonds(w, h, [(4, c), (5, c)])
+    two_runs |= path_bonds(w, h, [(5, w - 1), (6, w - 1)])
+    two_runs |= path_bonds(w, h, [(2, 0), (3, 0), (4, 0)])
+    masks["two_runs_many_bonds"] = (w, h, two_runs)
+    for n in (2, 37):
+        masks[f"1x{n}_all_on"] = (n, 1, np.ones(n - 1, dtype=bool))
+        masks[f"{n}x1_all_on"] = (1, n, np.ones(n - 1, dtype=bool))
+    return masks
+
+
+ADVERSARIAL_BONDS = adversarial_bonds()
+
+
 class TestComponentRoots:
     @pytest.mark.parametrize("p_on", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("width,height", COMPONENT_SHAPES)
     def test_matches_union_find(self, width, height, p_on):
-        ei, ej = lattice_edges(width, height)
-        n = width * height
+        n_edges = len(lattice_edges(width, height)[0])
         gen = np.random.default_rng(width * 100 + height)
         for _ in range(5):
-            on = gen.random(len(ei)) < p_on
-            comps = _components(n, ei, ej, on)
-            root = _component_roots(width, height, on)
-            roots = np.flatnonzero(root == np.arange(n))
-            assert len(roots) == len(comps)
-            for r, members in zip(roots, comps):
-                assert np.flatnonzero(root == r).tolist() == members
+            assert_roots_match_union_find(width, height,
+                                          gen.random(n_edges) < p_on)
+
+    @pytest.mark.parametrize("name", list(ADVERSARIAL_BONDS))
+    def test_adversarial_masks_match_union_find(self, name):
+        width, height, on = ADVERSARIAL_BONDS[name]
+        assert_roots_match_union_find(width, height, on)
+        # turned half round, the smallest pixel moves to the far end
+        n_h = height * (width - 1)
+        turned = np.concatenate([on[:n_h][::-1], on[n_h:][::-1]])
+        assert_roots_match_union_find(width, height, turned)
 
     @pytest.mark.parametrize("width,height", COMPONENT_SHAPES)
     def test_incidence_lists_edges_in_edge_order(self, width, height):
@@ -656,6 +756,24 @@ def test_label_changes_between_steps_are_picked_up(mode):
             before = logpost_of(img, lab, 2, 0.4, cfg)
             delta = sampler.step(lab, rng)
             assert_delta_matches(delta, before, logpost_of(img, lab, 2, 0.4, cfg))
+
+
+@pytest.mark.parametrize("mode", ["fixed_means", "poly_fit"])
+def test_reused_samplers_equal_fresh_ones_across_replicates(mode):
+    """Samplers reused over two replicate seeds, as swcut_vs_gibbs runs
+    them, take the same steps, bit for bit, as fresh ones per seed."""
+    img, _ = make_two_region_image(20, 20, noise_sd=0.1, seed=5)
+    cfg = RegionModelConfig(mode=mode, sigma=0.1, means=(0.25, 0.75), order=1)
+
+    def run(sampler, seed):
+        rng = RandomStream.from_seed(seed)
+        lab = initial_labeling(img, 2, "random", rng).flat.copy()
+        return [(sampler.step(lab, rng), lab.tobytes()) for _ in range(60)]
+
+    reused = both_samplers(img, 2, 0.4, cfg)
+    for seed in (11, 12):
+        for sampler, fresh in zip(reused, both_samplers(img, 2, 0.4, cfg)):
+            assert run(sampler, seed) == run(fresh, seed)
 
 
 class TestSegment:
