@@ -22,7 +22,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, Optional
 
 from .eeladder import LadderConfig
-from .errors import ConfigError
+from .errors import CapabilityError, ConfigError
+from .spectral import SPECTRAL_CAP
 from .statespace import EnergyModel, LadderLevel, builtin_model
 from .swcut import RegionModelConfig
 
@@ -384,6 +385,8 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
         model = cfg.build_model()  # surface model parameter errors now
     except ConfigError as exc:
         raise ConfigError(f"model: {exc}") from None
+    if exp in ("spectral", "q4") and model.size > SPECTRAL_CAP:
+        raise CapabilityError(f"dense eigensolver capped at {SPECTRAL_CAP} states")
     cfg.ladder.levels()
     init = cfg.ladder.init_state
     _require(init is None or init < model.size, "ladder.init_state",

@@ -379,9 +379,7 @@ def _component_roots(width: int, height: int, on: np.ndarray) -> np.ndarray:
 # Region likelihood changes
 # ---------------------------------------------------------------------------
 
-# Reciprocal condition of a region's normal matrix X'X below which its
-# residual sum is refit by lstsq on its pixels: the sum taken from the
-# normal equations loses about eps / rcond of its accuracy.
+# LDL' pivot over its column's diagonal at or below which lstsq refits
 _RCOND_MIN = 1e-5
 
 
@@ -396,12 +394,12 @@ class RegionLikelihood:
     [X, y], which holds the count, X'X, X'y and y'y for the monomial
     design X (p <= 6 columns, the first all ones) -- and its residual sum
     of squares (SSR). A move's candidate statistics cost O(|pixels| p^2)
-    and each candidate SSR one p x p symmetric eigensolve, whatever the
-    image size. The SSR follows _region_ssr: a region with fewer pixels
-    than coefficients is fit by its mean, and one whose normal equations
-    are singular or nearly so (collinear pixels, a zero design column) is
-    refit with lstsq on its pixels, which keeps lstsq's min-norm SSR
-    wherever the rank is in doubt.
+    and each candidate SSR one LDL' sweep of the Gram matrix in Python
+    floats, whose last pivot is the SSR y'y - b'G^-1 b. The SSR follows
+    _region_ssr: a region with fewer pixels than coefficients is fit by its
+    mean, and one with a pivot not above _RCOND_MIN times its column's
+    diagonal (collinear pixels, a zero design column) is refit with lstsq
+    on its pixels, which keeps lstsq's min-norm SSR where rank is in doubt.
 
     The statistics describe a private copy of the labels last seen. The
     samplers accept any label array, so one that differs from that copy
@@ -429,14 +427,17 @@ class RegionLikelihood:
         self._signs = 1.0 - 2.0 * np.eye(n_labels)
         self._labels: Optional[np.ndarray] = None
         self._gram = np.zeros((n_labels, p + 1, p + 1))
-        self._ssr = np.zeros(n_labels)
+        self._ssr = [0.0] * n_labels
         self._pending = None
+        # _ssrs' plan: each pivot, the rows below it and the columns they update
+        self._sweep = [(j, [(i, range(i, p + 1)) for i in range(j + 1, p + 1)])
+                       for j in range(p)]
 
     def cluster_deltas(self, lab: np.ndarray, v0: list[int], l_cur: int) -> list[float]:
         """Log-likelihood change of relabeling the pixels v0 (all labeled
         l_cur) to each label 1..L; the entry of l_cur is 0."""
         if self.lik is None:
-            return self._poly_deltas(lab, np.asarray(v0), l_cur).tolist()
+            return self._poly_deltas(lab, np.asarray(v0), l_cur)
         L = self.n_labels
         if len(v0) <= 32:
             rows = self._lik_rows
@@ -455,7 +456,7 @@ class RegionLikelihood:
         shared by all labels."""
         if self.lik is not None:
             return self._lik_rows[i]
-        return self._poly_deltas(lab, i, int(lab[i])).tolist()
+        return self._poly_deltas(lab, i, int(lab[i]))
 
     def commit(self, pixels, l_new: int) -> None:
         """Record that the pixels of the last delta call now carry l_new."""
@@ -471,7 +472,7 @@ class RegionLikelihood:
     def region_ssrs(self, lab: np.ndarray) -> np.ndarray:
         """Residual sum of squares of each label's region under lab."""
         self._sync(lab)
-        return self._ssr.copy()
+        return np.array(self._ssr)
 
     def _sync(self, lab: np.ndarray) -> None:
         if self._labels is not None and np.array_equal(self._labels, lab):
@@ -482,7 +483,7 @@ class RegionLikelihood:
             self._gram[c] = z.T @ z
         self._ssr = self._ssrs(self._gram)
 
-    def _poly_deltas(self, lab: np.ndarray, pixels, l_cur: int) -> np.ndarray:
+    def _poly_deltas(self, lab: np.ndarray, pixels, l_cur: int) -> list[float]:
         self._sync(lab)
         z = self._z[pixels]
         gram = z[:, None] * z if z.ndim == 1 else z.T @ z
@@ -490,31 +491,37 @@ class RegionLikelihood:
         cand = self._gram + self._signs[k][:, None, None] * gram
         ssr = self._ssrs(cand, pixels, k)
         self._pending = (k, cand, ssr)
-        old = self._ssr
-        delta = -((ssr[k] + ssr) - (old[k] + old)) / (2.0 * self.sigma ** 2)
-        delta[k] = 0.0
-        return delta
+        old, two_var = self._ssr, 2.0 * self.sigma ** 2
+        return [0.0 if c == k else -((ssr[k] + s) - (old[k] + o)) / two_var
+                for c, (s, o) in enumerate(zip(ssr, old))]
 
-    def _ssrs(self, gram: np.ndarray, pixels=None, k: int = -1) -> np.ndarray:
+    def _ssrs(self, gram: np.ndarray, pixels=None, k: int = -1) -> list[float]:
         """SSR of each label's region from its Gram matrix: label c's
         pixels, plus `pixels` moved there from label k + 1 when given (for
-        c == k, label k + 1 without them)."""
+        c == k, label k + 1 without them). Pivot j of the in-place LDL' leaves
+        the Schur complement of columns 0..j in the upper rows below it."""
         p = gram.shape[1] - 1
-        n = gram[:, 0, 0]
-        w, V = np.linalg.eigh(gram[:, :p, :p])
-        proj = (gram[:, None, p, :p] @ V)[:, 0]
-        good = w[:, 0] > _RCOND_MIN * w[:, -1]
-        fit = (proj * proj / np.where(good[:, None], w, 1.0)).sum(axis=1)
-        out = gram[:, p, p] - fit
-        for c in np.nonzero((n < p) | ~good)[0]:
-            if n[c] < p:  # mean fallback, as in _region_ssr
-                out[c] = gram[c, p, p] - gram[c, 0, p] ** 2 / n[c] if n[c] else 0.0
+        out = []
+        for c, g in enumerate(gram.tolist()):
+            n, diag = g[0][0], [g[j][j] for j in range(p)]
+            if n < p:  # mean fallback, as in _region_ssr
+                out.append(g[p][p] - g[0][p] ** 2 / n if n else 0.0)
+                continue
+            for j, rows in self._sweep:
+                gj, d = g[j], g[j][j]
+                if not d > _RCOND_MIN * diag[j]:  # NaN too
+                    members = self._labels == c + 1
+                    if pixels is not None:
+                        members[pixels] = c != k
+                    z = self._z[members]
+                    out.append(_region_ssr(z[:, p], z[:, :p]))
+                    break
+                for i, cols in rows:
+                    f, gi = gj[i] / d, g[i]
+                    for m in cols:
+                        gi[m] -= f * gj[m]
             else:
-                members = self._labels == c + 1
-                if pixels is not None:
-                    members[pixels] = c != k
-                z = self._z[members]
-                out[c] = _region_ssr(z[:, p], z[:, :p])
+                out.append(g[p][p])
         return out
 
 

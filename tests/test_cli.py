@@ -6,12 +6,13 @@ from itertools import chain, repeat
 import numpy as np
 import pytest
 
-from eelab import experiments
+from eelab import experiments, kernels
 from eelab.cli import main
 from eelab.config import load_config, validate_config
 from eelab.eeladder import MOVE_JUMP_FALLBACK, MOVE_NAMES, LadderConfig, run_ladder
 from eelab.errors import ConfigError
 from eelab.experiments import write_trace_csv
+from eelab.spectral import SPECTRAL_CAP
 from eelab.statespace import builtin_model, geometric_ladder
 
 
@@ -226,6 +227,26 @@ class TestCliExitCodes:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "enumeration cap 1048576" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["spectral", "q4"])
+    def test_over_spectral_cap_is_two_and_builds_no_matrix(
+            self, tmp_path, capsys, monkeypatch, experiment):
+        """A model above the dense eigensolver's cap is refused when the
+        config is loaded: no kernel matrix is built and no output
+        directory is made."""
+        def no_matrix(self):
+            raise AssertionError("exact_matrix called")
+
+        for cls in (kernels.RandomWalkKernel, kernels.IndependenceKernel,
+                    kernels.MixtureKernel):
+            monkeypatch.setattr(cls, "exact_matrix", no_matrix)
+        cfg = write_config(tmp_path, {"experiment": experiment,
+                                      "model": {"points": SPECTRAL_CAP + 1}})
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"eelab: error: dense eigensolver capped at {SPECTRAL_CAP} states\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("extra", [[], ["--seed", "3"]])

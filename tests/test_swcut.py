@@ -400,20 +400,21 @@ def test_vector_and_scalar_paths_take_identical_steps(monkeypatch, mode, pick):
     aff = edge_affinity(img, p_max=0.95, p_min=0.05, scale=0.3)
     # a flat likelihood and weak prior, so large clusters change label
     cfg = RegionModelConfig(mode=mode, sigma=1.0, means=(0.25, 0.75), order=1)
-    runs = []
+    samplers = []
     for limit in (10 ** 9, 0):
         monkeypatch.setattr(swcut, "_SCALAR_MAX_PIXELS", limit)
-        sampler = SwCutSampler(img, 2, 0.1, cfg, aff, pick)
-        assert sampler._vector == (limit == 0)
-        steps = []
-        for init in ("threshold", "random"):
+        samplers.append(SwCutSampler(img, 2, 0.1, cfg, aff, pick))
+        assert samplers[-1]._vector == (limit == 0)
+    # the two run in lockstep, so a failure names the first step that differs
+    for init in ("threshold", "random"):
+        runs = []
+        for _ in samplers:
             rng = RandomStream.from_seed(3)
-            lab = initial_labeling(img, 2, init, rng).flat.copy()
-            for _ in range(150):
-                delta = sampler.step(lab, rng)
-                steps.append((lab.tobytes(), delta))
-        runs.append(steps)
-    assert runs[0] == runs[1]
+            runs.append((rng, initial_labeling(img, 2, init, rng).flat.copy()))
+        for step in range(150):
+            deltas = [s.step(lab, rng) for s, (rng, lab) in zip(samplers, runs)]
+            same = np.array_equal(runs[0][1], runs[1][1])
+            assert same and deltas[0] == deltas[1], (init, step, *deltas)
 
 
 def test_vector_cut_sums_equal_the_loop():
@@ -662,6 +663,28 @@ class TestRegionLikelihood:
                 lab = gen.integers(1, 3, size=9)
                 assert_ssrs_match(rl, image, lab, order)
 
+    def test_collinear_regions_are_refit(self, monkeypatch):
+        """A single row at order 1 (y constant) and two rows at order 2 (y^2
+        affine in y) leave an LDL' pivot near zero, so _region_ssr refits
+        them from their pixels; a well-conditioned 8x8 block is not refit."""
+        real, sizes = swcut._region_ssr, []
+
+        def spy(values, design):
+            sizes.append(len(values))
+            return real(values, design)
+
+        monkeypatch.setattr(swcut, "_region_ssr", spy)
+        gen = np.random.default_rng(5)
+        image = Image(16, 16, gen.random((16, 16)))
+        for order, height in ((1, 1), (2, 2), (2, 8)):
+            rl = RegionLikelihood(image, 2, poly_cfg(order))
+            for r0 in range(16 - height + 1):
+                g = np.full((16, 16), 2)
+                g[r0:r0 + height, 4:12] = 1
+                sizes.clear()
+                assert_ssrs_match(rl, image, g.reshape(-1), order)
+                assert sizes == ([] if height == 8 else [8 * height]), (order, r0)
+
     def test_committed_moves_keep_statistics_exact(self):
         """Statistics updated move by move equal a from-scratch fit."""
         img, _ = make_two_region_image(16, 16, noise_sd=0.05, seed=2)
@@ -674,6 +697,32 @@ class TestRegionLikelihood:
             lab[i] = 1 + (lab[i] % 3)
             rl.commit(i, int(lab[i]))
         assert_ssrs_match(rl, img, lab, 2)
+
+
+def test_region_ssrs_match_lstsq_property():
+    """Random images up to 6x6 (some of one intensity, some one pixel
+    wide), orders 0-2 and random labelings: every region's SSR matches a
+    from-scratch lstsq fit."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    unit = st.floats(0.0, 1.0)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(width=st.integers(1, 6), height=st.integers(1, 6),
+           order=st.integers(0, 2), n_labels=st.integers(1, 3),
+           constant=st.booleans(), data=st.data())
+    def check(width, height, order, n_labels, constant, data):
+        n = width * height
+        values = ([data.draw(unit)] * n if constant
+                  else data.draw(st.lists(unit, min_size=n, max_size=n)))
+        image = Image(width, height, np.reshape(values, (height, width)))
+        lab = np.array(data.draw(st.lists(st.integers(1, n_labels),
+                                          min_size=n, max_size=n)))
+        rl = RegionLikelihood(image, n_labels, poly_cfg(order))
+        assert_ssrs_match(rl, image, lab, order)
+
+    check()
 
 
 def logpost_of(image, lab, n_labels, beta, cfg):
