@@ -351,6 +351,14 @@ class ExperimentConfig:
                  "ladder.steps_per_level", f"q2 compares the schedules at one "
                  f"step budget, so it must equal ladder.macro_steps ({steps[0]}), "
                  f"got {steps[1]}")
+        levels = self.ladder.n_levels
+        _require(self.experiment not in ("q3", "q4", "spectral") or levels >= 2,
+                 "ladder.n_levels",
+                 f"{self.experiment} needs at least 2 levels, got {levels}")
+        kind = self.segmentation.image.kind
+        _require(self.experiment != "swcut_vs_gibbs" or kind == "two_region",
+                 "segmentation.image.kind", f"swcut_vs_gibbs needs a synthetic "
+                 f"two_region image, got {kind!r}")
 
     def build_model(self) -> EnergyModel:
         """The model the model section describes. validate_config builds
@@ -387,6 +395,8 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
         raise ConfigError(f"model: {exc}") from None
     if exp in ("spectral", "q4") and model.size > SPECTRAL_CAP:
         raise CapabilityError(f"dense eigensolver capped at {SPECTRAL_CAP} states")
+    _require(exp not in ("q1", "q2") or model.size >= 4, "model",
+             f"{exp} needs a model with >= 4 states, got {model.size}")
     cfg.ladder.levels()
     init = cfg.ladder.init_state
     _require(init is None or init < model.size, "ladder.init_state",

@@ -169,8 +169,6 @@ def _mode_targets(model):
     floor, indexed by state) of a two-mode 1-D model."""
     h = model.energies()
     n = len(h)
-    if n < 4:
-        raise ConfigError("mode-escape experiments need a model with >= 4 states")
     lo, hi = n // 4, max(n // 4 + 1, 3 * n // 4)
     barrier = int(np.argmax(h[lo:hi])) + lo
     left = int(np.argmin(h[:barrier])) if barrier > 0 else 0
@@ -304,8 +302,6 @@ def exp_q3(config: ExperimentConfig, out: Path) -> None:
     """Ledger-size bias sweep against the exact ring-truncated kernel."""
     model = config.build_model()
     levels = config.ladder.levels()
-    if len(levels) < 2:
-        raise ConfigError("q3 needs a ladder with at least 2 levels")
     boundaries = config.ladder.build().boundaries()
     pi = enumerate_distribution(model, levels[0])
     p_jump = float(config.q3["p_jump"])
@@ -367,8 +363,6 @@ def _kernel_reports(local, pi, q, alpha, prefix=""):
 def _spectral_reports(config: ExperimentConfig):
     model = config.build_model()
     levels = config.ladder.levels()
-    if len(levels) < 2:
-        raise ConfigError("spectral experiments need at least 2 ladder levels")
     pi = enumerate_distribution(model, levels[0])
     q = enumerate_distribution(model, levels[1])
     alpha = float(config.q4["alpha"])
@@ -498,8 +492,6 @@ def exp_swcut_vs_gibbs(config: ExperimentConfig, out: Path) -> None:
     """Sweeps-to-agreement distributions for cluster vs single-site moves."""
     seg = config.segmentation
     image, truth = _build_image(config)
-    if truth is None:
-        raise ConfigError("swcut_vs_gibbs needs a synthetic two_region image")
     aff = edge_affinity(image, p_max=seg.p_max, p_min=seg.p_min, scale=seg.scale)
     cfg = seg.region_config()
     max_sweeps = int(config.mixing["max_sweeps"])

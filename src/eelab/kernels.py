@@ -1,12 +1,12 @@
 """Single-step Markov transition kernels and their exact matrices.
 
-Every kernel exposes step(state, rng) -> (state, accepted) and
-exact_matrix() -> dense row-stochastic ndarray whose diagonal absorbs
-all rejection mass; the random-walk kernel reads the model's energy
-table once and builds a move table over every state.
-Acceptance draws are skipped when the acceptance probability is exactly
-1, so the per-step rng consumption is: random-walk 1-2 uniforms,
-independence 1-2 uniforms, mixture 1 + component.
+Every kernel exposes exact_matrix() -> dense row-stochastic ndarray
+whose diagonal absorbs all rejection mass. The random-walk kernel reads
+the model's energy table once and builds a move table over every state;
+its step(state, rng) -> (state, accepted) draws 1-2 uniforms (the
+acceptance draw is skipped when the acceptance probability is exactly
+1) and is the reference for the ladder's inlined local move. The
+independence (MIS) and mixture kernels are exact matrices only.
 """
 
 from __future__ import annotations
@@ -190,8 +190,8 @@ class IndependenceKernel:
     importance-ratio rule min(1, w(y)/w(x)) with w = pi/q."""
 
     def __init__(self, target: FiniteDistribution, proposal: FiniteDistribution):
-        if len(target) != len(proposal) or np.any(target.states != proposal.states):
-            raise ShapeError("target and proposal must share the same state order")
+        if len(target) != len(proposal):
+            raise ShapeError("target and proposal differ in length")
         bad = (proposal.probs <= 0) & (target.probs > 0)
         if bad.any():
             raise SupportError(
@@ -202,19 +202,10 @@ class IndependenceKernel:
         self.target = target
         self.proposal = proposal
         self._logw = np.log(target.probs) - np.log(proposal.probs)
-        self._cum = np.cumsum(proposal.probs)
-        self._cum[-1] = 1.0
 
     @property
     def target_probs(self) -> np.ndarray:
         return self.target.probs
-
-    def step(self, state: int, rng: RandomStream) -> tuple[int, bool]:
-        y = int(np.searchsorted(self._cum, rng.uniform(), side="right"))
-        dl = self._logw[y] - self._logw[state]
-        if dl >= 0.0 or rng.uniform() < math.exp(dl):
-            return y, True
-        return state, False
 
     def exact_matrix(self) -> np.ndarray:
         q = self.proposal.probs
@@ -226,7 +217,7 @@ class IndependenceKernel:
 
 
 class MixtureKernel:
-    """With probability alpha take the local kernel's move, else the jump's."""
+    """alpha times the local kernel plus (1 - alpha) times the jump."""
 
     def __init__(self, alpha: float, local, jump):
         if not 0.0 <= alpha <= 1.0:
@@ -245,11 +236,6 @@ class MixtureKernel:
     @property
     def target_probs(self) -> np.ndarray:
         return self.local.target_probs
-
-    def step(self, state: int, rng: RandomStream) -> tuple[int, bool]:
-        if rng.uniform() < self.alpha:
-            return self.local.step(state, rng)
-        return self.jump.step(state, rng)
 
     def exact_matrix(self) -> np.ndarray:
         return (

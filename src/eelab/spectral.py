@@ -110,9 +110,9 @@ def eigen_spectrum(
 def ratio_extremes(
     pi: FiniteDistribution, q: FiniteDistribution
 ) -> tuple[float, float]:
-    """(min, max) of pi(x)/q(x) over the shared state order."""
-    if len(pi) != len(q) or np.any(pi.states != q.states):
-        raise ShapeError("pi and q must share the same state order")
+    """(min, max) of pi(x)/q(x) over the states."""
+    if len(pi) != len(q):
+        raise ShapeError("pi and q differ in length")
     if np.any(q.probs <= 0):
         raise SupportError("ratio extremes need a full-support proposal")
     r = pi.probs / q.probs
@@ -180,7 +180,7 @@ def coarsen(dist: FiniteDistribution, part: Partition) -> FiniteDistribution:
     if len(part.map) != len(dist):
         raise ShapeError("partition does not cover the distribution's states")
     coarse = np.bincount(part.map, weights=dist.probs, minlength=part.n_cells)
-    return FiniteDistribution(np.arange(part.n_cells), coarse / coarse.sum())
+    return FiniteDistribution(coarse / coarse.sum())
 
 
 def tv_distance(p: FiniteDistribution | np.ndarray, q: FiniteDistribution | np.ndarray) -> float:
@@ -189,7 +189,4 @@ def tv_distance(p: FiniteDistribution | np.ndarray, q: FiniteDistribution | np.n
     qv = q.probs if isinstance(q, FiniteDistribution) else np.asarray(q, float)
     if pv.shape != qv.shape:
         raise ShapeError(f"length mismatch: {pv.shape} vs {qv.shape}")
-    if isinstance(p, FiniteDistribution) and isinstance(q, FiniteDistribution):
-        if np.any(p.states != q.states):
-            raise ShapeError("distributions use different state orderings")
     return float(0.5 * np.abs(pv - qv).sum())

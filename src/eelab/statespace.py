@@ -99,16 +99,14 @@ def geometric_ladder(
 
 @dataclass(frozen=True)
 class FiniteDistribution:
-    """Exact probability vector over an ordered subset of state indices."""
+    """Exact probability vector over states 0..N-1."""
 
-    states: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.int64)
         probs = np.asarray(self.probs, dtype=np.float64)
-        if states.shape != probs.shape or states.ndim != 1:
-            raise ShapeError("states and probs must be 1-D and equal length")
+        if probs.ndim != 1:
+            raise ShapeError(f"probs must be 1-D, got shape {probs.shape}")
         if np.any(probs < 0):
             raise ConfigError("probabilities must be non-negative")
         if not abs(probs.sum() - 1.0) <= PROB_SUM_TOL:  # a NaN fails
@@ -116,25 +114,17 @@ class FiniteDistribution:
                 f"probabilities must sum to 1 within {PROB_SUM_TOL}, "
                 f"got {probs.sum()!r}"
             )
-        object.__setattr__(self, "states", states)
         object.__setattr__(self, "probs", probs)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.probs)
 
     @classmethod
-    def from_weights(cls, states, weights) -> "FiniteDistribution":
-        w = np.asarray(weights, dtype=np.float64)
-        if np.any(w < 0) or w.sum() <= 0:
-            raise ConfigError("weights must be non-negative with positive sum")
-        return cls(np.asarray(states), w / w.sum())
-
-    @classmethod
-    def from_logweights(cls, states, logweights) -> "FiniteDistribution":
+    def from_logweights(cls, logweights) -> "FiniteDistribution":
         """Normalize exp(logweights) with the max exponent subtracted first."""
         lw = np.asarray(logweights, dtype=np.float64)
         w = np.exp(lw - lw.max())
-        return cls(np.asarray(states), w / w.sum())
+        return cls(w / w.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +174,7 @@ def enumerate_distribution(
 ) -> FiniteDistribution:
     """Exact normalized level distribution over all states."""
     logd = level_logdensities(model, level)
-    return FiniteDistribution.from_logweights(np.arange(model.size), logd)
+    return FiniteDistribution.from_logweights(logd)
 
 
 # ---------------------------------------------------------------------------

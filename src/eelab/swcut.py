@@ -300,7 +300,7 @@ def enumerate_posterior(
     for code in range(n):
         W = decode_labeling(code, n_labels, image.width, image.height)
         logpost[code] = posterior_logdensity(image, W, beta, cfg)
-    return FiniteDistribution.from_logweights(np.arange(n), logpost)
+    return FiniteDistribution.from_logweights(logpost)
 
 
 # ---------------------------------------------------------------------------

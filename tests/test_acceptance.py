@@ -84,8 +84,8 @@ def random_pair(rng, n):
     pi = rng.random(n) + 0.05
     q = rng.random(n) + 0.05
     return (
-        FiniteDistribution(np.arange(n), pi / pi.sum()),
-        FiniteDistribution(np.arange(n), q / q.sum()),
+        FiniteDistribution(pi / pi.sum()),
+        FiniteDistribution(q / q.sum()),
     )
 
 
@@ -110,8 +110,8 @@ def test_criterion_1_mis_spectral_identity():
         assert rep.matched_bound in ("printed", "alternate", "both", "neither")
         assert (rep.matched_bound in ("printed", "both")) == printed_hit
 
-    pi = FiniteDistribution(np.arange(2), np.array([0.75, 0.25]))
-    q = FiniteDistribution(np.arange(2), np.array([0.5, 0.5]))
+    pi = FiniteDistribution(np.array([0.75, 0.25]))
+    q = FiniteDistribution(np.array([0.5, 0.5]))
     rep = mis_gap_report(pi, q)
     assert rep.lambda2 == pytest.approx(1.0 / 3.0, abs=1e-9)
 

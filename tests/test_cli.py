@@ -57,7 +57,7 @@ class TestLoadConfig:
             "experiment": "q1",
             "seed": 99,
             "replicates": 5,
-            "model": {"kind": "energy_table", "energies": [0.0, 1.0, 0.5]},
+            "model": {"kind": "energy_table", "energies": [0.0, 1.0, 0.5, 2.0]},
             "ladder": {"p_jump": 0.25, "macro_steps": 1234},
         })
         cfg = load_config(path)
@@ -153,6 +153,33 @@ def test_q2_arms_run_one_step_budget(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("eelab: config error: ladder.steps_per_level: ")
     assert not (tmp_path / "out").exists()
+
+
+NEEDS = [
+    ("q3", {"ladder": {"n_levels": 1}}, "ladder.n_levels"),
+    ("q4", {"ladder": {"n_levels": 1}}, "ladder.n_levels"),
+    ("spectral", {"ladder": {"temperatures": [1.0]}}, "ladder.n_levels"),
+    ("q1", {"model": {"kind": "energy_table", "energies": [0.0, 1.0, 0.0]}},
+     "model"),
+    ("q2", {"model": {"kind": "energy_table", "energies": [0.0, 1.0, 0.0]}},
+     "model"),
+    # the file does not exist: the refusal comes before any read
+    ("swcut_vs_gibbs", {"segmentation": {"image": {"kind": "pgm",
+                                                   "path": "missing.pgm"}}},
+     "segmentation.image.kind"),
+]
+
+
+@pytest.mark.parametrize("experiment,raw,key_path", NEEDS, ids=[n[0] for n in NEEDS])
+def test_experiment_needs_are_checked_at_load(tmp_path, capsys, experiment, raw,
+                                              key_path):
+    """What an experiment needs of the ladder, model or image is refused
+    when the config is loaded, so no output directory is made."""
+    cfg = write_config(tmp_path, {"experiment": experiment, **raw})
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"eelab: config error: {key_path}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("raw,extra,key_path", MALFORMED,

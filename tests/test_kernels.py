@@ -5,7 +5,13 @@ import pytest
 
 from eelab.config import validate_config
 from eelab.eeladder import empirical_jump_chain_matrix, ledger_from_iid
-from eelab.errors import CapabilityError, ConfigError, NumericError, SupportError
+from eelab.errors import (
+    CapabilityError,
+    ConfigError,
+    NumericError,
+    ShapeError,
+    SupportError,
+)
 from eelab.kernels import (
     IndependenceKernel,
     MixtureKernel,
@@ -34,16 +40,13 @@ class StayPut:
     def __init__(self, n):
         self.n = n
 
-    def step(self, state, rng):
-        return state, False
-
     def exact_matrix(self):
         return np.eye(self.n)
 
 
 def two_state_mis():
-    pi = FiniteDistribution(np.arange(2), np.array([0.75, 0.25]))
-    q = FiniteDistribution(np.arange(2), np.array([0.5, 0.5]))
+    pi = FiniteDistribution(np.array([0.75, 0.25]))
+    q = FiniteDistribution(np.array([0.5, 0.5]))
     return IndependenceKernel(pi, q)
 
 
@@ -109,14 +112,14 @@ class TestIndependence:
         )
 
     def test_perfect_proposal_rows_equal_target(self):
-        pi = FiniteDistribution(np.arange(3), np.array([0.5, 0.3, 0.2]))
+        pi = FiniteDistribution(np.array([0.5, 0.3, 0.2]))
         K = IndependenceKernel(pi, pi).exact_matrix()
         for row in K:
             np.testing.assert_allclose(row, pi.probs, atol=1e-15)
 
     def test_self_proposal_mass_stays(self):
-        pi = FiniteDistribution(np.arange(2), np.array([0.6, 0.4]))
-        q = FiniteDistribution(np.arange(2), np.array([0.9, 0.1]))
+        pi = FiniteDistribution(np.array([0.6, 0.4]))
+        q = FiniteDistribution(np.array([0.9, 0.1]))
         K = IndependenceKernel(pi, q).exact_matrix()
         # from state 0, self-proposals (mass 0.9) always accepted
         assert K[0, 0] >= 0.9
@@ -131,8 +134,8 @@ class TestIndependence:
             q = rng.random(n) + 0.05
             pi, q = pi / pi.sum(), q / q.sum()
             kern = IndependenceKernel(
-                FiniteDistribution(np.arange(n), pi),
-                FiniteDistribution(np.arange(n), q),
+                FiniteDistribution(pi),
+                FiniteDistribution(q),
             )
             K = kern.exact_matrix()
             w = pi / q
@@ -142,29 +145,23 @@ class TestIndependence:
                         assert K[x, y] == pytest.approx(q[y], abs=1e-14)
 
     def test_support_violation_raises_at_construction(self):
-        pi = FiniteDistribution(np.arange(2), np.array([0.5, 0.5]))
-        q = FiniteDistribution(np.arange(2), np.array([1.0, 0.0]))
+        pi = FiniteDistribution(np.array([0.5, 0.5]))
+        q = FiniteDistribution(np.array([1.0, 0.0]))
         with pytest.raises(SupportError):
             IndependenceKernel(pi, q)
 
-    def test_step_frequencies_match_matrix(self):
-        kern = two_state_mis()
-        K = kern.exact_matrix()
-        rng = RandomStream.from_seed(21)
-        n = 100_000
-        hits = 0
-        for _ in range(n):
-            y, _ = kern.step(0, rng)
-            hits += y == 1
-        se = math.sqrt(K[0, 1] * (1 - K[0, 1]) / n)
-        assert abs(hits / n - K[0, 1]) <= 3 * se
+    def test_length_mismatch_raises_at_construction(self):
+        pi = FiniteDistribution(np.array([0.5, 0.5]))
+        q = FiniteDistribution(np.full(3, 1.0 / 3.0))
+        with pytest.raises(ShapeError, match="differ in length"):
+            IndependenceKernel(pi, q)
 
 
 class TestMixture:
     def test_degenerate_weights(self):
         m = builtin_model("energy_table", energies=[0.0, math.log(3.0)])
         pi = enumerate_distribution(m, LEVEL0)
-        q = FiniteDistribution(np.arange(2), np.array([0.5, 0.5]))
+        q = FiniteDistribution(np.array([0.5, 0.5]))
         local = RandomWalkKernel(m, LEVEL0)
         jump = IndependenceKernel(pi, q)
         np.testing.assert_allclose(
@@ -202,7 +199,7 @@ class TestMixture:
     def test_mismatched_targets_rejected(self):
         m = builtin_model("energy_table", energies=[0.0, math.log(3.0)])
         pi = enumerate_distribution(m, LEVEL0)
-        other = FiniteDistribution(np.arange(2), np.array([0.5, 0.5]))
+        other = FiniteDistribution(np.array([0.5, 0.5]))
         local = RandomWalkKernel(m, LEVEL0)
         jump = IndependenceKernel(other, other)
         with pytest.raises(ConfigError):

@@ -39,8 +39,8 @@ def random_pair(rng, n):
     pi = rng.random(n) + 0.05
     q = rng.random(n) + 0.05
     return (
-        FiniteDistribution(np.arange(n), pi / pi.sum()),
-        FiniteDistribution(np.arange(n), q / q.sum()),
+        FiniteDistribution(pi / pi.sum()),
+        FiniteDistribution(q / q.sum()),
     )
 
 
@@ -165,8 +165,8 @@ class TestEigenSpectrum:
 
 class TestMisGapReport:
     def test_canonical_two_state(self):
-        pi = FiniteDistribution(np.arange(2), np.array([0.75, 0.25]))
-        q = FiniteDistribution(np.arange(2), np.array([0.5, 0.5]))
+        pi = FiniteDistribution(np.array([0.75, 0.25]))
+        q = FiniteDistribution(np.array([0.5, 0.5]))
         rep = mis_gap_report(pi, q)
         assert rep.lambda2 == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert rep.bound_printed == pytest.approx(0.5, abs=1e-12)
@@ -174,7 +174,7 @@ class TestMisGapReport:
         assert rep.matched_bound == "alternate"
 
     def test_perfect_proposal(self):
-        pi = FiniteDistribution(np.arange(3), np.array([0.2, 0.5, 0.3]))
+        pi = FiniteDistribution(np.array([0.2, 0.5, 0.3]))
         rep = mis_gap_report(pi, pi)
         assert rep.lambda2 == pytest.approx(0.0, abs=1e-10)
         assert rep.bound_printed == pytest.approx(0.0, abs=1e-12)
@@ -195,8 +195,8 @@ class TestMisGapReport:
         assert forms == {True}
 
     def test_report_serializes(self):
-        pi = FiniteDistribution(np.arange(2), np.array([0.75, 0.25]))
-        q = FiniteDistribution(np.arange(2), np.array([0.5, 0.5]))
+        pi = FiniteDistribution(np.array([0.75, 0.25]))
+        q = FiniteDistribution(np.array([0.5, 0.5]))
         d = mis_gap_report(pi, q).to_dict()
         assert d["matched_bound"] == "alternate"
         assert len(d["eigenvalues"]) == 2
@@ -204,13 +204,19 @@ class TestMisGapReport:
 
 class TestRatioExtremes:
     def test_two_state(self):
-        pi = FiniteDistribution(np.arange(2), np.array([0.75, 0.25]))
-        q = FiniteDistribution(np.arange(2), np.array([0.5, 0.5]))
+        pi = FiniteDistribution(np.array([0.75, 0.25]))
+        q = FiniteDistribution(np.array([0.5, 0.5]))
         assert ratio_extremes(pi, q) == (pytest.approx(0.5), pytest.approx(1.5))
 
     def test_identical_distributions(self):
-        pi = FiniteDistribution(np.arange(4), np.full(4, 0.25))
+        pi = FiniteDistribution(np.full(4, 0.25))
         assert ratio_extremes(pi, pi) == (pytest.approx(1.0), pytest.approx(1.0))
+
+    def test_length_mismatch(self):
+        pi = FiniteDistribution(np.array([0.5, 0.5]))
+        q = FiniteDistribution(np.full(3, 1.0 / 3.0))
+        with pytest.raises(ShapeError, match="differ in length"):
+            ratio_extremes(pi, q)
 
     def test_extremes_straddle_one(self):
         rng = np.random.default_rng(7)
@@ -223,18 +229,18 @@ class TestRatioExtremes:
 
 class TestCoarsen:
     def test_identity_partition(self):
-        d = FiniteDistribution(np.arange(4), np.array([0.4, 0.1, 0.3, 0.2]))
+        d = FiniteDistribution(np.array([0.4, 0.1, 0.3, 0.2]))
         out = coarsen(d, Partition(np.arange(4)))
         np.testing.assert_allclose(out.probs, d.probs, atol=1e-15)
 
     def test_single_cell(self):
-        d = FiniteDistribution(np.arange(4), np.array([0.4, 0.1, 0.3, 0.2]))
+        d = FiniteDistribution(np.array([0.4, 0.1, 0.3, 0.2]))
         out = coarsen(d, Partition(np.zeros(4, dtype=int)))
         np.testing.assert_allclose(out.probs, [1.0], atol=1e-15)
 
     def test_pairwise_cells_raise_min_ratio(self):
-        pi = FiniteDistribution(np.arange(4), np.array([0.4, 0.1, 0.3, 0.2]))
-        q = FiniteDistribution(np.arange(4), np.full(4, 0.25))
+        pi = FiniteDistribution(np.array([0.4, 0.1, 0.3, 0.2]))
+        q = FiniteDistribution(np.full(4, 0.25))
         part = Partition(np.array([0, 0, 1, 1]))
         pi_c, q_c = coarsen(pi, part), coarsen(q, part)
         np.testing.assert_allclose(pi_c.probs, [0.5, 0.5], atol=1e-15)
@@ -297,17 +303,17 @@ class TestMixtureGap:
 
 class TestTvDistance:
     def test_equal_distributions(self):
-        d = FiniteDistribution(np.arange(3), np.array([0.2, 0.5, 0.3]))
+        d = FiniteDistribution(np.array([0.2, 0.5, 0.3]))
         assert tv_distance(d, d) == 0.0
 
     def test_disjoint_supports(self):
-        p = FiniteDistribution(np.arange(4), np.array([0.5, 0.5, 0.0, 0.0]))
-        q = FiniteDistribution(np.arange(4), np.array([0.0, 0.0, 0.5, 0.5]))
+        p = FiniteDistribution(np.array([0.5, 0.5, 0.0, 0.0]))
+        q = FiniteDistribution(np.array([0.0, 0.0, 0.5, 0.5]))
         assert tv_distance(p, q) == pytest.approx(1.0)
 
     def test_quarter_example(self):
-        p = FiniteDistribution(np.arange(2), np.array([0.75, 0.25]))
-        q = FiniteDistribution(np.arange(2), np.array([0.5, 0.5]))
+        p = FiniteDistribution(np.array([0.75, 0.25]))
+        q = FiniteDistribution(np.array([0.5, 0.5]))
         assert tv_distance(p, q) == pytest.approx(0.25)
 
     def test_length_mismatch(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eelab.errors import CapabilityError, ConfigError, DomainError
+from eelab.errors import CapabilityError, ConfigError, DomainError, ShapeError
 from eelab.statespace import (
     FiniteDistribution,
     LadderLevel,
@@ -192,15 +192,19 @@ class TestLadder:
 class TestFiniteDistribution:
     def test_rejects_negative_and_unnormalized(self):
         with pytest.raises(ConfigError):
-            FiniteDistribution(np.arange(2), np.array([-0.1, 1.1]))
+            FiniteDistribution(np.array([-0.1, 1.1]))
         with pytest.raises(ConfigError):
-            FiniteDistribution(np.arange(2), np.array([0.6, 0.6]))
+            FiniteDistribution(np.array([0.6, 0.6]))
+
+    def test_rejects_a_2d_probability_array(self):
+        with pytest.raises(ShapeError, match="1-D"):
+            FiniteDistribution(np.full((2, 2), 0.25))
 
     def test_rejects_a_nan_probability(self):
         with pytest.raises(ConfigError, match="sum to 1"):
-            FiniteDistribution(np.arange(2), np.array([0.5, np.nan]))
+            FiniteDistribution(np.array([0.5, np.nan]))
 
     def test_from_logweights_handles_huge_exponents(self):
-        d = FiniteDistribution.from_logweights(np.arange(3), [-700.0, -701.0, -1400.0])
+        d = FiniteDistribution.from_logweights([-700.0, -701.0, -1400.0])
         assert abs(d.probs.sum() - 1.0) <= 1e-12
         assert d.probs[2] == pytest.approx(0.0, abs=1e-200)
