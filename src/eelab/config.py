@@ -18,6 +18,7 @@ import copy
 import json
 import math
 import operator
+import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, Optional
 
@@ -397,6 +398,9 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
         raise CapabilityError(f"dense eigensolver capped at {SPECTRAL_CAP} states")
     _require(exp not in ("q1", "q2") or model.size >= 4, "model",
              f"{exp} needs a model with >= 4 states, got {model.size}")
+    image = cfg.segmentation.image
+    _require(exp != "segment" or image.kind != "pgm" or os.path.isfile(image.path),
+             "segmentation.image.path", f"no such file: {image.path!r}")
     cfg.ladder.levels()
     init = cfg.ladder.init_state
     _require(init is None or init < model.size, "ladder.init_state",

@@ -345,6 +345,7 @@ def empirical_jump_chain_matrix(
     level_hi: LadderLevel,
     ledger: RingLedger,
     p_jump: float,
+    K_local: np.ndarray,
     jump_mode: str = "restricted",
 ) -> np.ndarray:
     """Exact kernel of one runner step at level lo against a frozen ledger.
@@ -352,12 +353,13 @@ def empirical_jump_chain_matrix(
     The step is: with probability p_jump attempt a jump whose proposal is
     the empirical (multiplicity-weighted) distribution of the ledger pool
     for the current ring, falling back to a local move when the pool is
-    empty; otherwise move locally.
+    empty; otherwise move locally. K_local is the local move's matrix,
+    RandomWalkKernel(model, level_lo).exact_matrix(), which a caller
+    sweeping many ledgers builds once.
     """
     if not 0.0 <= p_jump <= 1.0:
         raise ConfigError("p_jump must be in [0, 1]")
     n = model.size
-    K_local = RandomWalkKernel(model, level_lo).exact_matrix()
     if jump_mode == "restricted":
         ring_of = ring_table(model.energies(), ledger.boundaries)
         sources = [np.flatnonzero(ring_of == j) for j in range(ledger.n_rings)]

@@ -42,7 +42,8 @@ from .kernels import (
 )
 from .netpbm import read_pgm, write_label_pgm, write_overlay_ppm
 from .rng import RandomStream
-from .spectral import Partition, coarsen, eigen_spectrum, ratio_extremes, tv_distance, with_mis_bounds
+from .spectral import (Partition, coarsen, eigen_spectrum, mis_spectrum, ratio_extremes,
+                       tv_distance, with_mis_bounds)
 from .spectral import mis_gap_report  # noqa: F401 (benchmarks/spans.py wraps it here)
 from .statespace import builtin_model, enumerate_distribution
 from .swcut import (
@@ -324,7 +325,7 @@ def exp_q3(config: ExperimentConfig, out: Path) -> None:
             rng = RandomStream.from_seed(seed)
             ledger = ledger_from_iid(model, levels[1], boundaries, size, rng)
             K = empirical_jump_chain_matrix(
-                model, levels[0], levels[1], ledger, p_jump
+                model, levels[0], levels[1], ledger, p_jump, K_local
             )
             tv = tv_distance(stationary_distribution(K), pi.probs)
             rows.append((size, seed, tv))
@@ -344,14 +345,16 @@ def _kernel_reports(local, pi, q, alpha, prefix=""):
     Each dense matrix is built once: the local and the MIS one each serve
     their own report and then the mixture, formed in place with the
     arithmetic of MixtureKernel.exact_matrix (the constructor still
-    checks that the two components target the same law).
+    checks that the two components target the same law). The MIS
+    eigenvalues are Liu's closed form, checked against the matrix
+    (mis_spectrum); the local and mixture ones come from dense solves.
     """
     jump = IndependenceKernel(pi, q)
     MixtureKernel(alpha, local, jump)
     K_local = local.exact_matrix()
     K = jump.exact_matrix()
     reports = {prefix + "local": eigen_spectrum(K_local, pi),
-               prefix + "mis": with_mis_bounds(eigen_spectrum(K, pi), pi, q)}
+               prefix + "mis": with_mis_bounds(mis_spectrum(K, pi, q), pi, q)}
     K *= 1.0 - alpha
     K_local *= alpha
     K += K_local

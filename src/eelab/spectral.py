@@ -3,9 +3,13 @@
 A reversible kernel K with stationary pi is similar to the symmetric
 matrix S = D^(1/2) K D^(-1/2), D = diag(pi), so its spectrum is real and
 obtained from a dense symmetric eigensolver. The independence-sampler
-report computes the second eigenvalue together with both candidate
-closed forms, 1 - min pi/q and 1 - min q/pi, and records which (if
-either) matches; it never asserts one of them.
+(MIS) spectrum also has Liu's closed form (mis_eigenvalues): mis_spectrum
+takes it in place of the dense solve, after the kernel has passed every
+check eigen_spectrum makes, and checks it against the kernel's first two
+spectral moments; mis_gap_report keeps the dense solve as the reference.
+Either report records which of the candidate gap forms 1 - min pi/q and
+1 - min q/pi (if either) matches its second eigenvalue; it never asserts
+one of them.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError, ReversibilityError, ShapeError, SupportError
+from .errors import (CapabilityError, ConfigError, NumericError, ReversibilityError,
+                     ShapeError, SupportError)
 from .kernels import IndependenceKernel, check_transition_matrix
 from .statespace import FiniteDistribution
 
@@ -23,6 +28,10 @@ REVERSIBILITY_TOL = 1e-10
 EIGEN_RANGE_TOL = 1e-10
 BOUND_MATCH_TOL = 1e-9
 SPECTRAL_CAP = 4096
+# mis_spectrum's moment gaps grow with n: the largest measured up to
+# SPECTRAL_CAP states was 1.0e-10 (4096-point double wells of depth 1-10,
+# random pairs), 2.2e-12 at 1001 states
+MIS_MOMENT_TOL = 1e-8
 
 
 @dataclass
@@ -51,15 +60,12 @@ class SpectralReport:
         }
 
 
-def eigen_spectrum(
-    K: np.ndarray,
-    pi: FiniteDistribution | np.ndarray,
-) -> SpectralReport:
-    """All eigenvalues of a reversible kernel, sorted descending.
-
-    Rejects non-reversible input (reporting the worst violating pair)
-    rather than falling back to a complex eigensolver. Every check is
-    written so that a NaN fails it.
+def _symmetrised(K: np.ndarray, pi: FiniteDistribution | np.ndarray) -> np.ndarray:
+    """The checks eigen_spectrum makes of a kernel and its law: K is
+    row-stochastic, at most SPECTRAL_CAP states, pi strictly positive and
+    K reversible with respect to it (the worst violating pair is
+    reported). Returns the symmetrised S = D^(1/2) K D^(-1/2). Every check
+    is written so that a NaN fails it.
     """
     p = pi.probs if isinstance(pi, FiniteDistribution) else np.asarray(pi, float)
     K = np.asarray(K, dtype=np.float64)
@@ -91,20 +97,69 @@ def eigen_spectrum(
     S /= s[None, :]
     sym = np.add(S, S.T, out=viol)
     sym *= 0.5
-    del F, S
-    vals = np.linalg.eigvalsh(sym)[::-1]
+    return sym
 
+
+def _checked_report(vals: np.ndarray) -> SpectralReport:
+    """The report of a descending spectrum whose top eigenvalue is 1 and
+    whose eigenvalues all lie in [-1, 1] (a NaN fails either check)."""
     if not abs(vals[0] - 1.0) <= EIGEN_RANGE_TOL:
         raise ReversibilityError(f"top eigenvalue {vals[0]!r} is not 1")
     if not (vals[-1] >= -1.0 - EIGEN_RANGE_TOL and vals[0] <= 1.0 + EIGEN_RANGE_TOL):
         raise ReversibilityError("eigenvalues fall outside [-1, 1]")
+    lam2 = float(vals[1]) if len(vals) > 1 else float(vals[0])
+    return SpectralReport(eigenvalues=vals, lambda2=lam2, gap=1.0 - lam2)
 
-    lam2 = float(vals[1]) if n > 1 else float(vals[0])
-    return SpectralReport(
-        eigenvalues=vals,
-        lambda2=lam2,
-        gap=1.0 - lam2,
-    )
+
+def eigen_spectrum(
+    K: np.ndarray,
+    pi: FiniteDistribution | np.ndarray,
+) -> SpectralReport:
+    """All eigenvalues of a reversible kernel, sorted descending.
+
+    Rejects non-reversible input (reporting the worst violating pair)
+    rather than falling back to a complex eigensolver. Every check is
+    written so that a NaN fails it.
+    """
+    return _checked_report(np.linalg.eigvalsh(_symmetrised(K, pi))[::-1])
+
+
+def mis_eigenvalues(pi: FiniteDistribution, q: FiniteDistribution) -> np.ndarray:
+    """Liu's closed-form spectrum of the MIS kernel of (pi, q), descending.
+
+    With the states sorted so that w = pi/q is non-increasing, the
+    eigenvalues are 1 and lambda_k = sum_{i >= k} (q_i - pi_i / w_k) for
+    k = 1..n-1 (Liu 1996). Here r = q/pi = 1/w is sorted ascending and
+    lambda_k = (tail sum of q) - (tail sum of pi) * r_k.
+    """
+    r = q.probs / pi.probs
+    order = np.argsort(r, kind="stable")
+    r, p, qs = r[order], pi.probs[order], q.probs[order]
+    tail_q = np.cumsum(qs[::-1])[::-1]
+    tail_p = np.cumsum(p[::-1])[::-1]
+    lam = tail_q[:-1] - tail_p[:-1] * r[:-1]
+    return np.concatenate(([1.0], np.sort(lam)[::-1]))
+
+
+def mis_spectrum(K: np.ndarray, pi: FiniteDistribution,
+                 q: FiniteDistribution) -> SpectralReport:
+    """eigen_spectrum of the MIS kernel K of (pi, q), its eigenvalues
+    taken from mis_eigenvalues instead of a dense solve.
+
+    K passes every check eigen_spectrum makes, and the closed form is
+    checked against K's symmetrised S, with which it shares no code: its
+    sum must equal tr S and its sum of squares ||S||_F^2, each within
+    MIS_MOMENT_TOL, or NumericError is raised.
+    """
+    S = _symmetrised(K, pi)
+    vals = mis_eigenvalues(pi, q)
+    for moment, got, want in (("sum", vals.sum(), np.trace(S)),
+                              ("sum of squares", vals @ vals, np.vdot(S, S))):
+        if not abs(got - want) <= MIS_MOMENT_TOL:
+            raise NumericError(
+                f"closed-form MIS spectrum disagrees with the kernel: eigenvalue "
+                f"{moment} {got!r} vs {want!r} from the matrix")
+    return _checked_report(vals)
 
 
 def ratio_extremes(

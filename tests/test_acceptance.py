@@ -8,6 +8,7 @@ speedup) pinned from pilot runs.
 """
 
 import functools
+import json
 import math
 import time
 
@@ -114,6 +115,21 @@ def test_criterion_1_mis_spectral_identity():
     q = FiniteDistribution(np.array([0.5, 0.5]))
     rep = mis_gap_report(pi, q)
     assert rep.lambda2 == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+
+def test_spectral_run_mis_lambda2_equals_dense_reference(tmp_path):
+    """The spectral run takes the MIS spectrum from Liu's closed form; at
+    1001 states its lambda2 equals that of the dense mis_gap_report
+    within 1e-12."""
+    config = validate_config({"experiment": "spectral", "model": {"points": 1001}})
+    out = run_experiment(config, out_dir=tmp_path / "spectral")
+    with open(out / "spectral.json", encoding="utf-8") as fh:
+        lam2 = json.load(fh)["mis"]["lambda2"]
+    model = config.build_model()
+    levels = config.ladder.levels()
+    pi = enumerate_distribution(model, levels[0])
+    q = enumerate_distribution(model, levels[1])
+    assert abs(lam2 - mis_gap_report(pi, q).lambda2) <= 1e-12
 
 
 @criterion(2, "coarsening contracts probability-ratio extremes")
@@ -230,6 +246,7 @@ def test_criterion_6_reversibility_bias_decay():
     assert stationary_gap(K_ideal, pi.probs) <= 1e-12
     assert reversibility_gap(K_ideal, pi.probs) <= 1e-12
 
+    K_local = RandomWalkKernel(model, levels[0]).exact_matrix()
     medians = []
     for size in (100, 1000, 10000):
         tvs = []
@@ -237,7 +254,7 @@ def test_criterion_6_reversibility_bias_decay():
             rng = RandomStream.from_seed(7000 + k)
             ledger = ledger_from_iid(model, levels[1], boundaries, size, rng)
             K = empirical_jump_chain_matrix(
-                model, levels[0], levels[1], ledger, p_jump=0.5
+                model, levels[0], levels[1], ledger, 0.5, K_local
             )
             tvs.append(tv_distance(stationary_distribution(K), pi.probs))
         medians.append(float(np.median(tvs)))

@@ -167,6 +167,8 @@ NEEDS = [
     ("swcut_vs_gibbs", {"segmentation": {"image": {"kind": "pgm",
                                                    "path": "missing.pgm"}}},
      "segmentation.image.kind"),
+    ("segment", {"segmentation": {"image": {"kind": "pgm", "path": "missing.pgm"}}},
+     "segmentation.image.path"),
 ]
 
 
@@ -223,14 +225,18 @@ class TestCliExitCodes:
         assert main(["run", "--config", str(cfg), "--out", out, "--force"]) == 0
 
     def test_runtime_error_is_two(self, tmp_path, capsys):
+        """An I/O error while running: the output directory cannot be
+        made under a regular file."""
         cfg = write_config(tmp_path, {
-            "experiment": "segment",
-            "segmentation": {"image": {"kind": "pgm",
-                                       "path": str(tmp_path / "missing.pgm")}},
+            "experiment": "run",
+            "ladder": {"macro_steps": 100},
+            "model": {"kind": "energy_table", "energies": [0.0, 1.0]},
         })
-        code = main(["segment", "--config", str(cfg),
-                     "--out", str(tmp_path / "out")])
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["run", "--config", str(cfg), "--out", str(blocker / "out")])
         assert code == 2
+        assert capsys.readouterr().err.startswith("eelab: error: ")
 
     @pytest.mark.parametrize("exc", [
         MemoryError("Unable to allocate 74.5 GiB for an array"), MemoryError()])

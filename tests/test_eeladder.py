@@ -123,7 +123,8 @@ class TestJumpAcceptance:
         model = builtin_model("energy_table", energies=[0.5, 0.6])
         lv1 = LadderLevel(1, 2.0, 0.0)
         ledger = make_ledger(model, [1], [])  # single ring
-        K = empirical_jump_chain_matrix(model, LEVEL0, lv1, ledger, p_jump=1.0)
+        K = empirical_jump_chain_matrix(model, LEVEL0, lv1, ledger, 1.0,
+                                        RandomWalkKernel(model, LEVEL0).exact_matrix())
         assert K[0, 1] == pytest.approx(math.exp(-0.05), abs=1e-12)
 
     def test_favorable_ratio_always_accepted(self):
@@ -132,15 +133,16 @@ class TestJumpAcceptance:
         model = builtin_model("energy_table", energies=[0.5, 0.6])
         lv1 = LadderLevel(1, 2.0, 0.0)
         ledger = make_ledger(model, [0], [])  # proposing the lower-energy state from x=1
-        K = empirical_jump_chain_matrix(model, LEVEL0, lv1, ledger, p_jump=1.0)
+        K = empirical_jump_chain_matrix(model, LEVEL0, lv1, ledger, 1.0,
+                                        RandomWalkKernel(model, LEVEL0).exact_matrix())
         assert K[1, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_ledger_reduces_to_local_kernel(self):
         model = two_mode_model(10)
         lv1 = LadderLevel(1, 4.0, 1.0)
         empty = make_ledger(model, [], [1.0])
-        K = empirical_jump_chain_matrix(model, LEVEL0, lv1, empty, p_jump=0.7)
         K_local = RandomWalkKernel(model, LEVEL0).exact_matrix()
+        K = empirical_jump_chain_matrix(model, LEVEL0, lv1, empty, 0.7, K_local)
         np.testing.assert_allclose(K, K_local, atol=1e-15)
 
 
@@ -517,12 +519,13 @@ class TestIdealizedJump:
         levels = geometric_ladder(2, ratio=4.0, h_min=0.5, dh=0.5)
         boundaries = [lv.truncation for lv in levels[1:]]
         pi = enumerate_distribution(model, levels[0])
+        K_local = RandomWalkKernel(model, levels[0]).exact_matrix()
         rng = RandomStream.from_seed(31)
         tvs = []
         for size in (100, 1000, 10000):
             led = ledger_from_iid(model, levels[1], boundaries, size, rng)
             K = empirical_jump_chain_matrix(
-                model, levels[0], levels[1], led, p_jump=0.5
+                model, levels[0], levels[1], led, 0.5, K_local
             )
             tvs.append(tv_distance(stationary_distribution(K), pi.probs))
         assert tvs[0] > tvs[2]
@@ -615,9 +618,10 @@ class TestJumpKernelMatchesLoops:
                                RandomStream.from_seed(size + 7))
         ledger = RingLedger(full.records[:cap], full.rings[:cap], full.boundaries)
         assert ledger.total == (size if cap is None else min(size, cap))
-        args = (self.model, *self.levels, ledger, 0.6, jump_mode)
-        K = empirical_jump_chain_matrix(*args)
-        assert np.array_equal(K, loop_empirical_jump_chain_matrix(*args))
+        args = (self.model, *self.levels, ledger, 0.6)
+        K_local = RandomWalkKernel(self.model, self.levels[0]).exact_matrix()
+        K = empirical_jump_chain_matrix(*args, K_local, jump_mode)
+        assert np.array_equal(K, loop_empirical_jump_chain_matrix(*args, jump_mode))
 
 
 @pytest.mark.parametrize("depth", [200.0, 2000.0])

@@ -283,7 +283,8 @@ def q3_chain():
     ledger = ledger_from_iid(model, levels[1], config.ladder.build().boundaries(),
                              1000, RandomStream.from_seed(0))
     return empirical_jump_chain_matrix(model, levels[0], levels[1], ledger,
-                                       float(config.q3["p_jump"]))
+                                       float(config.q3["p_jump"]),
+                                       RandomWalkKernel(model, levels[0]).exact_matrix())
 
 
 # expected: the exact law, None to compare with lstsq_stationary, or

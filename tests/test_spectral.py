@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from eelab import spectral
+from eelab.cli import main
 from eelab.config import validate_config
 from eelab.errors import ConfigError, NumericError, ReversibilityError, ShapeError
 from eelab.experiments import run_experiment
@@ -12,9 +14,12 @@ from eelab.spectral import (
     Partition,
     coarsen,
     eigen_spectrum,
+    mis_eigenvalues,
     mis_gap_report,
+    mis_spectrum,
     ratio_extremes,
     tv_distance,
+    with_mis_bounds,
 )
 from eelab.statespace import (
     FiniteDistribution,
@@ -82,14 +87,15 @@ class TestEigenSpectrum:
     def test_spectral_experiment_reports_are_bit_identical(self, tmp_path):
         """The experiment builds each dense matrix once and forms the
         mixture in place; its reports equal those of the kernels' own
-        exact matrices bit for bit."""
+        exact matrices bit for bit (the MIS one through mis_spectrum)."""
         config = validate_config({"experiment": "spectral", "model": {"points": 101}})
         out = run_experiment(config, out_dir=tmp_path / "spectral")
         with open(out / "spectral.json", encoding="utf-8") as fh:
             got = json.load(fh)
         pi, q, kernels = double_well_kernels(101)
         want = {"local": eigen_spectrum(kernels["local"].exact_matrix(), pi),
-                "mis": mis_gap_report(pi, q),
+                "mis": with_mis_bounds(
+                    mis_spectrum(kernels["mis"].exact_matrix(), pi, q), pi, q),
                 "mixture": eigen_spectrum(kernels["mixture"].exact_matrix(), pi)}
         for name, rep in want.items():
             assert got[name] == json.loads(json.dumps(rep.to_dict())), name
@@ -200,6 +206,142 @@ class TestMisGapReport:
         d = mis_gap_report(pi, q).to_dict()
         assert d["matched_bound"] == "alternate"
         assert len(d["eigenvalues"]) == 2
+
+
+def q4_instances(depth=4.0):
+    """(pi, q) of the q4 experiment's fine and coarse MIS reports at
+    default config, coarsened as exp_q4 does."""
+    config = validate_config({"experiment": "q4", "model": {"depth": depth}})
+    model = config.build_model()
+    levels = config.ladder.levels()
+    pi = enumerate_distribution(model, levels[0])
+    q = enumerate_distribution(model, levels[1])
+    n = len(pi)
+    m = min(int(config.q4["coarse_cells"]), n)
+    part = Partition((np.arange(n) * m) // n)
+    return {"fine": (pi, q), "coarse": (coarsen(pi, part), coarsen(q, part))}
+
+
+def dense_mis_eigenvalues(pi, q):
+    return eigen_spectrum(IndependenceKernel(pi, q).exact_matrix(), pi).eigenvalues
+
+
+class TestMisEigenvalues:
+    """Liu's closed form against the dense solve of the same kernel."""
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(71)
+        for n in (2, 2, 3, 5, 10, 31, 64, 100, 250, 500):
+            pi, q = random_pair(rng, n)
+            np.testing.assert_allclose(mis_eigenvalues(pi, q),
+                                       dense_mis_eigenvalues(pi, q),
+                                       rtol=0, atol=1e-12)
+
+    def test_ties_in_w(self):
+        """pi/q takes three values, each on several states."""
+        rng = np.random.default_rng(73)
+        for n in (2, 6, 40, 200):
+            q = rng.random(n) + 0.05
+            pi = q * rng.choice([0.5, 1.0, 2.0], size=n)
+            pi, q = FiniteDistribution(pi / pi.sum()), FiniteDistribution(q / q.sum())
+            np.testing.assert_allclose(mis_eigenvalues(pi, q),
+                                       dense_mis_eigenvalues(pi, q),
+                                       rtol=0, atol=1e-12)
+
+    def test_perfect_proposal(self):
+        """pi = q: every eigenvalue but the top one is 0."""
+        rng = np.random.default_rng(79)
+        pi, _ = random_pair(rng, 30)
+        vals = mis_eigenvalues(pi, pi)
+        np.testing.assert_allclose(vals, [1.0] + [0.0] * 29, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vals, dense_mis_eigenvalues(pi, pi),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("space", ["fine", "coarse"])
+    def test_q4_default_instances(self, space):
+        pi, q = q4_instances()[space]
+        np.testing.assert_allclose(mis_eigenvalues(pi, q),
+                                   dense_mis_eigenvalues(pi, q),
+                                   rtol=0, atol=1e-12)
+
+    def test_report_equals_dense_report(self):
+        """mis_spectrum makes the dense path's report: same lambda2 and gap
+        within 1e-12, and the same bound that matches."""
+        for pi, q in q4_instances().values():
+            got = with_mis_bounds(
+                mis_spectrum(IndependenceKernel(pi, q).exact_matrix(), pi, q), pi, q)
+            want = mis_gap_report(pi, q)
+            assert abs(got.lambda2 - want.lambda2) <= 1e-12
+            assert abs(got.gap - want.gap) <= 1e-12
+            assert got.matched_bound == want.matched_bound == "alternate"
+
+    def test_checks_the_kernel_as_eigen_spectrum_does(self):
+        """A kernel that is not the MIS kernel of (pi, q) but fails one of
+        eigen_spectrum's own checks is refused by that check."""
+        pi = FiniteDistribution(np.full(3, 1.0 / 3.0))
+        K = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        with pytest.raises(ReversibilityError, match="not reversible"):
+            mis_spectrum(K, pi, pi)
+        with pytest.raises(NumericError, match="row sums"):
+            mis_spectrum(np.full((3, 3), 0.5), pi, pi)
+
+    def test_another_kernel_fails_the_moment_check(self):
+        """The identity passes eigen_spectrum's checks for any pi but is
+        not the MIS kernel of (pi, pi), which draws each step from pi."""
+        pi = FiniteDistribution(np.full(4, 0.25))
+        with pytest.raises(NumericError, match="closed-form MIS spectrum"):
+            mis_spectrum(np.eye(4), pi, pi)
+
+    @pytest.mark.parametrize("experiment", ["spectral", "q4"])
+    def test_depth_40_well_runs(self, tmp_path, experiment):
+        """The deepest default well whose pi stays positive: q/pi reaches
+        ~1e67 and nothing overflows (the file also runs with
+        RuntimeWarning as an error)."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": {"depth": 40.0}}))
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(path), "--out", str(out)]) == 0
+        name = "spectral.json" if experiment == "spectral" else "spectral_reports.json"
+        with open(out / name, encoding="utf-8") as fh:
+            reports = json.load(fh)
+        for space, (pi, q) in q4_instances(depth=40.0).items():
+            key = "mis" if space == "fine" else "coarse_mis"
+            if key in reports:
+                assert abs(reports[key]["lambda2"]
+                           - mis_gap_report(pi, q).lambda2) <= 1e-12
+
+
+def _shift_one(real):
+    def mutant(pi, q):
+        vals = real(pi, q).copy()
+        vals[len(vals) // 2] += 1e-6
+        return vals
+    return mutant
+
+
+def _inverted_ratio(real):
+    def mutant(pi, q):
+        """mis_eigenvalues with pi/q where it takes q/pi."""
+        r = pi.probs / q.probs
+        order = np.argsort(r, kind="stable")
+        r, p, qs = r[order], pi.probs[order], q.probs[order]
+        tail_q = np.cumsum(qs[::-1])[::-1]
+        tail_p = np.cumsum(p[::-1])[::-1]
+        lam = tail_q[:-1] - tail_p[:-1] * r[:-1]
+        return np.concatenate(([1.0], np.sort(lam)[::-1]))
+    return mutant
+
+
+@pytest.mark.parametrize("mutate", [_shift_one, _inverted_ratio])
+@pytest.mark.parametrize("experiment", ["spectral", "q4"])
+def test_wrong_closed_form_fails_the_run(tmp_path, capsys, monkeypatch, mutate,
+                                         experiment):
+    """The in-run moment check catches a closed form that is off by 1e-6
+    in one eigenvalue, or that inverts the importance ratio."""
+    monkeypatch.setattr(spectral, "mis_eigenvalues", mutate(spectral.mis_eigenvalues))
+    assert main([experiment, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "eelab: error: closed-form MIS spectrum disagrees with the kernel")
 
 
 class TestRatioExtremes:
