@@ -42,9 +42,9 @@ from .kernels import (
 )
 from .netpbm import read_pgm, write_label_pgm, write_overlay_ppm
 from .rng import RandomStream
-from .spectral import (Partition, coarsen, eigen_spectrum, mis_spectrum, ratio_extremes,
+from .spectral import (Partition, _owned_spectrum, coarsen, mis_spectrum, ratio_extremes,
                        tv_distance, with_mis_bounds)
-from .spectral import mis_gap_report  # noqa: F401 (benchmarks/spans.py wraps it here)
+from .spectral import eigen_spectrum, mis_gap_report  # noqa: F401 (spans.py wraps them)
 from .statespace import builtin_model, enumerate_distribution
 from .swcut import (
     GibbsSiteSampler,
@@ -342,24 +342,26 @@ def _kernel_reports(local, pi, q, alpha, prefix=""):
     kernel that proposes from q, and of their alpha-mixture, all
     targeting pi.
 
-    Each dense matrix is built once: the local and the MIS one each serve
-    their own report and then the mixture, formed in place with the
+    At most two dense matrices are held at once (not counting the copy
+    LAPACK makes). The local matrix is symmetrised in place for its
+    report. The MIS eigenvalues are Liu's closed form, checked against
+    the MIS matrix by row blocks (mis_spectrum). The mixture is then
+    formed in the MIS matrix from a rebuilt local one, with the
     arithmetic of MixtureKernel.exact_matrix (the constructor still
-    checks that the two components target the same law). The MIS
-    eigenvalues are Liu's closed form, checked against the matrix
-    (mis_spectrum); the local and mixture ones come from dense solves.
+    checks that the two components target the same law), and
+    symmetrised in place for its report.
     """
     jump = IndependenceKernel(pi, q)
     MixtureKernel(alpha, local, jump)
-    K_local = local.exact_matrix()
+    reports = {prefix + "local": _owned_spectrum(local.exact_matrix(), pi)}
     K = jump.exact_matrix()
-    reports = {prefix + "local": eigen_spectrum(K_local, pi),
-               prefix + "mis": with_mis_bounds(mis_spectrum(K, pi, q), pi, q)}
+    reports[prefix + "mis"] = with_mis_bounds(mis_spectrum(K, pi, q), pi, q)
     K *= 1.0 - alpha
+    K_local = local.exact_matrix()
     K_local *= alpha
     K += K_local
     del K_local
-    reports[prefix + "mixture"] = eigen_spectrum(K, pi)
+    reports[prefix + "mixture"] = _owned_spectrum(K, pi)
     return reports
 
 

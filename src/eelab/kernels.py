@@ -173,15 +173,20 @@ class RandomWalkKernel:
         return state, False
 
     def exact_matrix(self) -> np.ndarray:
+        """K[x, y] sums 1/m, times the acceptance probability, over x's m
+        slots that propose y, added slot by slot over all states at once;
+        the diagonal then takes the rest of each row."""
         n = self.model.size
         K = np.zeros((n, n))
-        for x in range(n):
-            m = len(self.moves[x])
-            for y, p in self.moves[x]:
-                if y is None:
-                    continue
-                K[x, y] += (1.0 if p is None else p) / m
-            K[x, x] += 1.0 - K[x].sum()
+        states = np.arange(n)
+        width = np.array([len(slots) for slots in self.moves], dtype=np.float64)
+        for k in range(int(width.max())):
+            col = [slots[k] if k < len(slots) else (None, None) for slots in self.moves]
+            y = np.array([-1 if t is None else t for t, _ in col], dtype=np.int64)
+            p = np.array([1.0 if a is None else a for _, a in col])
+            on = y >= 0
+            K[states[on], y[on]] += p[on] / width[on]
+        K[states, states] += 1.0 - K.sum(axis=1)
         return K
 
 
@@ -208,9 +213,10 @@ class IndependenceKernel:
         return self.target.probs
 
     def exact_matrix(self) -> np.ndarray:
-        q = self.proposal.probs
-        accept = np.minimum(1.0, np.exp(self._logw[None, :] - self._logw[:, None]))
-        K = q[None, :] * accept
+        K = np.subtract(self._logw[None, :], self._logw[:, None])
+        np.exp(K, out=K)
+        np.minimum(K, 1.0, out=K)
+        K *= self.proposal.probs[None, :]
         np.fill_diagonal(K, 0.0)
         np.fill_diagonal(K, 1.0 - K.sum(axis=1))
         return K

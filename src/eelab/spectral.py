@@ -32,6 +32,9 @@ SPECTRAL_CAP = 4096
 # SPECTRAL_CAP states was 1.0e-10 (4096-point double wells of depth 1-10,
 # random pairs), 2.2e-12 at 1001 states
 MIS_MOMENT_TOL = 1e-8
+# rows per strip of the blocked reversibility check, symmetrisation and
+# MIS moments: a strip of a 4096-state kernel is 2 MB
+BLOCK_ROWS = 64
 
 
 @dataclass
@@ -60,15 +63,19 @@ class SpectralReport:
         }
 
 
-def _symmetrised(K: np.ndarray, pi: FiniteDistribution | np.ndarray) -> np.ndarray:
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most BLOCK_ROWS rows covering 0..n-1."""
+    return [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
+
+
+def _checked_law(K: np.ndarray, pi: FiniteDistribution | np.ndarray) -> np.ndarray:
     """The checks eigen_spectrum makes of a kernel and its law: K is
     row-stochastic, at most SPECTRAL_CAP states, pi strictly positive and
     K reversible with respect to it (the worst violating pair is
-    reported). Returns the symmetrised S = D^(1/2) K D^(-1/2). Every check
-    is written so that a NaN fails it.
+    reported). Returns pi's probabilities and leaves K unchanged. Every
+    check is written so that a NaN fails it.
     """
     p = pi.probs if isinstance(pi, FiniteDistribution) else np.asarray(pi, float)
-    K = np.asarray(K, dtype=np.float64)
     check_transition_matrix(K, tol=1e-9)
     n = K.shape[0]
     if n > SPECTRAL_CAP:
@@ -78,26 +85,54 @@ def _symmetrised(K: np.ndarray, pi: FiniteDistribution | np.ndarray) -> np.ndarr
     if not np.all(p > 0):
         raise ConfigError("eigen_spectrum requires strictly positive pi")
 
-    # two n x n work arrays: F's buffer is reused for S, viol's for the
-    # symmetrised S; the arithmetic and its order are those of the plain
-    # expressions np.abs(F - F.T), s K / s and 0.5 (S + S.T)
-    F = p[:, None] * K
-    viol = F - F.T
-    np.abs(viol, out=viol)
-    err = viol.max()
+    # |F - F^T| with F = diag(pi) K, one strip of rows at a time; the worst
+    # pair is the first maximum in row-major order, as an argmax over the
+    # whole matrix would find it (a NaN stops the search)
+    err, worst = -np.inf, 0
+    for rows in _row_blocks(n):
+        viol = p[rows, None] * K[rows]
+        viol -= (p[:, None] * K[:, rows]).T
+        np.abs(viol, out=viol)
+        m = viol.max()
+        if not m <= err:
+            err, worst = m, rows.start * n + int(viol.argmax())
+            if np.isnan(m):
+                break
     if not err <= REVERSIBILITY_TOL:
-        x, y = np.unravel_index(int(viol.argmax()), viol.shape)
+        x, y = divmod(worst, n)
         raise ReversibilityError(
             f"kernel is not reversible: |pi(x)K(x,y) - pi(y)K(y,x)| = {err:.3e} "
             f"at pair ({x}, {y})"
         )
+    return p
 
+
+def _symmetrise(K: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Overwrite K by S = D^(1/2) K D^(-1/2), symmetrised as 0.5 (S + S^T).
+
+    The symmetric part is formed one strip of rows at a time from the
+    strip's diagonal block rightwards, and mirrored below the diagonal;
+    the arithmetic and its order are those of the plain expressions
+    s K / s and 0.5 (S + S^T), so the bits are too.
+    """
     s = np.sqrt(p)
-    S = np.multiply(s[:, None], K, out=F)
-    S /= s[None, :]
-    sym = np.add(S, S.T, out=viol)
-    sym *= 0.5
-    return sym
+    K *= s[:, None]
+    K /= s[None, :]
+    n = K.shape[0]
+    for rows in _row_blocks(n):
+        right = slice(rows.start, n)
+        sym = K[rows, right] + K[right, rows].T
+        sym *= 0.5
+        K[rows, right] = sym
+        K[right, rows] = sym.T
+    return K
+
+
+def _owned_spectrum(K: np.ndarray, pi: FiniteDistribution | np.ndarray) -> SpectralReport:
+    """eigen_spectrum of a float64 matrix that the caller owns and gives
+    up: K is checked, then overwritten by its symmetrised form."""
+    p = _checked_law(K, pi)
+    return _checked_report(np.linalg.eigvalsh(_symmetrise(K, p))[::-1])
 
 
 def _checked_report(vals: np.ndarray) -> SpectralReport:
@@ -121,7 +156,7 @@ def eigen_spectrum(
     rather than falling back to a complex eigensolver. Every check is
     written so that a NaN fails it.
     """
-    return _checked_report(np.linalg.eigvalsh(_symmetrised(K, pi))[::-1])
+    return _owned_spectrum(np.array(K, dtype=np.float64), pi)
 
 
 def mis_eigenvalues(pi: FiniteDistribution, q: FiniteDistribution) -> np.ndarray:
@@ -149,12 +184,24 @@ def mis_spectrum(K: np.ndarray, pi: FiniteDistribution,
     K passes every check eigen_spectrum makes, and the closed form is
     checked against K's symmetrised S, with which it shares no code: its
     sum must equal tr S and its sum of squares ||S||_F^2, each within
-    MIS_MOMENT_TOL, or NumericError is raised.
+    MIS_MOMENT_TOL, or NumericError is raised. S is formed one strip of
+    rows at a time, and K is left unchanged.
     """
-    S = _symmetrised(K, pi)
+    p = _checked_law(K, pi)
     vals = mis_eigenvalues(pi, q)
-    for moment, got, want in (("sum", vals.sum(), np.trace(S)),
-                              ("sum of squares", vals @ vals, np.vdot(S, S))):
+    s = np.sqrt(p)
+    trace = sumsq = 0.0
+    for rows in _row_blocks(K.shape[0]):
+        S = s[rows, None] * K[rows]
+        S /= s[None, :]
+        T = s[:, None] * K[:, rows]
+        T /= s[None, rows]
+        S += T.T
+        S *= 0.5
+        trace += np.trace(S, offset=rows.start)
+        sumsq += np.vdot(S, S)
+    for moment, got, want in (("sum", vals.sum(), trace),
+                              ("sum of squares", vals @ vals, sumsq)):
         if not abs(got - want) <= MIS_MOMENT_TOL:
             raise NumericError(
                 f"closed-form MIS spectrum disagrees with the kernel: eigenvalue "

@@ -50,7 +50,37 @@ def two_state_mis():
     return IndependenceKernel(pi, q)
 
 
+def loop_random_walk_matrix(kern):
+    """RandomWalkKernel.exact_matrix written as a loop over states and
+    their slots, in the order the matrix method adds them."""
+    n = kern.model.size
+    K = np.zeros((n, n))
+    for x in range(n):
+        m = len(kern.moves[x])
+        for y, p in kern.moves[x]:
+            if y is not None:
+                K[x, y] += (1.0 if p is None else p) / m
+        K[x, x] += 1.0 - K[x].sum()
+    return K
+
+
 class TestRandomWalk:
+    def test_exact_matrix_equals_the_loop_reference(self):
+        """Filled slot by slot over all states, the matrix keeps every bit
+        of the per-state loop, also where slots repeat a target, propose
+        the state itself, or differ in number between states."""
+        config = validate_config({"experiment": "spectral", "model": {"points": 201}})
+        model = config.build_model()
+        kernels = [RandomWalkKernel(model, lv) for lv in config.ladder.levels()]
+        kernels.append(RandomWalkKernel(builtin_model(
+            "potts_grid", width=2, height=2, labels=3, beta=0.7)))
+        h = np.random.default_rng(5).random(7)
+        ragged = EnergyModel("energy_table", h, lambda s: (
+            (s, (s + 1) % 7, (s + 1) % 7, None) if s % 2 else ((s + 3) % 7,)))
+        kernels.append(RandomWalkKernel(ragged, LEVEL0))
+        for kern in kernels:
+            assert loop_random_walk_matrix(kern).tobytes() == kern.exact_matrix().tobytes()
+
     def test_path_boundary_rejection(self):
         # 3-state path, uniform target: K(0,1) = 1/2, K(0,0) = 1/2
         m = builtin_model("energy_table", energies=[0.0, 0.0, 0.0])

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from eelab import spectral
 from eelab.cli import main
 from eelab.config import validate_config
 from eelab.errors import ConfigError, NumericError, ReversibilityError, ShapeError
-from eelab.experiments import run_experiment
+from eelab.experiments import _kernel_reports, run_experiment
 from eelab.kernels import IndependenceKernel, MixtureKernel, RandomWalkKernel
 from eelab.spectral import (
     Partition,
@@ -74,10 +75,11 @@ def double_well_kernels(points):
 
 class TestEigenSpectrum:
     def test_in_place_symmetrisation_is_bit_identical(self):
-        """Reusing two work arrays changes no bit of the eigenvalues.
-        Compared on one machine: LAPACK output differs across BLAS kernels."""
-        K, p = random_reversible(np.random.default_rng(67), 40)
-        cases = [(K, p)]
+        """Symmetrising one copy in place, by row blocks, changes no bit of
+        the eigenvalues. Compared on one machine: LAPACK output differs
+        across BLAS kernels."""
+        rng = np.random.default_rng(67)
+        cases = [random_reversible(rng, 40), random_reversible(rng, 300)]
         pi, _, kernels = double_well_kernels(101)
         cases += [(k.exact_matrix(), pi.probs) for k in kernels.values()]
         for K, p in cases:
@@ -85,9 +87,9 @@ class TestEigenSpectrum:
                                   plain_eigenvalues(K, p))
 
     def test_spectral_experiment_reports_are_bit_identical(self, tmp_path):
-        """The experiment builds each dense matrix once and forms the
-        mixture in place; its reports equal those of the kernels' own
-        exact matrices bit for bit (the MIS one through mis_spectrum)."""
+        """The experiment symmetrises its matrices in place and forms the
+        mixture in the MIS matrix; its reports equal those of the kernels'
+        own exact matrices bit for bit (the MIS one through mis_spectrum)."""
         config = validate_config({"experiment": "spectral", "model": {"points": 101}})
         out = run_experiment(config, out_dir=tmp_path / "spectral")
         with open(out / "spectral.json", encoding="utf-8") as fh:
@@ -123,6 +125,49 @@ class TestEigenSpectrum:
         with pytest.raises(ReversibilityError) as err:
             eigen_spectrum(K, pi)
         assert "pair" in str(err.value)
+
+    def test_names_the_worst_pair_past_the_first_row_block(self):
+        """The worst pair is named in global indices, the first of its two
+        mirror images in row-major order."""
+        K, p = random_reversible(np.random.default_rng(71), 300)
+        assert 180 > spectral.BLOCK_ROWS
+        K[250, 180] += 1e-3
+        K[250, 250] -= 1e-3
+        K[40, 7] += 1e-4  # a smaller violation in the first block
+        K[40, 40] -= 1e-4
+        for check in (lambda: eigen_spectrum(K, p),
+                      lambda: mis_spectrum(K, FiniteDistribution(p),
+                                           FiniteDistribution(p))):
+            with pytest.raises(ReversibilityError) as err:
+                check()
+            assert str(err.value).endswith("at pair (180, 250)")
+
+    def test_inputs_are_left_unchanged(self):
+        """eigen_spectrum works on a copy, and mis_spectrum reads its
+        matrix by row blocks; neither writes to its input."""
+        pi, q, kernels = double_well_kernels(301)
+        K_local = kernels["local"].exact_matrix()
+        K_mis = kernels["mis"].exact_matrix()
+        for K, run in ((K_local, lambda: eigen_spectrum(K_local, pi)),
+                       (K_mis, lambda: mis_spectrum(K_mis, pi, q))):
+            before = K.tobytes()
+            run()
+            assert K.tobytes() == before
+
+    def test_kernel_reports_hold_two_dense_arrays(self):
+        """The local, MIS and mixture reports of a 401-point well allocate
+        at most 2.5 n x n float64 arrays at their peak (LAPACK's own copy
+        is not traced); building the mixture beside both components and
+        symmetrising out of place took 4."""
+        pi, q, kernels = double_well_kernels(401)
+        n = len(pi)
+        tracemalloc.start()
+        try:
+            _kernel_reports(kernels["local"], pi, q, kernels["mixture"].alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8
 
     def test_rejects_a_nan_kernel_entry(self):
         K = np.array([[0.5, 0.5], [np.nan, 0.5]])
