@@ -31,6 +31,15 @@ from .statespace import (
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
+# rows per strip of the work done on a dense matrix a strip at a time (the
+# MIS diagonal, and spectral's checks and symmetrisation): a strip of a
+# 4096-state matrix is 2 MB
+BLOCK_ROWS = 64
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most BLOCK_ROWS rows covering 0..n-1."""
+    return [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +222,22 @@ class IndependenceKernel:
         return self.target.probs
 
     def exact_matrix(self) -> np.ndarray:
+        """K[x, y] = q(y) a(x, y) off the diagonal, with a the acceptance
+        probability, and K[x, x] the rejection mass
+        q(x) + sum_y q(y) (1 - a(x, y)), a sum of non-negative terms (the
+        y = x term is 0), so that no rounding makes it negative."""
+        q = self.proposal.probs
         K = np.subtract(self._logw[None, :], self._logw[:, None])
         np.exp(K, out=K)
         np.minimum(K, 1.0, out=K)
-        K *= self.proposal.probs[None, :]
-        np.fill_diagonal(K, 0.0)
-        np.fill_diagonal(K, 1.0 - K.sum(axis=1))
+        stay = np.empty(len(q))
+        for rows in row_blocks(len(q)):
+            rejected = np.subtract(1.0, K[rows])
+            rejected *= q[None, :]
+            stay[rows] = rejected.sum(axis=1)
+        stay += q
+        K *= q[None, :]
+        np.fill_diagonal(K, stay)
         return K
 
 

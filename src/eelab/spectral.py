@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (CapabilityError, ConfigError, NumericError, ReversibilityError,
                      ShapeError, SupportError)
-from .kernels import IndependenceKernel, check_transition_matrix
+from .kernels import IndependenceKernel, check_transition_matrix, row_blocks
 from .statespace import FiniteDistribution
 
 REVERSIBILITY_TOL = 1e-10
@@ -32,9 +32,6 @@ SPECTRAL_CAP = 4096
 # SPECTRAL_CAP states was 1.0e-10 (4096-point double wells of depth 1-10,
 # random pairs), 2.2e-12 at 1001 states
 MIS_MOMENT_TOL = 1e-8
-# rows per strip of the blocked reversibility check, symmetrisation and
-# MIS moments: a strip of a 4096-state kernel is 2 MB
-BLOCK_ROWS = 64
 
 
 @dataclass
@@ -63,11 +60,6 @@ class SpectralReport:
         }
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most BLOCK_ROWS rows covering 0..n-1."""
-    return [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
-
-
 def _checked_law(K: np.ndarray, pi: FiniteDistribution | np.ndarray) -> np.ndarray:
     """The checks eigen_spectrum makes of a kernel and its law: K is
     row-stochastic, at most SPECTRAL_CAP states, pi strictly positive and
@@ -89,7 +81,7 @@ def _checked_law(K: np.ndarray, pi: FiniteDistribution | np.ndarray) -> np.ndarr
     # pair is the first maximum in row-major order, as an argmax over the
     # whole matrix would find it (a NaN stops the search)
     err, worst = -np.inf, 0
-    for rows in _row_blocks(n):
+    for rows in row_blocks(n):
         viol = p[rows, None] * K[rows]
         viol -= (p[:, None] * K[:, rows]).T
         np.abs(viol, out=viol)
@@ -119,7 +111,7 @@ def _symmetrise(K: np.ndarray, p: np.ndarray) -> np.ndarray:
     K *= s[:, None]
     K /= s[None, :]
     n = K.shape[0]
-    for rows in _row_blocks(n):
+    for rows in row_blocks(n):
         right = slice(rows.start, n)
         sym = K[rows, right] + K[right, rows].T
         sym *= 0.5
@@ -191,7 +183,7 @@ def mis_spectrum(K: np.ndarray, pi: FiniteDistribution,
     vals = mis_eigenvalues(pi, q)
     s = np.sqrt(p)
     trace = sumsq = 0.0
-    for rows in _row_blocks(K.shape[0]):
+    for rows in row_blocks(K.shape[0]):
         S = s[rows, None] * K[rows]
         S /= s[None, :]
         T = s[:, None] * K[:, rows]

@@ -147,6 +147,16 @@ class TestIndependence:
         for row in K:
             np.testing.assert_allclose(row, pi.probs, atol=1e-15)
 
+    def test_diagonal_is_not_negative_on_a_deep_well(self):
+        """On the 41-point well of depth 30 a diagonal written as
+        1 - (row sum) rounds to -2.2e-16; the rejection mass cannot."""
+        config = validate_config({"experiment": "spectral", "model": {"depth": 30.0}})
+        model = config.build_model()
+        pi, q = (enumerate_distribution(model, lv) for lv in config.ladder.levels()[:2])
+        K = IndependenceKernel(pi, q).exact_matrix()
+        check_transition_matrix(K)
+        assert stationary_gap(K, pi.probs) <= 1e-12
+
     def test_self_proposal_mass_stays(self):
         pi = FiniteDistribution(np.array([0.6, 0.4]))
         q = FiniteDistribution(np.array([0.9, 0.1]))

@@ -10,7 +10,7 @@ from eelab.cli import main
 from eelab.config import validate_config
 from eelab.errors import ConfigError, NumericError, ReversibilityError, ShapeError
 from eelab.experiments import _kernel_reports, run_experiment
-from eelab.kernels import IndependenceKernel, MixtureKernel, RandomWalkKernel
+from eelab.kernels import BLOCK_ROWS, IndependenceKernel, MixtureKernel, RandomWalkKernel
 from eelab.spectral import (
     Partition,
     coarsen,
@@ -130,7 +130,7 @@ class TestEigenSpectrum:
         """The worst pair is named in global indices, the first of its two
         mirror images in row-major order."""
         K, p = random_reversible(np.random.default_rng(71), 300)
-        assert 180 > spectral.BLOCK_ROWS
+        assert 180 > BLOCK_ROWS
         K[250, 180] += 1e-3
         K[250, 250] -= 1e-3
         K[40, 7] += 1e-4  # a smaller violation in the first block
@@ -337,19 +337,22 @@ class TestMisEigenvalues:
         with pytest.raises(NumericError, match="closed-form MIS spectrum"):
             mis_spectrum(np.eye(4), pi, pi)
 
-    @pytest.mark.parametrize("experiment", ["spectral", "q4"])
-    def test_depth_40_well_runs(self, tmp_path, experiment):
+    @pytest.mark.parametrize("experiment, depth", [
+        ("spectral", 40.0), ("q4", 40.0), ("spectral", 30.0), ("q4", 30.0)],
+        ids=["spectral", "q4", "spectral-depth30", "q4-depth30"])
+    def test_depth_40_well_runs(self, tmp_path, experiment, depth):
         """The deepest default well whose pi stays positive: q/pi reaches
         ~1e67 and nothing overflows (the file also runs with
-        RuntimeWarning as an error)."""
+        RuntimeWarning as an error). At depth 30 a MIS diagonal written as
+        1 - (row sum) rounds to -2.2e-16 and fails the kernel checks."""
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"model": {"depth": 40.0}}))
+        path.write_text(json.dumps({"model": {"depth": depth}}))
         out = tmp_path / "out"
         assert main([experiment, "--config", str(path), "--out", str(out)]) == 0
         name = "spectral.json" if experiment == "spectral" else "spectral_reports.json"
         with open(out / name, encoding="utf-8") as fh:
             reports = json.load(fh)
-        for space, (pi, q) in q4_instances(depth=40.0).items():
+        for space, (pi, q) in q4_instances(depth=depth).items():
             key = "mis" if space == "fine" else "coarse_mis"
             if key in reports:
                 assert abs(reports[key]["lambda2"]
