@@ -18,12 +18,12 @@ import copy
 import json
 import math
 import operator
-import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, Optional
 
 from .eeladder import LadderConfig
 from .errors import CapabilityError, ConfigError
+from .netpbm import read_pgm
 from .spectral import SPECTRAL_CAP
 from .statespace import EnergyModel, LadderLevel, builtin_model
 from .swcut import RegionModelConfig
@@ -399,8 +399,11 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
     _require(exp not in ("q1", "q2") or model.size >= 4, "model",
              f"{exp} needs a model with >= 4 states, got {model.size}")
     image = cfg.segmentation.image
-    _require(exp != "segment" or image.kind != "pgm" or os.path.isfile(image.path),
-             "segmentation.image.path", f"no such file: {image.path!r}")
+    if exp == "segment" and image.kind == "pgm":
+        try:
+            read_pgm(image.path)  # a missing or malformed file is refused here
+        except (OSError, ConfigError) as exc:
+            raise ConfigError(f"segmentation.image.path: {exc}") from None
     cfg.ladder.levels()
     init = cfg.ladder.init_state
     _require(init is None or init < model.size, "ladder.init_state",

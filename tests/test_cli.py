@@ -169,14 +169,20 @@ NEEDS = [
      "segmentation.image.kind"),
     ("segment", {"segmentation": {"image": {"kind": "pgm", "path": "missing.pgm"}}},
      "segmentation.image.path"),
+    # a 2x2 P2 header with two samples: read at load, not in the run
+    ("segment", {"segmentation": {"image": {"kind": "pgm", "path": "bad.pgm"}}},
+     "segmentation.image.path"),
 ]
+NEEDS_IDS = [n[0] for n in NEEDS[:-1]] + ["segment-malformed"]
 
 
-@pytest.mark.parametrize("experiment,raw,key_path", NEEDS, ids=[n[0] for n in NEEDS])
-def test_experiment_needs_are_checked_at_load(tmp_path, capsys, experiment, raw,
-                                              key_path):
+@pytest.mark.parametrize("experiment,raw,key_path", NEEDS, ids=NEEDS_IDS)
+def test_experiment_needs_are_checked_at_load(tmp_path, capsys, monkeypatch,
+                                              experiment, raw, key_path):
     """What an experiment needs of the ladder, model or image is refused
     when the config is loaded, so no output directory is made."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.pgm").write_text("P2\n2 2\n255\n0 255\n")
     cfg = write_config(tmp_path, {"experiment": experiment, **raw})
     out = tmp_path / "out"
     assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 1
