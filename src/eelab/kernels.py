@@ -12,6 +12,7 @@ independence (MIS) and mixture kernels are exact matrices only.
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 import numpy as np
 
@@ -189,8 +190,7 @@ class RandomWalkKernel:
         K = np.zeros((n, n))
         states = np.arange(n)
         width = np.array([len(slots) for slots in self.moves], dtype=np.float64)
-        for k in range(int(width.max())):
-            col = [slots[k] if k < len(slots) else (None, None) for slots in self.moves]
+        for col in zip_longest(*self.moves, fillvalue=(None, None)):
             y = np.array([-1 if t is None else t for t, _ in col], dtype=np.int64)
             p = np.array([1.0 if a is None else a for _, a in col])
             on = y >= 0

@@ -7,9 +7,13 @@ obtained from a dense symmetric eigensolver. The independence-sampler
 takes it in place of the dense solve, after the kernel has passed every
 check eigen_spectrum makes, and checks it against the kernel's first two
 spectral moments; mis_gap_report keeps the dense solve as the reference.
-Either report records which of the candidate gap forms 1 - min pi/q and
-1 - min q/pi (if either) matches its second eigenvalue; it never asserts
-one of them.
+The checks, the symmetrisation and the MIS moments work on strips of
+BLOCK_ROWS rows. eigen_spectrum symmetrises one copy of its input in
+place, so it holds one n x n work array (LAPACK makes its own copy), and
+mis_spectrum holds none; the spectral experiments symmetrise the
+matrices they build with no copy at all. Either report records which
+of the candidate gap forms 1 - min pi/q and 1 - min q/pi (if either)
+matches its second eigenvalue; it never asserts one of them.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ EIGEN_RANGE_TOL = 1e-10
 BOUND_MATCH_TOL = 1e-9
 SPECTRAL_CAP = 4096
 # mis_spectrum's moment gaps grow with n: the largest measured up to
-# SPECTRAL_CAP states was 1.0e-10 (4096-point double wells of depth 1-10,
-# random pairs), 2.2e-12 at 1001 states
+# SPECTRAL_CAP states was 3.2e-11 (4096-point double wells of depth 1-10
+# and 40, random pairs), 3.3e-13 at 1001 states
 MIS_MOMENT_TOL = 1e-8
 
 
@@ -174,25 +178,17 @@ def mis_spectrum(K: np.ndarray, pi: FiniteDistribution,
     taken from mis_eigenvalues instead of a dense solve.
 
     K passes every check eigen_spectrum makes, and the closed form is
-    checked against K's symmetrised S, with which it shares no code: its
-    sum must equal tr S and its sum of squares ||S||_F^2, each within
-    MIS_MOMENT_TOL, or NumericError is raised. S is formed one strip of
-    rows at a time, and K is left unchanged.
+    checked against K, with which it shares no code: its sum must equal
+    tr K and its sum of squares tr K^2, each within MIS_MOMENT_TOL, or
+    NumericError is raised. K is similar to the symmetrised S, so these
+    are tr S and ||S||_F^2; tr K^2 = sum_xy K(x,y) K(y,x) is summed by
+    row strips, and K is left unchanged.
     """
-    p = _checked_law(K, pi)
+    K = np.asarray(K, dtype=np.float64)
+    _checked_law(K, pi)
     vals = mis_eigenvalues(pi, q)
-    s = np.sqrt(p)
-    trace = sumsq = 0.0
-    for rows in row_blocks(K.shape[0]):
-        S = s[rows, None] * K[rows]
-        S /= s[None, :]
-        T = s[:, None] * K[:, rows]
-        T /= s[None, rows]
-        S += T.T
-        S *= 0.5
-        trace += np.trace(S, offset=rows.start)
-        sumsq += np.vdot(S, S)
-    for moment, got, want in (("sum", vals.sum(), trace),
+    sumsq = sum(np.vdot(K[rows], K[:, rows].T) for rows in row_blocks(K.shape[0]))
+    for moment, got, want in (("sum", vals.sum(), np.trace(K)),
                               ("sum of squares", vals @ vals, sumsq)):
         if not abs(got - want) <= MIS_MOMENT_TOL:
             raise NumericError(
