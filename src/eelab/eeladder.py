@@ -23,6 +23,7 @@ deterministic and schedule-independent per level.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
@@ -175,6 +176,32 @@ class TraceSet:
         return np.bincount(states, minlength=n_states).astype(np.float64)
 
 
+def _code(state: int, move_type: int, accepted: int) -> int:
+    """A level-step's packed trace code: its state, move type and
+    acceptance in one int, 8 * state + 2 * move_type + accepted."""
+    return 8 * state + 2 * move_type + accepted
+
+
+def _step_table(moves, move_type: int) -> list:
+    """RandomWalkKernel.step as a table of one row per state x,
+    (m, slots, stay): stay is the code of staying at x, and slots holds a
+    (target, acceptance, code on moving) triple for each of x's m neighbor
+    slots, then a copy of the last one, which a draw int(u * m) == m picks
+    as RandomStream.randint's guard does. An out-of-range slot is
+    (x, None, stay): the chain stays without drawing a uniform and records
+    a rejection. Codes are made once here, so the chain appends them
+    without making an int."""
+    moved = [_code(y, move_type, 1) for y in range(len(moves))]
+    table = []
+    for x, neighbors in enumerate(moves):
+        stay = _code(x, move_type, 0)
+        slots = [(x, None, stay) if y is None else (y, p, moved[y])
+                 for y, p in neighbors]
+        slots.append(slots[-1])
+        table.append((len(neighbors), tuple(slots), stay))
+    return table
+
+
 def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
                reuse: Optional[TraceSet] = None) -> TraceSet:
     """Run every level's chain, top level first, each to completion.
@@ -192,6 +219,16 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
     parallel schedule, where every level advances once per macro step,
     level i at step t reads the records the upper level made at its steps
     <= t, a prefix of each pool.
+
+    A level-step is table lookups and one append. Before a level runs,
+    its local move becomes a step table (_step_table), one for a plain
+    local move and one for a jump's fallback, and a jump's codes are
+    listed by state. Each step appends one packed code, 8 * state +
+    2 * move type + accepted, an int made once in those tables, so the
+    loop keeps 8 bytes per step and makes no int. After the loop the
+    codes become the trace's int64 states and its int8 move types and
+    acceptance flags. A restricted pool holds its records' flat indices
+    in an array('q'), 8 bytes per record.
 
     The top level never jumps, so its trace depends only on the model,
     the seed, the top level (whose index, the level count minus one,
@@ -226,9 +263,12 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
     # the upper level has taken its steps <= t (parallel) or all of them
     # (serial), so a jump sees the records with flat index <= t + lag.
     lag = (n_steps if serial else 0) - burn_in
-    # a step's trace code is 2 * move type + accepted
-    local, jump, fallback = 2 * MOVE_LOCAL, 2 * MOVE_JUMP, 2 * MOVE_JUMP_FALLBACK
     n_rings = len(boundaries) + 1
+    # the codes a jump appends, for the levels that jump: accepted, by its
+    # target, and refused, by the state it stays at
+    jumping = range(model.size if K > 1 and p_jump else 0)
+    jumped = [_code(y, MOVE_JUMP, 1) for y in jumping]
+    refused = [_code(x, MOVE_JUMP, 0) for x in jumping]
     traces = []
     for i in range(K - 1, -1, -1):
         if shared and i == K - 1:
@@ -243,7 +283,8 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
                 rings = ring_of[recorded]
                 masks = [rings == j for j in range(n_rings)]
                 pools = [recorded[m].tolist() for m in masks]
-                pool_index = [np.flatnonzero(m).tolist() for m in masks]
+                pool_index = [array("q", np.flatnonzero(m).astype(np.int64).tobytes())
+                              for m in masks]
             else:
                 pools = [recorded.tolist()] * n_rings
                 pool_index = [range(len(recorded))] * n_rings
@@ -251,35 +292,46 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
         uniform = rngs[i].uniform
         moves = RandomWalkKernel(model, config.levels[i]).moves
         jumps = p_jump if i < K - 1 else 0.0
+        local = _step_table(moves, MOVE_LOCAL)
+        fallback = _step_table(moves, MOVE_JUMP_FALLBACK) if jumps else None
         lo = logd[i]
         hi = logd[i + 1] if jumps else None  # None: this level never jumps
-        visited, codes = [], []
+        codes = []
+        append = codes.append
         for t in range(n_steps):
-            code = local
+            table = local
             if jumps and uniform() < jumps:
                 ring = ring_list[x]
                 visible = bisect_right(pool_index[ring], t + lag)
+                if visible:  # uniform over the visible records
+                    j = int(uniform() * visible)
+                    y = pools[ring][visible - 1 if j == visible else j]
+                    logr = (lo[y] + hi[x]) - (lo[x] + hi[y])
+                    if logr >= 0.0 or uniform() < math.exp(logr):
+                        x = y
+                        append(jumped[y])
+                    else:
+                        append(refused[x])
+                    continue
                 # an empty pool draws no uniform, so its fallback is
                 # bit-identical to a plain local move
-                code = jump if visible else fallback
-            if code == jump:  # uniform over the visible records
-                j = int(uniform() * visible)
-                y = pools[ring][visible - 1 if j == visible else j]
-                logr = (lo[y] + hi[x]) - (lo[x] + hi[y])
-                if logr >= 0.0 or uniform() < math.exp(logr):
-                    x, code = y, code + 1
-            else:  # RandomWalkKernel.step on its move table
-                slots = moves[x]
-                m = len(slots)
-                j = int(uniform() * m)
-                y, p = slots[m - 1 if j == m else j]
-                if y is not None and (p is None or uniform() < p):
-                    x, code = y, code + 1
-            visited.append(x)
-            codes.append(code)
-        codes = np.asarray(codes, dtype=np.int8)
-        traces.append(LevelTrace(i, np.asarray(visited, dtype=np.int64),
-                                 codes >> 1, codes & 1))
+                table = fallback
+            # RandomWalkKernel.step on the state's row of the step table
+            m, slots, stay = table[x]
+            y, p, code = slots[int(uniform() * m)]
+            if p is None or uniform() < p:
+                x = y
+                append(code)
+            else:
+                append(stay)
+        states = np.array(codes, dtype=np.int64)
+        del codes
+        kinds = states.astype(np.int8)  # the low byte holds the low 3 bits
+        kinds &= 7
+        accepted = kinds & 1
+        kinds >>= 1
+        states >>= 3
+        traces.append(LevelTrace(i, states, kinds, accepted))
     return TraceSet(traces[::-1], burn_in, cap, boundaries, ring_of, source)
 
 

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
 import pytest
 
+from eelab import rng as rng_module
+from eelab.config import validate_config
 from eelab.eeladder import (
     MOVE_JUMP,
     MOVE_JUMP_FALLBACK,
@@ -317,14 +320,10 @@ def interleaved_run(model, cfg, seed):
 STEPS = 200
 
 
-@pytest.mark.parametrize("n_levels", [1, 2, 3])
-@pytest.mark.parametrize("jump_mode", ["restricted", "unrestricted"])
-@pytest.mark.parametrize("schedule", ["parallel", "serial"])
-def test_run_matches_interleaved_reference(schedule, jump_mode, n_levels):
-    """Every trace column and every ledger equals the step-by-step
-    reference, whatever the cap, burn-in and jump probability."""
-    model = two_mode_model()
-    levels = geometric_ladder(n_levels, ratio=4.0, h_min=0.5, dh=0.5)
+def assert_matches_reference(model, levels, schedule, jump_mode):
+    """Every trace column and every ledger of run_ladder equals the
+    step-by-step reference, whatever the cap, burn-in and jump
+    probability."""
     seed = 0
     for max_records in (None, 0, 1, 300):
         for burn_in in (0, 60, STEPS + 40):
@@ -346,6 +345,75 @@ def test_run_matches_interleaved_reference(schedule, jump_mode, n_levels):
                     assert led.records.tolist() == flat, case
                     assert [led.records[led.rings == j].tolist()
                             for j in range(led.n_rings)] == rings, case
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 3])
+@pytest.mark.parametrize("jump_mode", ["restricted", "unrestricted"])
+@pytest.mark.parametrize("schedule", ["parallel", "serial"])
+def test_run_matches_interleaved_reference(schedule, jump_mode, n_levels):
+    levels = geometric_ladder(n_levels, ratio=4.0, h_min=0.5, dh=0.5)
+    assert_matches_reference(two_mode_model(), levels, schedule, jump_mode)
+
+
+def edge_blocks(gen):
+    """rng._blocks with every 61st uniform replaced by 1.0: the value that
+    a draw of int(u * m) guards against, as it maps to m. No double below
+    1 does (u * m rounds below m), so a [0, 1) stream never reaches it."""
+    while True:
+        block = gen.random(rng_module._BUF).tolist()
+        block[::61] = [1.0] * len(block[::61])
+        yield block
+
+
+WIDE_AND_STEEP = {
+    # 8 neighbor slots per state
+    "potts_2x2": (builtin_model("potts_grid", width=2, height=2, labels=3, beta=0.6),
+                  -2.0),
+    # uphill steps of 800 and more: level 0's acceptance underflows to 0.0,
+    # and the move still draws its uniform
+    "steep": (builtin_model("energy_table", energies=[
+        0.0, 800.0, 1.0, 1700.0, 0.25, 2.0, 900.0, 0.0, 1.5, 850.0]), 0.0),
+}
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 3])
+@pytest.mark.parametrize("jump_mode", ["restricted", "unrestricted"])
+@pytest.mark.parametrize("schedule", ["parallel", "serial"])
+@pytest.mark.parametrize("name", list(WIDE_AND_STEEP))
+def test_run_matches_interleaved_reference_on_wide_and_steep_models(
+        monkeypatch, name, schedule, jump_mode, n_levels):
+    """The step table is RandomWalkKernel.step: on states with many slots,
+    on an acceptance of exactly 0.0, and where a draw picks one past the
+    last slot (or the last visible record)."""
+    model, h_min = WIDE_AND_STEEP[name]
+    levels = geometric_ladder(n_levels, ratio=4.0, h_min=h_min, dh=0.5)
+    moves = RandomWalkKernel(model, levels[0]).moves
+    if name == "potts_2x2":
+        assert {len(slots) for slots in moves} == {8}
+    else:
+        assert 0.0 in [p for slots in moves for _, p in slots]
+    monkeypatch.setattr(rng_module, "_blocks", edge_blocks)
+    assert_matches_reference(model, levels, schedule, jump_mode)
+
+
+def test_run_ladder_peak_memory_per_level_step():
+    """A default-sized two-level restricted parallel run peaks at no more
+    than 36 bytes per level-step: one list of pre-made packed codes, then
+    the int64 states and two int8 columns. A list of states beside a list
+    of codes took about 46."""
+    cfg = validate_config({"experiment": "run"})
+    model, ladder = cfg.build_model(), cfg.ladder.build()
+    assert (ladder.n_levels, ladder.jump_mode, ladder.schedule) == (
+        2, "restricted", "parallel")
+    tracemalloc.start()
+    try:
+        ts = run_ladder(model, ladder, cfg.seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * ladder.n_levels * ladder.n_steps
+    assert [(tr.states.dtype, tr.move_types.dtype, tr.accepted.dtype)
+            for tr in ts.levels] == [(np.int64, np.int8, np.int8)] * 2
 
 
 def assert_same_run(ts, fresh):
