@@ -26,7 +26,7 @@ from .errors import CapabilityError, ConfigError
 from .netpbm import read_pgm
 from .spectral import SPECTRAL_CAP
 from .statespace import EnergyModel, LadderLevel, builtin_model
-from .swcut import RegionModelConfig
+from .swcut import Image, RegionModelConfig
 
 EXPERIMENTS = (
     "run", "spectral", "segment", "q1", "q2", "q3", "q4", "swcut_vs_gibbs",
@@ -266,10 +266,21 @@ class ImageSection:
     layout: str = _leaf("str", "halves", choices=("halves", "disk"))
     image_seed: int = _leaf("int", 0, ge=0)
     path: Optional[str] = _leaf("str", None, nullable=True)
+    # (path, image) of the last read_pgm; not a field, so to_dict and ==
+    # ignore it
+    _read = None
 
     def _check_across(self, path: str, given: dict) -> None:
         if self.kind == "pgm":
             _require(bool(self.path), f"{path}.path", "required for kind 'pgm'")
+
+    def pgm_image(self) -> Image:
+        """The image the pgm file at path holds. validate_config reads it
+        for a segment run, and later calls return that image until path
+        changes, so the run does not parse the file a second time."""
+        if self._read is None or self._read[0] != self.path:
+            self._read = (self.path, read_pgm(self.path))
+        return self._read[1]
 
 
 @dataclass
@@ -401,7 +412,7 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
     image = cfg.segmentation.image
     if exp == "segment" and image.kind == "pgm":
         try:
-            read_pgm(image.path)  # a missing or malformed file is refused here
+            image.pgm_image()  # a missing or malformed file is refused here
         except (OSError, ConfigError) as exc:
             raise ConfigError(f"segmentation.image.path: {exc}") from None
     cfg.ladder.levels()

@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .eeladder import (
+    MOVE_JUMP_FALLBACK,
     MOVE_NAMES,
     empirical_jump_chain_matrix,
     idealized_jump_matrix,
@@ -40,7 +41,7 @@ from .kernels import (
     stationary_distribution,
     stationary_gap,
 )
-from .netpbm import read_pgm, write_label_pgm, write_overlay_ppm
+from .netpbm import write_label_pgm, write_overlay_ppm
 from .rng import RandomStream
 from .spectral import (Partition, _owned_spectrum, coarsen, mis_spectrum, ratio_extremes,
                        tv_distance, with_mis_bounds)
@@ -235,7 +236,7 @@ def _ladder_runs(config, model, variations, out: Path):
                                      _first_passage(states[warm:], target)))
             rows["final_tvs"].append(curve[-1][1])
             moves = ts.levels[0].move_types
-            rows["fallback_shares"].append(float((moves == 2).mean()))
+            rows["fallback_shares"].append(float((moves == MOVE_JUMP_FALLBACK).mean()))
     summary = {}
     for label, _, _, rows in arms:
         passages = [fp for _, _, fp, _ in rows["passages"] if fp >= 0]
@@ -439,7 +440,7 @@ def exp_q4(config: ExperimentConfig, out: Path) -> None:
 def _build_image(config: ExperimentConfig):
     img_cfg = config.segmentation.image
     if img_cfg.kind == "pgm":
-        return read_pgm(img_cfg.path), None
+        return img_cfg.pgm_image(), None
     image, truth = make_two_region_image(
         img_cfg.width, img_cfg.height,
         means=tuple(img_cfg.means[:2]),

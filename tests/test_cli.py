@@ -6,12 +6,14 @@ from itertools import chain, repeat
 import numpy as np
 import pytest
 
-from eelab import experiments, kernels
+from eelab import config as config_module
+from eelab import experiments, kernels, netpbm
 from eelab.cli import main
 from eelab.config import load_config, validate_config
 from eelab.eeladder import MOVE_JUMP_FALLBACK, MOVE_NAMES, LadderConfig, run_ladder
 from eelab.errors import ConfigError
 from eelab.experiments import write_trace_csv
+from eelab.netpbm import write_pgm
 from eelab.spectral import SPECTRAL_CAP
 from eelab.statespace import builtin_model, geometric_ladder
 
@@ -188,6 +190,26 @@ def test_experiment_needs_are_checked_at_load(tmp_path, capsys, monkeypatch,
     assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"eelab: config error: {key_path}: ")
     assert not out.exists()
+
+
+def test_segment_reads_its_pgm_image_once(tmp_path, monkeypatch):
+    """The image validate_config reads is the one the run segments: one
+    eelab segment run on a pgm parses the file once."""
+    gray = np.where(np.arange(8)[None, :] < 4, 64.0, 192.0) * np.ones((6, 1))
+    write_pgm(tmp_path / "in.pgm", gray)
+    read_pgm, calls = netpbm.read_pgm, []
+
+    def spy(path):
+        calls.append(path)
+        return read_pgm(path)
+
+    for module in (netpbm, config_module, experiments):
+        if hasattr(module, "read_pgm"):
+            monkeypatch.setattr(module, "read_pgm", spy)
+    cfg = write_config(tmp_path, {"experiment": "segment", "segmentation": {
+        "image": {"kind": "pgm", "path": str(tmp_path / "in.pgm")}, "sweeps": 1}})
+    assert main(["segment", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [str(tmp_path / "in.pgm")]
 
 
 @pytest.mark.parametrize("raw,extra,key_path", MALFORMED,
