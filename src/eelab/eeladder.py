@@ -187,10 +187,12 @@ def _step_table(moves, move_type: int) -> list:
     (m, slots, stay): stay is the code of staying at x, and slots holds a
     (target, acceptance, code on moving) triple for each of x's m neighbor
     slots, then a copy of the last one, which a draw int(u * m) == m picks
-    as RandomStream.randint's guard does. An out-of-range slot is
-    (x, None, stay): the chain stays without drawing a uniform and records
-    a rejection. Codes are made once here, so the chain appends them
-    without making an int."""
+    as RandomStream.randint's guard does. Only a stream that yields
+    exactly 1.0 makes that draw (int(u * m) < m for every double u < 1 and
+    m < 2**53), such as edge_blocks in tests/test_eeladder.py. An
+    out-of-range slot is (x, None, stay): the chain stays without drawing
+    a uniform and records a rejection. Codes are made once here, so the
+    chain appends them without making an int."""
     moved = [_code(y, move_type, 1) for y in range(len(moves))]
     table = []
     for x, neighbors in enumerate(moves):
@@ -305,6 +307,7 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
                 visible = bisect_right(pool_index[ring], t + lag)
                 if visible:  # uniform over the visible records
                     j = int(uniform() * visible)
+                    # j == visible only on a stream yielding exactly 1.0
                     y = pools[ring][visible - 1 if j == visible else j]
                     logr = (lo[y] + hi[x]) - (lo[x] + hi[y])
                     if logr >= 0.0 or uniform() < math.exp(logr):

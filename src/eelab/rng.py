@@ -76,4 +76,7 @@ class RandomStream:
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         j = int(self.uniform() * n)
-        return n - 1 if j == n else j  # guard the u ~ 1 rounding edge
+        # no rounding reaches n: int(u * n) < n for every double u < 1 and
+        # n < 2**53, so the guard acts only on a stream that yields exactly
+        # 1.0, such as edge_blocks in tests/test_eeladder.py
+        return n - 1 if j == n else j

@@ -337,30 +337,36 @@ def _components(
     return comps
 
 
-def _component_roots(width: int, height: int, on: np.ndarray) -> np.ndarray:
-    """Each pixel's component root -- the smallest pixel of its component
-    -- under the on-bonds (a mask over lattice_edges), by Shiloach &
-    Vishkin's hook-and-shortcut scheme over row runs: each round hooks
-    roots across the pairs of runs that vertical bonds join, jumps
-    pointers to a fixed point and keeps the pairs whose roots still
-    differ. Parent <= pixel throughout, so each root is its component's
-    minimum. At 32x32 numpy's per-call overhead is most of the cost, so a
-    round is a handful of whole-array calls."""
-    n = width * height
-    n_h = height * (width - 1)
-    # horizontal bonds join row runs; each pixel starts at its run's start
-    start = np.ones((height, width), dtype=bool)
-    start[:, 1:] = ~on[:n_h].reshape(height, width - 1)
-    root = np.maximum.accumulate(np.where(start.reshape(-1), np.arange(n), 0))
-    # vertical bond n_h + a joins pixel a's run to the run below; it joins
-    # the same two runs as bond a - 1 when that is on and neither pixel
-    # starts a run, and is dropped
-    v = on[n_h:].reshape(height - 1, width)
+def _run_roots(start: np.ndarray, bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row runs and their components under vertical bonds.
+
+    start (h x w, bool) marks each pixel that begins a row run: all of
+    column 0, and every pixel not bonded to its left neighbour. bonds
+    ((h - 1) x w, bool) marks the vertical bonds, bonds[r, c] joining
+    pixel (r, c) to (r + 1, c). Returns each pixel's run id (the runs
+    numbered 0, 1, ... in pixel order) and each run's root, the smallest
+    run id of its component, whose first pixel is the component's
+    smallest pixel.
+
+    The runs are merged by Shiloach & Vishkin's hook-and-shortcut scheme:
+    each round hooks roots across the pairs of runs that vertical bonds
+    join, jumps pointers to a fixed point and keeps the pairs whose roots
+    still differ. Parent <= run throughout, so each root is its
+    component's minimum. At 32x32 numpy's per-call overhead is most of
+    the cost, so a round is a handful of whole-array calls over the runs
+    (a few hundred), not the pixels."""
+    width = start.shape[1]
+    run = np.cumsum(start.reshape(-1))
+    run -= 1
+    # bond (r, c) joins the same two runs as bond (r, c - 1) when that is
+    # on and neither of its pixels starts a run, and is dropped; for bools
+    # a >= b is a | ~b
     keep = start[:-1] | start[1:]
-    keep[:, 1:] |= ~v[:, :-1]
-    keep &= v
+    np.greater_equal(keep[:, 1:], bonds[:, :-1], out=keep[:, 1:])
+    keep &= bonds
     a = keep.reshape(-1).nonzero()[0]
-    pairs = root.take((a, a + width))
+    pairs = run.take((a, a + width))
+    root = np.arange(run[-1] + 1)
     while pairs.shape[1]:
         # each pair both ways round: the larger root takes the smallest
         # root it meets, the smaller one keeps itself
@@ -372,7 +378,7 @@ def _component_roots(width: int, height: int, on: np.ndarray) -> np.ndarray:
             root = up
         pairs = root.take(pairs)
         pairs = pairs.compress(pairs[0] != pairs[1], axis=1)
-    return root
+    return run, root
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +407,13 @@ class RegionLikelihood:
     diagonal (collinear pixels, a zero design column) is refit with lstsq
     on its pixels, which keeps lstsq's min-norm SSR where rank is in doubt.
 
-    The statistics describe a private copy of the labels last seen. The
-    samplers accept any label array, so one that differs from that copy
-    (changed by anything but commit) triggers a rebuild.
+    The statistics describe one label array, the last one seen. reset(lab)
+    rebuilds them from lab; a delta call or region_ssrs on an array object
+    other than the last one seen resets by itself, so a fresh array needs
+    no call. The array's contents are not compared: a caller that changes
+    the tracked array in place by anything but a move it commits must call
+    reset before the next delta. commit records a move that the caller has
+    written into the array.
     """
 
     def __init__(self, image: Image, n_labels: int, cfg: RegionModelConfig):
@@ -422,9 +432,9 @@ class RegionLikelihood:
         self.lik = None
         design = _poly_design(image.width, image.height, cfg.order)
         self._z = np.column_stack([design, image.flat])
+        # each pixel's own Gram matrix, for single-site deltas
+        self._outer = self._z[:, :, None] * self._z[:, None, :]
         p = design.shape[1]
-        # row k: the moved pixels leave label k + 1 and join every other label
-        self._signs = 1.0 - 2.0 * np.eye(n_labels)
         self._labels: Optional[np.ndarray] = None
         self._gram = np.zeros((n_labels, p + 1, p + 1))
         self._ssr = [0.0] * n_labels
@@ -437,7 +447,9 @@ class RegionLikelihood:
         """Log-likelihood change of relabeling the pixels v0 (all labeled
         l_cur) to each label 1..L; the entry of l_cur is 0."""
         if self.lik is None:
-            return self._poly_deltas(lab, np.asarray(v0), l_cur)
+            v0 = np.asarray(v0)
+            z = self._z[v0]
+            return self._poly_deltas(lab, v0, l_cur, z.T @ z)
         L = self.n_labels
         if len(v0) <= 32:
             rows = self._lik_rows
@@ -456,39 +468,45 @@ class RegionLikelihood:
         shared by all labels."""
         if self.lik is not None:
             return self._lik_rows[i]
-        return self._poly_deltas(lab, i, int(lab[i]))
+        return self._poly_deltas(lab, i, int(lab[i]), self._outer[i])
 
-    def commit(self, pixels, l_new: int) -> None:
-        """Record that the pixels of the last delta call now carry l_new."""
+    def commit(self, l_new: int) -> None:
+        """Record that the pixels of the last delta call now carry l_new,
+        as the caller has written them into the tracked array."""
         if self.lik is None and self._pending[0] != l_new - 1:
             k, gram, ssr = self._pending
             for c in (k, l_new - 1):
                 self._gram[c] = gram[c]
                 self._ssr[c] = ssr[c]
-            self._labels[pixels] = l_new
+
+    def reset(self, lab: np.ndarray) -> None:
+        """Rebuild the statistics from lab, the array later calls track."""
+        if self.lik is not None:
+            return
+        self._labels = lab
+        for c in range(self.n_labels):
+            z = self._z[lab == c + 1]
+            self._gram[c] = z.T @ z
+        self._ssr = self._ssrs(self._gram)
 
     # -- poly_fit ------------------------------------------------------------
 
     def region_ssrs(self, lab: np.ndarray) -> np.ndarray:
         """Residual sum of squares of each label's region under lab."""
-        self._sync(lab)
+        if lab is not self._labels:
+            self.reset(lab)
         return np.array(self._ssr)
 
-    def _sync(self, lab: np.ndarray) -> None:
-        if self._labels is not None and np.array_equal(self._labels, lab):
-            return
-        self._labels = np.array(lab, copy=True)
-        for c in range(self.n_labels):
-            z = self._z[self._labels == c + 1]
-            self._gram[c] = z.T @ z
-        self._ssr = self._ssrs(self._gram)
-
-    def _poly_deltas(self, lab: np.ndarray, pixels, l_cur: int) -> list[float]:
-        self._sync(lab)
-        z = self._z[pixels]
-        gram = z[:, None] * z if z.ndim == 1 else z.T @ z
+    def _poly_deltas(self, lab: np.ndarray, pixels, l_cur: int,
+                     outer: np.ndarray) -> list[float]:
+        """Log-likelihood changes of moving pixels, whose Gram matrix
+        is outer, from label l_cur to each label."""
+        if lab is not self._labels:
+            self.reset(lab)
+        # the moved pixels leave label k + 1 and join every other label
         k = l_cur - 1
-        cand = self._gram + self._signs[k][:, None, None] * gram
+        cand = self._gram + outer
+        np.subtract(self._gram[k], outer, out=cand[k])
         ssr = self._ssrs(cand, pixels, k)
         self._pending = (k, cand, ssr)
         old, two_var = self._ssr, 2.0 * self.sigma ** 2
@@ -554,10 +572,13 @@ def _draw_label(logw: list[float], rng: RandomStream) -> int:
 
 # Lattices of at most this many pixels form clusters with the scalar
 # union-find, where numpy's per-call overhead costs more than the array
-# passes save. Timed per move on 2 vCPUs, the paths break even between
-# 9x9 and 10x10 (the vector path is 1.1-1.4x slower at 8x8, 1.3x faster
-# at 12x12 and 1.9x at 16x16), so lattices up to 9x9 stay scalar.
-_SCALAR_MAX_PIXELS = 81
+# passes save. Timed per move on 2 vCPUs (median vector/scalar ratio of
+# interleaved rounds, threshold and random init), the paths break even
+# near 11x11 with fixed means (1.05-1.09 at 10x10, 0.95-0.97 at 11x11,
+# 0.86 at 12x12, 0.6 at 16x16) and near 12x12 with poly_fit order 1
+# (1.01-1.17 at 11x11, 0.99-1.02 at 12x12), so lattices up to 11x11 stay
+# scalar.
+_SCALAR_MAX_PIXELS = 121
 
 # Largest state space of GibbsSiteSampler.exact_matrix (128 MB of matrix)
 _EXACT_MAX_STATES = 4096
@@ -572,13 +593,17 @@ class SwCutSampler:
 
     A move draws a bond for every same-label lattice edge and groups the
     whole field, because the uniform pick needs the number of clusters.
-    Above _SCALAR_MAX_PIXELS pixels the grouping is _component_roots'
-    hook-and-jump rounds over the pairs of row runs the vertical bonds
-    join, the uniform pick finds the roots against one pixel-index array
-    built here, and the cut sums of a cluster of more than 32 pixels are
-    one bincount; smaller lattices keep the scalar union-find and loops.
-    Both paths give the same cluster, member order and float sums, so
-    every draw and result is identical.
+    Above _SCALAR_MAX_PIXELS pixels the grouping works in run space: the
+    move compares 2-D views of the labels and of the bond uniforms against
+    p into buffers made here, marking where row runs start and which
+    vertical bonds are on; _run_roots numbers the runs and merges them by
+    hook-and-jump rounds over the pairs of runs those bonds join. The
+    cluster is picked among the root runs (a few hundred at 32x32, against
+    1024 pixels), only its runs are mapped back to pixels, and its cut
+    sums are one bincount when it has more than 32 pixels. Smaller
+    lattices keep the scalar union-find and loops. Both paths give the
+    same cluster, member order and float sums, so every draw and result
+    is identical.
     """
 
     def __init__(
@@ -615,6 +640,17 @@ class SwCutSampler:
         self._in_v0 = [False] * self.n
         self._vector = self.n > _SCALAR_MAX_PIXELS
         self._pixels = np.arange(self.n)
+        # the vector path's buffers, and p's horizontal and vertical edges
+        # as 2-D views (a row-major edge k maps onto them as lattice_edges
+        # numbers it)
+        w, h = image.width, image.height
+        self._n_h = n_h = h * (w - 1)
+        self._p_h = self.p[:n_h].reshape(h, w - 1)
+        self._p_v = self.p[n_h:].reshape(h - 1, w)
+        self._start = np.ones((h, w), dtype=bool)
+        self._off_h = np.empty((h, w - 1), dtype=bool)
+        self._bonds = np.empty((h - 1, w), dtype=bool)
+        self._on_v = np.empty((h - 1, w), dtype=bool)
         self.likelihood = RegionLikelihood(image, n_labels, region_cfg)
 
     # -- one cluster move ----------------------------------------------------
@@ -625,11 +661,11 @@ class SwCutSampler:
         Returns the log posterior change. The new label is drawn from
         the candidate weights and always accepted.
         """
-        same = labels[self.ei] == labels[self.ej]
-        on = same & (rng.uniforms(len(self.ei)) < self.p)
+        u = rng.uniforms(len(self.ei))
         if self._vector:
-            v0, cut_log, cut_count = self._pick_vector(labels, on, rng)
+            v0, cut_log, cut_count = self._pick_vector(labels, u, rng)
         else:
+            on = (labels[self.ei] == labels[self.ej]) & (u < self.p)
             comps = _components(self.n, self.ei, self.ej, on)
             if self.cluster_pick == "uniform":
                 v0 = comps[rng.randint(len(comps))]
@@ -657,17 +693,32 @@ class SwCutSampler:
 
         if l_new != l_cur:
             labels[np.asarray(v0)] = l_new
-            self.likelihood.commit(v0, l_new)
+            self.likelihood.commit(l_new)
         return float(dpost)
 
-    def _pick_vector(self, lab: np.ndarray, on: np.ndarray, rng: RandomStream):
-        """The picked cluster and its cut sums, from component roots."""
-        root = _component_roots(self.image.width, self.image.height, on)
+    def _pick_vector(self, lab: np.ndarray, u: np.ndarray, rng: RandomStream):
+        """The picked cluster and its cut sums, under the bonds the edge
+        uniforms u draw (edge k is on when its pixels agree and
+        u[k] < p[k]), grouped in run space."""
+        h, w, n_h = self.image.height, self.image.width, self._n_h
+        lab2 = lab.reshape(h, w)
+        start, bonds = self._start, self._bonds
+        # a pixel starts a row run unless it bonds to its left neighbour;
+        # column 0 stays True from __init__
+        np.not_equal(lab2[:, 1:], lab2[:, :-1], out=start[:, 1:])
+        np.greater_equal(u[:n_h].reshape(h, w - 1), self._p_h, out=self._off_h)
+        np.logical_or(start[:, 1:], self._off_h, out=start[:, 1:])
+        np.equal(lab2[1:], lab2[:-1], out=bonds)
+        np.less(u[n_h:].reshape(h - 1, w), self._p_v, out=self._on_v)
+        bonds &= self._on_v
+        run, root = _run_roots(start, bonds)
+        # pick a root run; only the picked cluster is mapped to pixels
         if self.cluster_pick == "uniform":
-            roots = (root == self._pixels).nonzero()[0]
-            in_v0 = root == roots[rng.randint(len(roots))]
+            roots = (root == self._pixels[:len(root)]).nonzero()[0]
+            picked = roots[rng.randint(len(roots))]
         else:
-            in_v0 = root == root[rng.randint(self.n)]
+            picked = root[run[rng.randint(self.n)]]
+        in_v0 = (root == picked).take(run)
         v0 = in_v0.nonzero()[0]
         if len(v0) <= 32:
             v0 = v0.tolist()
@@ -690,12 +741,12 @@ class SwCutSampler:
             in_v0[v] = True
         cut_log = [0.0] * (L + 1)
         cut_count = [0] * (L + 1)
-        lab_list = lab.tolist()
+        label = lab.item
         log1mp = self._log1mp_list
         for v in v0:
             for k, other in self.incident[v]:
                 if not in_v0[other]:
-                    c = lab_list[other]
+                    c = label(other)
                     cut_log[c] += log1mp[k]
                     cut_count[c] += 1
         for v in v0:
@@ -737,7 +788,7 @@ class GibbsSiteSampler:
         l_new = _draw_label(logw, rng)
         dpost = logw[l_new - 1] - logw[labels[i] - 1]
         labels[i] = l_new
-        self.likelihood.commit(i, l_new)
+        self.likelihood.commit(l_new)
         return dpost
 
     def exact_matrix(self) -> np.ndarray:
@@ -859,8 +910,9 @@ def agreement(a: Labeling, b: Labeling) -> float:
     (two-label case) or taken directly for L > 2."""
     if a.labels.shape != b.labels.shape:
         raise ShapeError("labelings differ in shape")
-    direct = float((a.labels == b.labels).mean())
+    size = a.labels.size
+    same = np.count_nonzero(a.labels == b.labels)
     if a.n_labels == 2 and b.n_labels == 2:
-        swapped = float((a.labels == (3 - b.labels)).mean())
-        return max(direct, swapped)
-    return direct
+        # labels in {1, 2} agree after the swap exactly where they differ
+        return max(same, size - same) / size
+    return same / size

@@ -16,10 +16,10 @@ from eelab.swcut import (
     RegionLikelihood,
     RegionModelConfig,
     SwCutSampler,
-    _component_roots,
     _components,
     _incidence,
     _poly_design,
+    _run_roots,
     agreement,
     edge_affinity,
     encode_labeling,
@@ -265,7 +265,15 @@ def assert_roots_match_union_find(width, height, on):
     ei, ej = lattice_edges(width, height)
     n = width * height
     comps = _components(n, ei, ej, on)
-    root = _component_roots(width, height, on)
+    # _run_roots' input from the bond mask: the horizontal bonds cut the
+    # rows into runs, the vertical ones join them
+    n_h = height * (width - 1)
+    start = np.ones((height, width), dtype=bool)
+    start[:, 1:] = ~on[:n_h].reshape(height, width - 1)
+    run, run_root = _run_roots(start, on[n_h:].reshape(height - 1, width))
+    first = np.flatnonzero(start)
+    assert (first[run] <= np.arange(n)).all() and (np.diff(run) >= 0).all()
+    root = first[run_root[run]]
     roots = np.flatnonzero(root == np.arange(n))
     assert len(roots) == len(comps)
     for r, members in zip(roots, comps):
@@ -391,15 +399,9 @@ class TestComponentRoots:
         assert ((nbr < 0) == (eid < 0)).all()
 
 
-@pytest.mark.parametrize("mode", ["fixed_means", "poly_fit"])
-@pytest.mark.parametrize("pick", ["uniform", "pixel"])
-def test_vector_and_scalar_paths_take_identical_steps(monkeypatch, mode, pick):
-    """A 20x20 image run on either side of the scalar/vector crossover
-    gives the same labels and deltas, bit for bit, at every step."""
-    img, _ = make_two_region_image(20, 20, noise_sd=0.1, seed=7)
-    aff = edge_affinity(img, p_max=0.95, p_min=0.05, scale=0.3)
-    # a flat likelihood and weak prior, so large clusters change label
-    cfg = RegionModelConfig(mode=mode, sigma=1.0, means=(0.25, 0.75), order=1)
+def assert_paths_take_identical_steps(monkeypatch, img, aff, cfg, pick):
+    """The image run on either side of the scalar/vector crossover gives
+    the same labels and deltas, bit for bit, at every step."""
     samplers = []
     for limit in (10 ** 9, 0):
         monkeypatch.setattr(swcut, "_SCALAR_MAX_PIXELS", limit)
@@ -415,6 +417,30 @@ def test_vector_and_scalar_paths_take_identical_steps(monkeypatch, mode, pick):
             deltas = [s.step(lab, rng) for s, (rng, lab) in zip(samplers, runs)]
             same = np.array_equal(runs[0][1], runs[1][1])
             assert same and deltas[0] == deltas[1], (init, step, *deltas)
+
+
+@pytest.mark.parametrize("mode", ["fixed_means", "poly_fit"])
+@pytest.mark.parametrize("pick", ["uniform", "pixel"])
+def test_vector_and_scalar_paths_take_identical_steps(monkeypatch, mode, pick):
+    """A 20x20 image takes the same steps on either path."""
+    img, _ = make_two_region_image(20, 20, noise_sd=0.1, seed=7)
+    aff = edge_affinity(img, p_max=0.95, p_min=0.05, scale=0.3)
+    # a flat likelihood and weak prior, so large clusters change label
+    cfg = RegionModelConfig(mode=mode, sigma=1.0, means=(0.25, 0.75), order=1)
+    assert_paths_take_identical_steps(monkeypatch, img, aff, cfg, pick)
+
+
+@pytest.mark.parametrize("width,height", [(1, 100), (100, 1)])
+@pytest.mark.parametrize("pick", ["uniform", "pixel"])
+def test_vector_path_on_strips_takes_the_scalar_steps(monkeypatch, width,
+                                                     height, pick):
+    """One-pixel-wide strips, where the vector path has no horizontal or
+    no vertical bonds, take the same steps on either path."""
+    gen = np.random.default_rng(width)
+    img = Image(width, height, gen.random((height, width)))
+    aff = edge_affinity(img, p_max=0.95, p_min=0.05, scale=0.3)
+    cfg = RegionModelConfig(mode="fixed_means", sigma=1.0, means=(0.25, 0.75))
+    assert_paths_take_identical_steps(monkeypatch, img, aff, cfg, pick)
 
 
 def test_vector_cut_sums_equal_the_loop():
@@ -433,8 +459,8 @@ def test_vector_cut_sums_equal_the_loop():
         lab = truth.flat.copy()
         flip = gen.random(lab.size) < 0.1
         lab[flip] = gen.integers(1, 4, flip.sum())
-        on = (lab[sampler.ei] == lab[sampler.ej]) & (gen.random(len(sampler.ei)) < 0.9)
-        v0, cut_log, cut_count = sampler._pick_vector(lab, on, rng)
+        u = gen.random(len(sampler.ei))
+        v0, cut_log, cut_count = sampler._pick_vector(lab, u, rng)
         large += len(v0) > 32
         assert (cut_log, cut_count) == sampler._cut_sums(lab, list(v0))
     assert large >= 10
@@ -695,7 +721,7 @@ class TestRegionLikelihood:
             i = int(gen.integers(256))
             rl.site_terms(lab, i)
             lab[i] = 1 + (lab[i] % 3)
-            rl.commit(i, int(lab[i]))
+            rl.commit(int(lab[i]))
         assert_ssrs_match(rl, img, lab, 2)
 
 
@@ -789,8 +815,8 @@ class TestPolyFitSamplers:
 
 @pytest.mark.parametrize("mode", ["fixed_means", "poly_fit"])
 def test_label_changes_between_steps_are_picked_up(mode):
-    """Labels reassigned by the caller, in place or as a new array, are
-    seen by the next step's delta."""
+    """Labels reassigned by the caller, in place (followed by reset) or as
+    a new array, are seen by the next step's delta."""
     img, _ = make_two_region_image(6, 6, noise_sd=0.1, seed=5)
     cfg = RegionModelConfig(mode=mode, sigma=0.1, means=(0.25, 0.75), order=1)
     for sampler in both_samplers(img, 2, 0.4, cfg):
@@ -800,11 +826,44 @@ def test_label_changes_between_steps_are_picked_up(mode):
             sampler.step(lab, rng)
             if k % 2:
                 lab[k % 36] = 3 - lab[k % 36]
+                sampler.likelihood.reset(lab)
             else:
                 lab = initial_labeling(img, 2, "random", rng).flat.copy()
             before = logpost_of(img, lab, 2, 0.4, cfg)
             delta = sampler.step(lab, rng)
             assert_delta_matches(delta, before, logpost_of(img, lab, 2, 0.4, cfg))
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_reset_contract(order):
+    """After an in-place edit and reset, and on a new array object with no
+    reset, every cluster delta equals the recomputed likelihood change."""
+    gen = np.random.default_rng(order)
+    image = Image(7, 6, gen.random((6, 7)))
+    cfg = poly_cfg(order)
+    rl = RegionLikelihood(image, 3, cfg)
+
+    def loglik(lab):
+        return region_loglik(image, Labeling(lab.reshape(6, 7), 3), cfg)
+
+    def check(lab):
+        l_cur = int(lab[0])
+        v0 = np.flatnonzero(lab == l_cur)[:5].tolist()
+        deltas = rl.cluster_deltas(lab, v0, l_cur)
+        before = loglik(lab)
+        for c in range(3):
+            moved = lab.copy()
+            moved[v0] = c + 1
+            assert_delta_matches(deltas[c], before, loglik(moved))
+
+    lab = gen.integers(1, 4, 42)
+    check(lab)
+    lab[gen.random(42) < 0.4] = 2
+    rl.reset(lab)
+    check(lab)
+    fresh = lab.copy()
+    fresh[gen.random(42) < 0.4] = 3
+    check(fresh)
 
 
 @pytest.mark.parametrize("mode", ["fixed_means", "poly_fit"])
@@ -882,6 +941,20 @@ class TestHelpers:
         img, truth = make_two_region_image(8, 8, noise_sd=0.01, seed=1)
         W = initial_labeling(img, 2, "threshold", RandomStream.from_seed(0))
         assert agreement(W, truth) >= 0.95
+
+    @pytest.mark.parametrize("n_labels", [2, 3])
+    def test_agreement_equals_the_mean_of_matches(self, n_labels):
+        """The counted agreement is the same double as the mean of the
+        match mask, over the label swap when there are two labels."""
+        gen = np.random.default_rng(n_labels)
+        for shape in [(1, 1), (3, 7), (32, 32), (29, 31)]:
+            for _ in range(20):
+                a, b = (Labeling(gen.integers(1, n_labels + 1, shape), n_labels)
+                        for _ in range(2))
+                expect = float((a.labels == b.labels).mean())
+                if n_labels == 2:
+                    expect = max(expect, float((a.labels == 3 - b.labels).mean()))
+                assert agreement(a, b) == expect
 
     def test_labeling_validation(self):
         with pytest.raises(ConfigError):
