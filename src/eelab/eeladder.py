@@ -2,19 +2,22 @@
 
 A run keeps one chain per ladder level. Each level's chain mixes local
 random-walk moves with jump moves that propose a state recorded by the
-level above, either from the energy ring of the current state
-(restricted) or from all records (unrestricted). A level's records are
-its trace's states from step burn_in on, at most max_records of them:
-its ledger is derived from its trace (TraceSet.ledger), and a state's
-ring from its energy (ring_table). A jump from x to y at level i is
+level above from the energy ring of the current state. An unrestricted
+jump is the jump with no ring boundaries, one ring: it proposes any
+record, and with the records replaced by the upper level's law it is the
+Metropolized independence sampler (idealized_jump_matrix with no
+boundaries). A level's records are its trace's states from step burn_in
+on, at most max_records of them: its ledger is derived from its trace
+(TraceSet.ledger). A ring is never stored: ring_table derives it from a
+state's energy where it is needed. A jump from x to y at level i is
 accepted with probability
 
     min(1, [d_i(y) * d_{i+1}(x)] / [d_i(x) * d_{i+1}(y)])
 
 where d_i is the unnormalized level density; this ratio makes the
 idealized within-ring jump exactly reversible for the level-i target
-(see idealized_jump_matrix). An empty ring falls back to a local move,
-so the chain never stalls.
+(see idealized_jump_matrix). A jump whose ring holds no record falls
+back to a local move, so the chain never stalls.
 
 Per-level rng streams are split from the run seed, which makes traces
 deterministic and schedule-independent per level.
@@ -47,36 +50,37 @@ MOVE_JUMP_FALLBACK = 2
 MOVE_NAMES = {MOVE_LOCAL: "local", MOVE_JUMP: "jump", MOVE_JUMP_FALLBACK: "jump_fallback"}
 
 
+def _sorted_boundaries(boundaries) -> tuple:
+    """boundaries as a tuple, or a ConfigError if they are not sorted."""
+    b = tuple(boundaries)
+    if any(y < x for x, y in zip(b, b[1:])):
+        raise ConfigError("ring boundaries must be sorted")
+    return b
+
+
 def ring_table(energies, boundaries) -> np.ndarray:
     """The ring of each energy.
 
     boundaries H_1 <= ... <= H_{K-1} define rings R_j = {x : h(x) in
     [H_j, H_{j+1})} with H_0 = -inf and H_K = +inf; equal boundaries
-    leave an empty ring between them.
+    leave an empty ring between them. No boundaries make one ring.
     """
-    b = np.asarray(boundaries, dtype=np.float64)
-    if np.any(b[1:] < b[:-1]):
-        raise ConfigError("ring boundaries must be sorted")
+    b = np.asarray(_sorted_boundaries(boundaries), dtype=np.float64)
     return np.searchsorted(b, np.asarray(energies, dtype=np.float64), side="right")
 
 
 @dataclass(frozen=True, eq=False)
 class RingLedger:
-    """Recorded states (int64, in record order) and the ring of each:
-    rings[k] is the ring of records[k] under boundaries. A run's ledgers
-    are views of its traces (TraceSet.ledger)."""
+    """Recorded states (int64, in record order) and the ring boundaries
+    that split them; an unrestricted ledger has none. A run's ledgers are
+    views of its traces (TraceSet.ledger)."""
 
     records: np.ndarray
-    rings: np.ndarray
     boundaries: tuple
 
     @property
     def total(self) -> int:
         return len(self.records)
-
-    @property
-    def n_rings(self) -> int:
-        return len(self.boundaries) + 1
 
 
 @dataclass
@@ -112,9 +116,8 @@ class LadderConfig:
             raise ConfigError("step counts must be >= 0")
         if self.max_records is not None and self.max_records < 0:
             raise ConfigError("max_records must be >= 0")
-        b = self.ring_boundaries
-        if b is not None and any(y < x for x, y in zip(b, b[1:])):
-            raise ConfigError("ring boundaries must be sorted")
+        if self.ring_boundaries is not None:
+            _sorted_boundaries(self.ring_boundaries)
 
     @property
     def n_levels(self) -> int:
@@ -148,8 +151,7 @@ class LevelTrace:
 @dataclass
 class TraceSet:
     """All level traces of one run, and what its ledgers derive from:
-    burn_in, max_records, the ring boundaries and ring_of, the ring of
-    every state of the run's model.
+    burn_in, max_records and the ring boundaries.
 
     top_source holds what the top level's trace is a function of (see
     run_ladder); a later run may take its top level from here.
@@ -159,14 +161,13 @@ class TraceSet:
     burn_in: int
     max_records: Optional[int]
     boundaries: tuple
-    ring_of: np.ndarray
     top_source: tuple = field(default=(), repr=False, compare=False)
 
     def ledger(self, level: int) -> RingLedger:
         """The level's records: its states from step burn_in on, at most
         max_records of them."""
         records = self.levels[level].states[self.burn_in:][:self.max_records]
-        return RingLedger(records, self.ring_of[records], self.boundaries)
+        return RingLedger(records, self.boundaries)
 
     def empirical_counts(self, level: int, n_states: int,
                          upto: Optional[int] = None) -> np.ndarray:
@@ -217,7 +218,8 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
     A level never writes to the level above, so running each level to
     completion is exact for both schedules: before level i runs, the
     jump pools are built from the finished trace of level i + 1, one per
-    ring. On the serial schedule a level reads every upper record. On the
+    ring (one ring holding every record when jump_mode is unrestricted).
+    On the serial schedule a level reads every upper record. On the
     parallel schedule, where every level advances once per macro step,
     level i at step t reads the records the upper level made at its steps
     <= t, a prefix of each pool.
@@ -229,8 +231,8 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
     2 * move type + accepted, an int made once in those tables, so the
     loop keeps 8 bytes per step and makes no int. After the loop the
     codes become the trace's int64 states and its int8 move types and
-    acceptance flags. A restricted pool holds its records' flat indices
-    in an array('q'), 8 bytes per record.
+    acceptance flags. A pool holds its records' flat indices in an
+    array('q'), 8 bytes per record.
 
     The top level never jumps, so its trace depends only on the model,
     the seed, the top level (whose index, the level count minus one,
@@ -243,8 +245,10 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
     K = config.n_levels
     logd = [level_logdensities(model, lv).tolist() for lv in config.levels]
     boundaries = tuple(config.boundaries())
-    ring_of = ring_table(model.energies(), boundaries)
-    ring_list = ring_of.tolist()
+    # the ring each state's jumps draw from: an unrestricted jump has one
+    jump_bounds = boundaries if config.jump_mode == "restricted" else ()
+    jump_ring = ring_table(model.energies(), jump_bounds)
+    ring_list = jump_ring.tolist()
     rngs = RandomStream.from_seed(seed).spawn(K)
     inits = []
     for rng in rngs:
@@ -254,8 +258,7 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
 
     serial = config.schedule == "serial"
     n_steps = config.n_steps
-    p_jump, mode, burn_in, cap = (config.p_jump, config.jump_mode, config.burn_in,
-                                  config.max_records)
+    p_jump, burn_in, cap = config.p_jump, config.burn_in, config.max_records
     # init_state None means the start is drawn from the top level's stream
     source = (model, seed, config.levels[-1], n_steps, config.init_state)
     # the model compares by identity (== on its energy table is ambiguous)
@@ -265,7 +268,6 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
     # the upper level has taken its steps <= t (parallel) or all of them
     # (serial), so a jump sees the records with flat index <= t + lag.
     lag = (n_steps if serial else 0) - burn_in
-    n_rings = len(boundaries) + 1
     # the codes a jump appends, for the levels that jump: accepted, by its
     # target, and refused, by the state it stays at
     jumping = range(model.size if K > 1 and p_jump else 0)
@@ -278,18 +280,14 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
             continue
         if traces:
             # the records of the level above: pools[ring] is the pool a
-            # jump from that ring draws from (its ring, or all records) and
-            # pool_index[ring] the flat indices of that pool's records
+            # jump from that ring draws from and pool_index[ring] the flat
+            # indices of that pool's records
             recorded = traces[-1].states[burn_in:][:cap]
-            if mode == "restricted":
-                rings = ring_of[recorded]
-                masks = [rings == j for j in range(n_rings)]
-                pools = [recorded[m].tolist() for m in masks]
-                pool_index = [array("q", np.flatnonzero(m).astype(np.int64).tobytes())
-                              for m in masks]
-            else:
-                pools = [recorded.tolist()] * n_rings
-                pool_index = [range(len(recorded))] * n_rings
+            rings = jump_ring[recorded]
+            masks = [rings == j for j in range(len(jump_bounds) + 1)]
+            pools = [recorded[m].tolist() for m in masks]
+            pool_index = [array("q", np.flatnonzero(m).astype(np.int64).tobytes())
+                          for m in masks]
         x = inits[i]
         uniform = rngs[i].uniform
         moves = RandomWalkKernel(model, config.levels[i]).moves
@@ -335,7 +333,7 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
         kinds >>= 1
         states >>= 3
         traces.append(LevelTrace(i, states, kinds, accepted))
-    return TraceSet(traces[::-1], burn_in, cap, boundaries, ring_of, source)
+    return TraceSet(traces[::-1], burn_in, cap, boundaries, source)
 
 
 # ---------------------------------------------------------------------------
@@ -343,22 +341,30 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def _jump_kernel(base: np.ndarray, logd_lo: np.ndarray, logd_hi: np.ndarray,
-                 pools) -> np.ndarray:
-    """Exact kernel of a jump move, one row per source state.
+def _jump_kernel(model: EnergyModel, level_lo: LadderLevel, level_hi: LadderLevel,
+                 boundaries, weights: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Exact kernel of a jump move, one row per source state, written over
+    K's rows in place and returned.
 
-    pools holds (sources, proposed, weights): from each source x the move
-    proposes proposed[k] (ascending) with probability weights[k] and
-    accepts it with min(1, [d_lo(y) d_hi(x)] / [d_lo(x) d_hi(y)]); the
-    rejected mass stays on the diagonal. Rows of sources with an empty
-    pool, and of states in no pool, are those of base. Acceptances go
+    From each state x the move proposes a state y of x's ring under
+    boundaries with probability weights[y] / (the sum of weights over the
+    ring), and accepts it with min(1, [d_lo(y) d_hi(x)] / [d_lo(x) d_hi(y)]);
+    the rejected mass stays on the diagonal. The rows of a ring whose
+    weights are all zero (an empty pool) keep K's values. Acceptances go
     through math.exp and rows are summed left to right, so the matrix does
     not depend on numpy's SIMD dispatch.
     """
-    K = base.copy()
-    for xs, ys, w in pools:
+    logd_lo = level_logdensities(model, level_lo)
+    logd_hi = level_logdensities(model, level_hi)
+    ring = ring_table(model.energies(), boundaries)
+    for r in range(len(boundaries) + 1):
+        xs = np.flatnonzero(ring == r)
+        ys = xs[weights[xs] > 0]
         if len(ys) == 0:
             continue
+        # summed over the whole ring, zero weights too: dropping them would
+        # regroup numpy's pairwise sum and move the last bits
+        w = weights[ys] / weights[xs].sum()
         logr = (logd_lo[ys] + logd_hi[xs, None]) - (logd_lo[xs, None] + logd_hi[ys])
         a = np.fromiter(map(math.exp, np.minimum(logr, 0.0).ravel().tolist()),
                         float, logr.size).reshape(logr.shape)
@@ -380,18 +386,13 @@ def idealized_jump_matrix(
     the true level-hi distribution truncated to the current energy ring.
 
     The result is block-diagonal over rings and reversible for the
-    level-lo target.
+    level-lo target. With no boundaries it is the Metropolized independence
+    sampler that proposes from the level-hi distribution. A ring where that
+    distribution underflows to zero keeps its states in place.
     """
     q_hi = enumerate_distribution(model, level_hi).probs
-    ring_of = ring_table(model.energies(), boundaries)
-    pools = []
-    for r in np.unique(ring_of):
-        members = np.flatnonzero(ring_of == r)
-        qr = q_hi[members]
-        pools.append((members, members, qr / qr.sum()))
-    return _jump_kernel(np.zeros((model.size, model.size)),
-                        level_logdensities(model, level_lo),
-                        level_logdensities(model, level_hi), pools)
+    return _jump_kernel(model, level_lo, level_hi, boundaries, q_hi,
+                        np.eye(model.size))
 
 
 def empirical_jump_chain_matrix(
@@ -401,33 +402,22 @@ def empirical_jump_chain_matrix(
     ledger: RingLedger,
     p_jump: float,
     K_local: np.ndarray,
-    jump_mode: str = "restricted",
 ) -> np.ndarray:
     """Exact kernel of one runner step at level lo against a frozen ledger.
 
     The step is: with probability p_jump attempt a jump whose proposal is
-    the empirical (multiplicity-weighted) distribution of the ledger pool
-    for the current ring, falling back to a local move when the pool is
-    empty; otherwise move locally. K_local is the local move's matrix,
+    the empirical (multiplicity-weighted) distribution of the ledger's
+    records in the current ring, falling back to a local move when the
+    ring holds none; otherwise move locally. A ledger with no boundaries
+    gives the unrestricted jump. K_local is the local move's matrix,
     RandomWalkKernel(model, level_lo).exact_matrix(), which a caller
     sweeping many ledgers builds once.
     """
     if not 0.0 <= p_jump <= 1.0:
         raise ConfigError("p_jump must be in [0, 1]")
-    n = model.size
-    if jump_mode == "restricted":
-        ring_of = ring_table(model.energies(), ledger.boundaries)
-        sources = [np.flatnonzero(ring_of == j) for j in range(ledger.n_rings)]
-        records = [ledger.records[ledger.rings == j] for j in range(ledger.n_rings)]
-    else:
-        sources, records = [np.arange(n)], [ledger.records]
-    pools = []
-    for xs, pool in zip(sources, records):
-        counts = np.bincount(pool, minlength=n)
-        ys = np.flatnonzero(counts)
-        pools.append((xs, ys, counts[ys] / len(pool)))
-    K_jump = _jump_kernel(K_local, level_logdensities(model, level_lo),
-                          level_logdensities(model, level_hi), pools)
+    counts = np.bincount(ledger.records, minlength=model.size)
+    K_jump = _jump_kernel(model, level_lo, level_hi, ledger.boundaries, counts,
+                          K_local.copy())
     return p_jump * K_jump + (1.0 - p_jump) * K_local
 
 
@@ -439,9 +429,9 @@ def ledger_from_iid(
     rng: RandomStream,
 ) -> RingLedger:
     """Ledger filled with n i.i.d. exact draws from the level distribution."""
+    boundaries = _sorted_boundaries(boundaries)
     dist = enumerate_distribution(model, level)
     cum = np.cumsum(dist.probs)
     cum[-1] = 1.0
     draws = np.searchsorted(cum, rng.uniforms(n_records), side="right")
-    rings = ring_table(model.energies(), boundaries)[draws]
-    return RingLedger(draws, rings, tuple(boundaries))
+    return RingLedger(draws, boundaries)

@@ -30,6 +30,7 @@ from .eeladder import (
     empirical_jump_chain_matrix,
     idealized_jump_matrix,
     ledger_from_iid,
+    ring_table,
     run_ladder,
 )
 from .errors import ConfigError
@@ -99,7 +100,7 @@ def write_trace_csv(path: Path, model, ts) -> None:
     joined from those tails, TRACE_CHUNK_ROWS at a time to bound memory.
     """
     h = model.energies().tolist()
-    ring = ts.ring_of.tolist()
+    ring = ring_table(model.energies(), ts.boundaries).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("step,level,state_id,energy,ring,move_type,accepted\n")
         for tr in ts.levels:
@@ -456,7 +457,7 @@ def exp_segment(config: ExperimentConfig, out: Path) -> None:
     seg = config.segmentation
     image, truth = _build_image(config)
     aff = edge_affinity(image, p_max=seg.p_max, p_min=seg.p_min, scale=seg.scale)
-    final, trace = segment(
+    final, logposts = segment(
         image,
         n_labels=seg.n_labels,
         beta=seg.beta,
@@ -471,10 +472,9 @@ def exp_segment(config: ExperimentConfig, out: Path) -> None:
     write_label_pgm(out / "labels.pgm", final)
     write_overlay_ppm(out / "overlay.ppm", image, final)
     write_csv(out / "trace.csv", ["step", "log_posterior"],
-              [(t, float(v)) for t, v in enumerate(trace.logposts)])
+              [(t, float(v)) for t, v in enumerate(logposts)])
     summary = {"sampler": seg.sampler, "sweeps": seg.sweeps,
-               "final_log_posterior":
-                   float(trace.logposts[-1]) if len(trace.logposts) else None}
+               "final_log_posterior": float(logposts[-1]) if len(logposts) else None}
     if truth is not None:
         summary["ground_truth_agreement"] = agreement(final, truth)
     write_json(out / "summary.json", summary)

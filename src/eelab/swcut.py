@@ -149,9 +149,6 @@ class EdgeAffinityMap:
     width: int
     height: int
     p: np.ndarray
-    p_max: float
-    p_min: float
-    scale: float
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=np.float64)
@@ -181,7 +178,7 @@ def edge_affinity(
     # math.exp per edge: numpy's SIMD loops may differ in the last bit
     e = np.fromiter(map(math.exp, (-contrast / scale).tolist()), float, len(contrast))
     p = np.clip(p_max * e, p_min, p_max)
-    return EdgeAffinityMap(image.width, image.height, p, p_max, p_min, scale)
+    return EdgeAffinityMap(image.width, image.height, p)
 
 
 # ---------------------------------------------------------------------------
@@ -828,15 +825,6 @@ def initial_labeling(
     return Labeling(lab.reshape(image.height, image.width).astype(np.int64), n_labels)
 
 
-@dataclass
-class SegmentationTrace:
-    """Per-step log posterior values of a segmentation run."""
-
-    logposts: np.ndarray
-    sampler: str
-    steps_per_sweep: int
-
-
 def segment(
     image: Image,
     *,
@@ -849,8 +837,9 @@ def segment(
     init: str = "threshold",
     cluster_pick: str = "uniform",
     seed: int = 0,
-) -> tuple[Labeling, SegmentationTrace]:
-    """Run a sampler for sweeps * width * height steps.
+) -> tuple[Labeling, np.ndarray]:
+    """Run a sampler for sweeps * width * height steps; return the final
+    labeling and the log posterior after each step.
 
     One step is a single cluster move (swcut) or a single site update
     (gibbs), so sweep counts are comparable across samplers.
@@ -871,12 +860,11 @@ def segment(
     lab = W.flat.copy()
     n_steps = sweeps * image.n_pixels
     logpost = posterior_logdensity(image, W, beta, region_cfg)
-    trace = np.empty(n_steps)
+    logposts = np.empty(n_steps)
     for t in range(n_steps):
         logpost += stepper.step(lab, rng)
-        trace[t] = logpost
-    final = Labeling(lab.reshape(image.height, image.width), n_labels)
-    return final, SegmentationTrace(trace, sampler, image.n_pixels)
+        logposts[t] = logpost
+    return Labeling(lab.reshape(image.height, image.width), n_labels), logposts
 
 
 def make_two_region_image(

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from bisect import bisect_right
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from eelab.eeladder import (
     MOVE_JUMP_FALLBACK,
     MOVE_LOCAL,
     LadderConfig,
+    LevelTrace,
     RingLedger,
     empirical_jump_chain_matrix,
     idealized_jump_matrix,
@@ -22,6 +24,7 @@ from eelab.eeladder import (
 from eelab.errors import ConfigError
 from eelab.experiments import _first_passage, _warmup_step
 from eelab.kernels import (
+    IndependenceKernel,
     RandomWalkKernel,
     reversibility_gap,
     stationary_distribution,
@@ -51,13 +54,6 @@ def small_config(**kw):
                     macro_steps=2000, steps_per_level=2000)
     defaults.update(kw)
     return LadderConfig(**defaults)
-
-
-def make_ledger(model, records, boundaries):
-    """A RingLedger of the given records of model's states."""
-    records = np.asarray(records, dtype=np.int64)
-    return RingLedger(records, ring_table(model.energies(), boundaries)[records],
-                      tuple(boundaries))
 
 
 class TestRingIndex:
@@ -98,15 +94,16 @@ class TestRecord:
         led = ledger_from_iid(model, LadderLevel(1, 4.0, 0.5), [1.0, 2.0], 10,
                               RandomStream.from_seed(2))
         assert led.total == 10
-        assert led.n_rings == 3
+        assert led.boundaries == (1.0, 2.0)
 
     def test_energy_routes_to_ring(self):
         model = two_mode_model()
         h = model.energies()
         led = ledger_from_iid(model, LadderLevel(1, 4.0, 0.5), [1.0, 2.0], 500,
                               RandomStream.from_seed(3))
-        assert led.rings.tolist() == [bisect_right([1.0, 2.0], h[x])
-                                      for x in led.records.tolist()]
+        rings = ring_table(h, led.boundaries)[led.records]
+        assert rings.tolist() == [bisect_right([1.0, 2.0], h[x])
+                                  for x in led.records.tolist()]
 
     def test_max_records_cap(self):
         """A ledger holds the first max_records post-burn-in states of its
@@ -125,7 +122,7 @@ class TestJumpAcceptance:
         x -> y is accepted with probability exp(-0.05)."""
         model = builtin_model("energy_table", energies=[0.5, 0.6])
         lv1 = LadderLevel(1, 2.0, 0.0)
-        ledger = make_ledger(model, [1], [])  # single ring
+        ledger = RingLedger(np.array([1]), ())  # single ring
         K = empirical_jump_chain_matrix(model, LEVEL0, lv1, ledger, 1.0,
                                         RandomWalkKernel(model, LEVEL0).exact_matrix())
         assert K[0, 1] == pytest.approx(math.exp(-0.05), abs=1e-12)
@@ -135,7 +132,7 @@ class TestJumpAcceptance:
         so the kernel entry equals the full proposal mass."""
         model = builtin_model("energy_table", energies=[0.5, 0.6])
         lv1 = LadderLevel(1, 2.0, 0.0)
-        ledger = make_ledger(model, [0], [])  # proposing the lower-energy state from x=1
+        ledger = RingLedger(np.array([0]), ())  # proposing the lower-energy state from x=1
         K = empirical_jump_chain_matrix(model, LEVEL0, lv1, ledger, 1.0,
                                         RandomWalkKernel(model, LEVEL0).exact_matrix())
         assert K[1, 0] == pytest.approx(1.0, abs=1e-12)
@@ -143,7 +140,7 @@ class TestJumpAcceptance:
     def test_empty_ledger_reduces_to_local_kernel(self):
         model = two_mode_model(10)
         lv1 = LadderLevel(1, 4.0, 1.0)
-        empty = make_ledger(model, [], [1.0])
+        empty = RingLedger(np.array([], dtype=np.int64), (1.0,))
         K_local = RandomWalkKernel(model, LEVEL0).exact_matrix()
         K = empirical_jump_chain_matrix(model, LEVEL0, lv1, empty, 0.7, K_local)
         np.testing.assert_allclose(K, K_local, atol=1e-15)
@@ -195,9 +192,10 @@ class TestRuns:
         h = model.energies()
         for i in range(cfg.n_levels):
             led = ts.ledger(i)
-            assert led.rings.tolist() == [bisect_right(cfg.boundaries(), h[s])
-                                          for s in led.records.tolist()]
-            assert np.all(led.rings < led.n_rings)
+            rings = ring_table(h, led.boundaries)[led.records]
+            assert rings.tolist() == [bisect_right(cfg.boundaries(), h[s])
+                                      for s in led.records.tolist()]
+            assert np.all(rings <= len(led.boundaries))
 
     def test_burn_in_states_absent_from_ledger(self):
         model = two_mode_model()
@@ -342,9 +340,10 @@ def assert_matches_reference(model, levels, schedule, jump_mode):
                     assert tr.accepted.tolist() == [int(a) for a in accepted], case
                 for i, (rings, flat) in enumerate(ledgers):
                     led = ts.ledger(i)
+                    ring = ring_table(model.energies(), led.boundaries)[led.records]
                     assert led.records.tolist() == flat, case
-                    assert [led.records[led.rings == j].tolist()
-                            for j in range(led.n_rings)] == rings, case
+                    assert [led.records[ring == j].tolist()
+                            for j in range(len(led.boundaries) + 1)] == rings, case
 
 
 @pytest.mark.parametrize("n_levels", [1, 2, 3])
@@ -353,6 +352,32 @@ def assert_matches_reference(model, levels, schedule, jump_mode):
 def test_run_matches_interleaved_reference(schedule, jump_mode, n_levels):
     levels = geometric_ladder(n_levels, ratio=4.0, h_min=0.5, dh=0.5)
     assert_matches_reference(two_mode_model(), levels, schedule, jump_mode)
+
+
+@pytest.mark.parametrize("n_levels", [2, 3])
+@pytest.mark.parametrize("schedule", ["parallel", "serial"])
+def test_unrestricted_run_is_the_one_ring_run(schedule, n_levels):
+    """An unrestricted jump is the restricted jump with no ring boundaries:
+    the two runs are equal in every trace column. With the default
+    boundaries the restricted run differs, so the rings are in play."""
+    model = two_mode_model()
+    levels = geometric_ladder(n_levels, ratio=4.0, h_min=0.5, dh=0.5)
+    differs = False
+    for seed, (burn_in, p_jump, max_records) in enumerate(
+            [(0, 0.2, None), (60, 1.0, 1), (60, 0.5, 300)]):
+        kw = dict(levels=levels, burn_in=burn_in, p_jump=p_jump, schedule=schedule,
+                  macro_steps=STEPS, steps_per_level=STEPS, max_records=max_records)
+        one_ring = run_ladder(model, LadderConfig(ring_boundaries=[], **kw), seed)
+        unrestricted = run_ladder(model, LadderConfig(jump_mode="unrestricted", **kw),
+                                  seed)
+        rings = run_ladder(model, LadderConfig(**kw), seed)
+        for a, b, c in zip(one_ring.levels, unrestricted.levels, rings.levels,
+                           strict=True):
+            for column in fields(LevelTrace):
+                assert np.array_equal(getattr(a, column.name),
+                                      getattr(b, column.name)), (seed, column.name)
+            differs |= not np.array_equal(a.states, c.states)
+    assert differs
 
 
 def edge_blocks(gen):
@@ -426,7 +451,6 @@ def assert_same_run(ts, fresh):
     for i in range(len(fresh.levels)):
         led, want = ts.ledger(i), fresh.ledger(i)
         assert led.records.tolist() == want.records.tolist()
-        assert led.rings.tolist() == want.rings.tolist()
         assert led.boundaries == want.boundaries
 
 
@@ -684,12 +708,29 @@ class TestJumpKernelMatchesLoops:
         b = RING_LAYOUTS[layout]
         full = ledger_from_iid(self.model, self.levels[1], b, size,
                                RandomStream.from_seed(size + 7))
-        ledger = RingLedger(full.records[:cap], full.rings[:cap], full.boundaries)
+        ledger = RingLedger(full.records[:cap], full.boundaries)
         assert ledger.total == (size if cap is None else min(size, cap))
-        args = (self.model, *self.levels, ledger, 0.6)
+        # the builder's unrestricted jump is the one-ring jump
+        bounds = ledger.boundaries if jump_mode == "restricted" else ()
         K_local = RandomWalkKernel(self.model, self.levels[0]).exact_matrix()
-        K = empirical_jump_chain_matrix(*args, K_local, jump_mode)
-        assert np.array_equal(K, loop_empirical_jump_chain_matrix(*args, jump_mode))
+        K = empirical_jump_chain_matrix(self.model, *self.levels,
+                                        RingLedger(ledger.records, bounds), 0.6, K_local)
+        assert np.array_equal(K, loop_empirical_jump_chain_matrix(
+            self.model, *self.levels, ledger, 0.6, jump_mode))
+
+
+@pytest.mark.parametrize("points", [21, 61, 201])
+@pytest.mark.parametrize("depth", [1.0, 4.0, 40.0])
+def test_one_ring_idealized_jump_is_the_independence_sampler(points, depth):
+    """The paper's first question: a jump to any state, proposed from the
+    level-hi law, is the Metropolized independence sampler. With no ring
+    boundaries the idealized jump matrix is its exact matrix."""
+    model = builtin_model("double_well_grid", points=points, bounds=[-2.0, 2.0],
+                          depth=depth)
+    levels = geometric_ladder(2, ratio=4.0, h_min=0.5, dh=0.5)
+    pi, q_hi = (enumerate_distribution(model, lv) for lv in levels)
+    K = idealized_jump_matrix(model, *levels, [])
+    assert np.max(np.abs(K - IndependenceKernel(pi, q_hi).exact_matrix())) <= 1e-12
 
 
 @pytest.mark.parametrize("depth", [200.0, 2000.0])
@@ -701,5 +742,23 @@ def test_idealized_kernel_is_exact_on_deep_wells(depth):
     levels = geometric_ladder(2, ratio=4.0, h_min=0.5, dh=0.5)
     pi = enumerate_distribution(model, levels[0])
     K = idealized_jump_matrix(model, *levels, [levels[1].truncation])
+    assert stationary_gap(K, pi.probs) <= 1e-12
+    assert reversibility_gap(K, pi.probs) <= 1e-12
+
+
+def test_idealized_ring_where_the_upper_law_underflows_stays_put():
+    """Above h = 5000 the level-1 law of a depth-2000 well is 0.0 in every
+    state: a jump from that ring has nothing to propose, so its rows are
+    the identity and the kernel stays exact for the level-0 target."""
+    model = builtin_model("double_well_grid", points=41, bounds=[-2.0, 2.0],
+                          depth=2000.0)
+    levels = geometric_ladder(2, ratio=4.0, h_min=0.5, dh=0.5)
+    boundaries = [levels[1].truncation, 5000.0]
+    top = np.flatnonzero(ring_table(model.energies(), boundaries) == 2)
+    assert len(top) > 0
+    assert not enumerate_distribution(model, levels[1]).probs[top].any()
+    K = idealized_jump_matrix(model, *levels, boundaries)
+    assert np.array_equal(K[top], np.eye(model.size)[top])
+    pi = enumerate_distribution(model, levels[0])
     assert stationary_gap(K, pi.probs) <= 1e-12
     assert reversibility_gap(K, pi.probs) <= 1e-12

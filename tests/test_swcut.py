@@ -41,8 +41,7 @@ def flat_image(w, h, value=0.5):
 
 def const_affinity(image, p):
     n_edges = 2 * image.width * image.height - image.width - image.height
-    return EdgeAffinityMap(image.width, image.height, np.full(n_edges, p),
-                           p_max=p, p_min=p, scale=1.0)
+    return EdgeAffinityMap(image.width, image.height, np.full(n_edges, p))
 
 
 class TestEdgeAffinity:
@@ -807,10 +806,10 @@ class TestPolyFitSamplers:
     def test_delta_sum_does_not_drift(self, sampler):
         img, _ = make_two_region_image(32, 32, noise_sd=0.05, seed=4)
         cfg = poly_cfg(2)
-        final, trace = segment(img, n_labels=2, beta=0.4, region_cfg=cfg,
-                               sampler=sampler, sweeps=10, init="random", seed=6)
+        final, logposts = segment(img, n_labels=2, beta=0.4, region_cfg=cfg,
+                                  sampler=sampler, sweeps=10, init="random", seed=6)
         expect = posterior_logdensity(img, final, 0.4, cfg)
-        assert abs(trace.logposts[-1] - expect) <= 1e-9 * max(1.0, abs(expect))
+        assert abs(logposts[-1] - expect) <= 1e-9 * max(1.0, abs(expect))
 
 
 @pytest.mark.parametrize("mode", ["fixed_means", "poly_fit"])
@@ -888,11 +887,11 @@ class TestSegment:
     def test_zero_sweeps_returns_initial(self):
         img, _ = make_two_region_image(6, 6, seed=2)
         cfg = RegionModelConfig(mode="fixed_means", sigma=0.05, means=(0.25, 0.75))
-        final, trace = segment(img, n_labels=2, beta=0.3, region_cfg=cfg,
-                               sweeps=0, init="threshold", seed=5)
+        final, logposts = segment(img, n_labels=2, beta=0.3, region_cfg=cfg,
+                                  sweeps=0, init="threshold", seed=5)
         expected = initial_labeling(img, 2, "threshold", RandomStream.from_seed(5))
         assert np.array_equal(final.labels, expected.labels)
-        assert len(trace.logposts) == 0
+        assert len(logposts) == 0
 
     def test_recovers_ground_truth_strong_contrast(self):
         img, truth = make_two_region_image(12, 12, noise_sd=0.0, seed=3)
@@ -908,14 +907,14 @@ class TestSegment:
         a, ta = segment(img, n_labels=2, beta=0.3, region_cfg=cfg, sweeps=2, seed=11)
         b, tb = segment(img, n_labels=2, beta=0.3, region_cfg=cfg, sweeps=2, seed=11)
         assert np.array_equal(a.labels, b.labels)
-        np.testing.assert_array_equal(ta.logposts, tb.logposts)
+        np.testing.assert_array_equal(ta, tb)
 
     def test_trace_matches_recomputed_posterior(self):
         img, _ = make_two_region_image(5, 5, seed=8)
         cfg = RegionModelConfig(mode="fixed_means", sigma=0.1, means=(0.25, 0.75))
-        final, trace = segment(img, n_labels=2, beta=0.4, region_cfg=cfg,
-                               sweeps=1, seed=9)
-        assert trace.logposts[-1] == pytest.approx(
+        final, logposts = segment(img, n_labels=2, beta=0.4, region_cfg=cfg,
+                                  sweeps=1, seed=9)
+        assert logposts[-1] == pytest.approx(
             posterior_logdensity(img, final, 0.4, cfg), abs=1e-8
         )
 
