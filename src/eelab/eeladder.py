@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -205,6 +204,25 @@ def _step_table(moves, move_type: int) -> list:
     return table
 
 
+def _visible_counts(mask: np.ndarray, n_steps: int, lag: int) -> array:
+    """seen[t] for t < n_steps: the number of True entries of mask at
+    flat index <= t + lag, as an array('i') (array('q') where the count
+    could pass 2**31 - 1). Steps before the first visible entry see 0,
+    steps after the last see the total."""
+    total = int(np.count_nonzero(mask))
+    code, dtype = ("i", np.int32) if total < 2**31 else ("q", np.int64)
+    out = array(code, [total]) * n_steps
+    seen = np.frombuffer(out, dtype)  # a writable view of out
+    lo = min(max(-lag, 0), n_steps)
+    hi = min(max(len(mask) - lag, lo), n_steps)
+    seen[:lo] = 0
+    if hi > lo:
+        start = lo + lag  # >= 0, and 0 on both ladder schedules
+        np.cumsum(mask[start:hi + lag], dtype=dtype, out=seen[lo:hi])
+        seen[lo:hi] += np.count_nonzero(mask[:start])
+    return out
+
+
 def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
                reuse: Optional[TraceSet] = None) -> TraceSet:
     """Run every level's chain, top level first, each to completion.
@@ -231,8 +249,10 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
     2 * move type + accepted, an int made once in those tables, so the
     loop keeps 8 bytes per step and makes no int. After the loop the
     codes become the trace's int64 states and its int8 move types and
-    acceptance flags. A pool holds its records' flat indices in an
-    array('q'), 8 bytes per record.
+    acceptance flags. A jump finds how many of its pool's records it may
+    see in a table made before the level runs (_visible_counts), one
+    array('i') of 4 bytes per step and ring, and the pools and tables are
+    dropped before the trace columns are made.
 
     The top level never jumps, so its trace depends only on the model,
     the seed, the top level (whose index, the level count minus one,
@@ -248,7 +268,6 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
     # the ring each state's jumps draw from: an unrestricted jump has one
     jump_bounds = boundaries if config.jump_mode == "restricted" else ()
     jump_ring = ring_table(model.energies(), jump_bounds)
-    ring_list = jump_ring.tolist()
     rngs = RandomStream.from_seed(seed).spawn(K)
     inits = []
     for rng in rngs:
@@ -278,20 +297,21 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
         if shared and i == K - 1:
             traces.append(reuse.levels[-1])
             continue
-        if traces:
-            # the records of the level above: pools[ring] is the pool a
-            # jump from that ring draws from and pool_index[ring] the flat
-            # indices of that pool's records
-            recorded = traces[-1].states[burn_in:][:cap]
-            rings = jump_ring[recorded]
-            masks = [rings == j for j in range(len(jump_bounds) + 1)]
-            pools = [recorded[m].tolist() for m in masks]
-            pool_index = [array("q", np.flatnonzero(m).astype(np.int64).tobytes())
-                          for m in masks]
         x = inits[i]
         uniform = rngs[i].uniform
         moves = RandomWalkKernel(model, config.levels[i]).moves
         jumps = p_jump if i < K - 1 else 0.0
+        if jumps:
+            # the records of the level above, one (pool, seen) pair per
+            # ring: the ring's records in record order, and seen[t] the
+            # number of them a jump at step t may see; rows[x] is the pair
+            # of x's ring
+            recorded = traces[-1].states[burn_in:][:cap]
+            masks = ((jump_ring == j)[recorded] for j in range(len(jump_bounds) + 1))
+            pairs = [(recorded[m].tolist(), _visible_counts(m, n_steps, lag))
+                     for m in masks]
+            rows = [pairs[r] for r in jump_ring.tolist()]
+            del pairs  # so that dropping rows frees the pools and tables
         local = _step_table(moves, MOVE_LOCAL)
         fallback = _step_table(moves, MOVE_JUMP_FALLBACK) if jumps else None
         lo = logd[i]
@@ -301,12 +321,12 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
         for t in range(n_steps):
             table = local
             if jumps and uniform() < jumps:
-                ring = ring_list[x]
-                visible = bisect_right(pool_index[ring], t + lag)
+                pool, seen = rows[x]
+                visible = seen[t]
                 if visible:  # uniform over the visible records
                     j = int(uniform() * visible)
                     # j == visible only on a stream yielding exactly 1.0
-                    y = pools[ring][visible - 1 if j == visible else j]
+                    y = pool[visible - 1 if j == visible else j]
                     logr = (lo[y] + hi[x]) - (lo[x] + hi[y])
                     if logr >= 0.0 or uniform() < math.exp(logr):
                         x = y
@@ -325,7 +345,9 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
                 append(code)
             else:
                 append(stay)
-        states = np.array(codes, dtype=np.int64)
+        # the pools and tables go before the trace columns are made
+        rows = pool = seen = None
+        states = np.fromiter(codes, np.int64, len(codes))
         del codes
         kinds = states.astype(np.int8)  # the low byte holds the low 3 bits
         kinds &= 7
@@ -388,10 +410,19 @@ def idealized_jump_matrix(
     The result is block-diagonal over rings and reversible for the
     level-lo target. With no boundaries it is the Metropolized independence
     sampler that proposes from the level-hi distribution. A ring where that
-    distribution underflows to zero keeps its states in place.
+    distribution underflows to zero in every state proposes from the
+    level-hi log-densities shifted by the ring's maximum, which is the same
+    ring-conditional law; every other ring proposes from the linear law.
     """
-    q_hi = enumerate_distribution(model, level_hi).probs
-    return _jump_kernel(model, level_lo, level_hi, boundaries, q_hi,
+    weights = enumerate_distribution(model, level_hi).probs.copy()
+    logd_hi = level_logdensities(model, level_hi)
+    ring = ring_table(model.energies(), boundaries)
+    for r in range(len(boundaries) + 1):
+        xs = np.flatnonzero(ring == r)
+        if len(xs) and weights[xs].sum() == 0.0:
+            shifted = logd_hi[xs] - logd_hi[xs].max()
+            weights[xs] = np.fromiter(map(math.exp, shifted.tolist()), float, len(xs))
+    return _jump_kernel(model, level_lo, level_hi, boundaries, weights,
                         np.eye(model.size))
 
 

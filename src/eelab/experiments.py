@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -96,8 +95,9 @@ def write_trace_csv(path: Path, model, ts) -> None:
     Everything after a row's step is a function of its level, state,
     move type and accepted flag, so each combination in a level's trace
     is formatted once (found by np.unique of 8 * state + 2 * move type +
-    accepted, which stays small however large the model) and the rows are
-    joined from those tails, TRACE_CHUNK_ROWS at a time to bound memory.
+    accepted, which stays small however large the model). The rows are
+    joined TRACE_CHUNK_ROWS at a time, to bound memory, from one list
+    whose even slots are the step strings and odd slots the tails.
     """
     h = model.energies().tolist()
     ring = ring_table(model.energies(), ts.boundaries).tolist()
@@ -106,15 +106,16 @@ def write_trace_csv(path: Path, model, ts) -> None:
         for tr in ts.levels:
             keys, which = np.unique(8 * tr.states + 2 * tr.move_types + tr.accepted,
                                     return_inverse=True)
-            tails = [f",{tr.level},{x},{h[x]},{ring[x]},{MOVE_NAMES[m]},{a}\n"
-                     for x, m, a in zip((keys >> 3).tolist(),
-                                        ((keys >> 1) & 3).tolist(),
-                                        (keys & 1).tolist())]
+            tails = np.array([f",{tr.level},{x},{h[x]},{ring[x]},{MOVE_NAMES[m]},{a}\n"
+                              for x, m, a in zip((keys >> 3).tolist(),
+                                                 ((keys >> 1) & 3).tolist(),
+                                                 (keys & 1).tolist())], dtype=object)
             for start in range(0, len(tr), TRACE_CHUNK_ROWS):
                 stop = min(start + TRACE_CHUNK_ROWS, len(tr))
-                fh.write("".join(chain.from_iterable(zip(
-                    map(str, range(start, stop)),
-                    map(tails.__getitem__, which[start:stop].tolist())))))
+                parts = [""] * (2 * (stop - start))
+                parts[::2] = map(str, range(start, stop))
+                parts[1::2] = tails[which[start:stop]].tolist()
+                fh.write("".join(parts))
 
 
 def write_json(path: Path, obj) -> None:
@@ -152,13 +153,19 @@ def finish(out: Path, config: ExperimentConfig) -> None:
 
 
 def _tv_curve(traceset, level, n_states, pi, checkpoints):
-    """(step, tv) pairs at evenly spaced checkpoints over the trace."""
-    tr = traceset.levels[level]
-    n = len(tr)
+    """(step, tv) pairs at evenly spaced checkpoints over the trace: the
+    TV of the post-burn-in visit counts up to each checkpoint, which one
+    bincount per segment between checkpoints keeps current."""
+    states = traceset.levels[level].states
+    n = len(states)
+    counts = np.zeros(n_states, dtype=np.int64)
+    done = traceset.burn_in  # counts holds states[burn_in:done]
     out = []
     for k in range(1, checkpoints + 1):
         upto = max(1, (n * k) // checkpoints)
-        counts = traceset.empirical_counts(level, n_states, upto)
+        if upto > done:
+            counts += np.bincount(states[done:upto], minlength=n_states)
+            done = upto
         total = counts.sum()
         if total == 0:
             out.append((upto, 1.0))

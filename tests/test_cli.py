@@ -14,8 +14,8 @@ from eelab.eeladder import MOVE_JUMP_FALLBACK, MOVE_NAMES, LadderConfig, run_lad
 from eelab.errors import ConfigError
 from eelab.experiments import write_trace_csv
 from eelab.netpbm import write_pgm
-from eelab.spectral import SPECTRAL_CAP
-from eelab.statespace import builtin_model, geometric_ladder
+from eelab.spectral import SPECTRAL_CAP, tv_distance
+from eelab.statespace import builtin_model, enumerate_distribution, geometric_ladder
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -515,8 +515,8 @@ ODD_ENERGIES = [0.1, 1e-7, 2.5, 1e16, -0.0, 3.0, 1.0 / 3.0, 0.7, 2.0, 123456.789
 def test_trace_writer_matches_the_row_by_row_path(tmp_path, monkeypatch, schedule,
                                                   jump_mode, max_records):
     """Three levels, with jump fallbacks before the upper ledgers fill;
-    chunk boundaries fall inside each level's rows."""
-    monkeypatch.setattr(experiments, "TRACE_CHUNK_ROWS", 700)
+    chunks of one row, chunk boundaries inside each level's rows, and
+    chunks longer than a level."""
     model = builtin_model("energy_table", energies=ODD_ENERGIES)
     cfg = LadderConfig(levels=geometric_ladder(3, ratio=2.0, h_min=0.5, dh=1.0),
                        burn_in=40, p_jump=0.4, jump_mode=jump_mode,
@@ -528,5 +528,37 @@ def test_trace_writer_matches_the_row_by_row_path(tmp_path, monkeypatch, schedul
     # on the parallel schedule before step burn_in
     assert fallbacks or (schedule == "serial" and max_records != 0)
     reference_trace_csv(tmp_path / "want.csv", model, ts)
-    write_trace_csv(tmp_path / "got.csv", model, ts)
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    want = (tmp_path / "want.csv").read_bytes()
+    for chunk_rows in (700, 1, 5000):
+        monkeypatch.setattr(experiments, "TRACE_CHUNK_ROWS", chunk_rows)
+        write_trace_csv(tmp_path / "got.csv", model, ts)
+        assert (tmp_path / "got.csv").read_bytes() == want, chunk_rows
+
+
+@pytest.mark.parametrize("burn_in,n_steps,checkpoints", [
+    (0, 997, 10),
+    (300, 997, 7),
+    (997, 997, 5),
+    (2000, 997, 5),
+    (0, 6, 20),
+    (3, 6, 20),
+])
+def test_tv_curve_equals_the_per_checkpoint_counts(burn_in, n_steps, checkpoints):
+    """The running count gives every checkpoint's TV to the last bit: burn_in
+    0, inside the trace and past its end, and more checkpoints than steps."""
+    model = builtin_model("energy_table", energies=ODD_ENERGIES)
+    levels = geometric_ladder(2, ratio=2.0, h_min=0.5, dh=1.0)
+    cfg = LadderConfig(levels=levels, burn_in=burn_in, p_jump=0.3,
+                       macro_steps=n_steps)
+    ts = run_ladder(model, cfg, seed=3)
+    pi = enumerate_distribution(model, levels[0])
+    want = []
+    for k in range(1, checkpoints + 1):
+        upto = max(1, (n_steps * k) // checkpoints)
+        counts = ts.empirical_counts(0, model.size, upto)
+        total = counts.sum()
+        want.append((upto, 1.0 if total == 0 else
+                     tv_distance(counts / total, pi.probs)))
+    got = experiments._tv_curve(ts, 0, model.size, pi, checkpoints)
+    assert got == want
+    assert [type(tv) for _, tv in got] == [type(tv) for _, tv in want]

@@ -422,23 +422,30 @@ def test_run_matches_interleaved_reference_on_wide_and_steep_models(
 
 
 def test_run_ladder_peak_memory_per_level_step():
-    """A default-sized two-level restricted parallel run peaks at no more
-    than 36 bytes per level-step: one list of pre-made packed codes, then
-    the int64 states and two int8 columns. A list of states beside a list
-    of codes took about 46."""
+    """A default-sized two-level run peaks at no more than 32 bytes per
+    level-step (restricted, parallel) or 28 (unrestricted, or serial): the
+    upper trace, the jump pools and their tables of visible counts, and one
+    list of pre-made packed codes, which gives way to the int64 states and
+    two int8 columns after the pools and tables are dropped. With a pool
+    of flat record indices per ring, bisected, kept until the run ended,
+    the three took about 34, 29 and 30."""
     cfg = validate_config({"experiment": "run"})
     model, ladder = cfg.build_model(), cfg.ladder.build()
     assert (ladder.n_levels, ladder.jump_mode, ladder.schedule) == (
         2, "restricted", "parallel")
-    tracemalloc.start()
-    try:
-        ts = run_ladder(model, ladder, cfg.seed)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 36 * ladder.n_levels * ladder.n_steps
-    assert [(tr.states.dtype, tr.move_types.dtype, tr.accepted.dtype)
-            for tr in ts.levels] == [(np.int64, np.int8, np.int8)] * 2
+    for overrides, bound in [({}, 32), ({"jump_mode": "unrestricted"}, 28),
+                             ({"schedule": "serial"}, 28)]:
+        ladder = cfg.ladder.build(**overrides)
+        tracemalloc.start()
+        try:
+            ts = run_ladder(model, ladder, cfg.seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * ladder.n_levels * ladder.n_steps, overrides
+        assert [(tr.states.dtype, tr.move_types.dtype, tr.accepted.dtype)
+                for tr in ts.levels] == [(np.int64, np.int8, np.int8)] * 2
+        del ts
 
 
 def assert_same_run(ts, fresh):
@@ -746,19 +753,33 @@ def test_idealized_kernel_is_exact_on_deep_wells(depth):
     assert reversibility_gap(K, pi.probs) <= 1e-12
 
 
-def test_idealized_ring_where_the_upper_law_underflows_stays_put():
+def test_idealized_ring_where_the_upper_law_underflows_proposes_in_it():
     """Above h = 5000 the level-1 law of a depth-2000 well is 0.0 in every
-    state: a jump from that ring has nothing to propose, so its rows are
-    the identity and the kernel stays exact for the level-0 target."""
+    state, but its ring-conditional law is not: a jump from that ring
+    proposes within it, from the level-1 log-densities, and the kernel
+    stays exact for the level-0 target."""
     model = builtin_model("double_well_grid", points=41, bounds=[-2.0, 2.0],
                           depth=2000.0)
     levels = geometric_ladder(2, ratio=4.0, h_min=0.5, dh=0.5)
     boundaries = [levels[1].truncation, 5000.0]
+    assert boundaries == [1.0, 5000.0]
     top = np.flatnonzero(ring_table(model.energies(), boundaries) == 2)
-    assert len(top) > 0
+    assert top.tolist() == [0, 1, 2, 3, 37, 38, 39, 40]
     assert not enumerate_distribution(model, levels[1]).probs[top].any()
     K = idealized_jump_matrix(model, *levels, boundaries)
-    assert np.array_equal(K[top], np.eye(model.size)[top])
+    outside = np.setdiff1d(np.arange(model.size), top)
+    assert not K[np.ix_(top, outside)].any()
+    assert (np.diag(K)[top] < 1.0).all()
+    # the same rows from log-space arithmetic alone
+    lo, hi = (level_logdensities(model, lv) for lv in levels)
+    log_q = hi[top] - np.logaddexp.reduce(hi[top])
+    want = np.zeros((len(top), len(top)))
+    for a, x in enumerate(top):
+        for b, y in enumerate(top):
+            if x != y:
+                want[a, b] = math.exp(log_q[b] + min(0.0, (lo[y] + hi[x]) - (lo[x] + hi[y])))
+        want[a, a] = 1.0 - want[a].sum()
+    assert np.allclose(K[np.ix_(top, top)], want, rtol=0.0, atol=1e-12)
     pi = enumerate_distribution(model, levels[0])
     assert stationary_gap(K, pi.probs) <= 1e-12
     assert reversibility_gap(K, pi.probs) <= 1e-12
