@@ -409,6 +409,8 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
         raise CapabilityError(f"dense eigensolver capped at {SPECTRAL_CAP} states")
     _require(exp not in ("q1", "q2") or model.size >= 4, "model",
              f"{exp} needs a model with >= 4 states, got {model.size}")
+    _require(exp not in ("q1", "q2") or model.kind != "potts_grid", "model.kind",
+             f"{exp} reads states as points on a line, not potts_grid labelings")
     image = cfg.segmentation.image
     if exp == "segment" and image.kind == "pgm":
         try:

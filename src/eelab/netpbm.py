@@ -57,14 +57,13 @@ def read_pgm(path) -> Image:
             raise ConfigError(f"truncated P5 raster in {path}")
         values = np.frombuffer(raster, dtype=np.uint8).astype(np.float64)
     else:
-        values = []
-        for tok, _ in gen:
-            values.append(int(tok))
-            if len(values) == width * height:
-                break
-        if len(values) < width * height:
+        tokens = [tok for _, (tok, _) in zip(range(width * height), gen)]
+        if len(tokens) < width * height:
             raise ConfigError(f"truncated P2 raster in {path}")
-        values = np.asarray(values, dtype=np.float64)
+        try:
+            values = np.array([int(tok) for tok in tokens], dtype=np.float64)
+        except ValueError:
+            raise ConfigError(f"non-integer P2 sample in {path}") from None
     if values.max() > maxval:
         raise ConfigError(f"sample above maxval in {path}")
     pixels = (values / maxval).reshape(height, width)

@@ -254,6 +254,56 @@ def _gaussian_mixture_grid(means, sds, weights, points: int, bounds,
     return _path_model("gaussian_mixture_grid", h)
 
 
+def lattice_edges(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """4-neighborhood edge endpoints as flat indices (no wraparound)."""
+    idx = np.arange(width * height).reshape(height, width)
+    ei = np.concatenate([idx[:, :-1].reshape(-1), idx[:-1, :].reshape(-1)])
+    ej = np.concatenate([idx[:, 1:].reshape(-1), idx[1:, :].reshape(-1)])
+    return ei, ej
+
+
+def potts_agreements(lab: np.ndarray) -> np.ndarray:
+    """The number of agreeing 4-neighbor pairs of the labeling (or of each
+    labeling) held in the last two axes, rows by columns, of lab."""
+    return ((lab[..., :, :-1] == lab[..., :, 1:]).sum(axis=(-2, -1))
+            + (lab[..., :-1, :] == lab[..., 1:, :]).sum(axis=(-2, -1)))
+
+
+def labelings(codes, labels: int, width: int, height: int) -> np.ndarray:
+    """The labelings numbered by codes, as a (len(codes), height, width)
+    array of labels 0..labels-1 in the smallest dtype that holds them: code
+    x = sum of lab[s] * labels**s over flat sites s = row * width + column."""
+    rest = np.asarray(codes)  # an object array for codes beyond int64
+    digits = np.empty((len(rest), width * height), np.min_scalar_type(labels - 1))
+    for s in range(width * height):
+        rest, digits[:, s] = rest // labels, rest % labels
+    return digits.reshape(-1, height, width)
+
+
+def labeling_code(lab, labels: int) -> int:
+    """The code of one labeling of 0..labels-1 (the inverse of labelings)."""
+    return sum(v * labels ** s for s, v in enumerate(np.ravel(lab).tolist()))
+
+
+def labeling_model(kind: str, width: int, height: int, labels: int,
+                   logweights: Callable[[np.ndarray], np.ndarray],
+                   enum_cap: int) -> EnergyModel:
+    """The N labelings of a width x height grid as states (x is the one of
+    code x), with energies -logweights(lab) for the (N, height, width) array
+    lab of them all and single-site relabelings, site by site and label by
+    label, as local moves; refused above enum_cap before anything is built."""
+    n_sites = width * height
+    size = labels ** n_sites
+    _refuse_above_cap(kind, size, enum_cap)
+    lab = labelings(np.arange(size), labels, width, height)
+    h = np.asarray(-logweights(lab), dtype=np.float64)
+    rows = lab.reshape(size, n_sites)
+    powers = [labels ** s for s in range(n_sites)]
+    return EnergyModel(kind, h, lambda x: tuple(
+        x + (v - cur) * p for cur, p in zip(rows[x].tolist(), powers)
+        for v in range(labels) if v != cur))
+
+
 def _potts_grid(width: int, height: int, labels: int, beta: float,
                 enum_cap: int) -> EnergyModel:
     if width < 1 or height < 1:
@@ -262,43 +312,8 @@ def _potts_grid(width: int, height: int, labels: int, beta: float,
         raise ConfigError("potts_grid needs labels >= 2")
     if beta < 0:
         raise ConfigError("potts_grid needs beta >= 0")
-    n_sites = width * height
-    size = labels ** n_sites
-    _refuse_above_cap("potts_grid", size, enum_cap)
-
-    # 4-neighborhood lattice edges over flat site indices (no wraparound)
-    edges = []
-    for r in range(height):
-        for c in range(width):
-            i = r * width + c
-            if c + 1 < width:
-                edges.append((i, i + 1))
-            if r + 1 < height:
-                edges.append((i, i + width))
-
-    powers = [labels ** s for s in range(n_sites)]
-
-    def decode(state: int) -> list[int]:
-        digits = []
-        for _ in range(n_sites):
-            digits.append(state % labels)
-            state //= labels
-        return digits
-
-    def neighbor_fn(state: int) -> tuple:
-        w = decode(state)
-        out = []
-        for s in range(n_sites):
-            cur = w[s]
-            for v in range(labels):
-                if v != cur:
-                    out.append(state + (v - cur) * powers[s])
-        return tuple(out)
-
-    # -beta times the number of agreeing edges, one labeling at a time
-    h = np.array([-beta * sum(1 for i, j in edges if w[i] == w[j])
-                  for w in map(decode, range(size))], dtype=np.float64)
-    return EnergyModel("potts_grid", h, neighbor_fn)
+    return labeling_model("potts_grid", width, height, labels,
+                          lambda lab: beta * potts_agreements(lab), enum_cap)
 
 
 # kind: (builder, required parameters, optional parameters)

@@ -29,7 +29,9 @@ import numpy as np
 
 from .errors import CapabilityError, ConfigError, ShapeError
 from .rng import RandomStream
-from .statespace import FiniteDistribution
+from .statespace import (DEFAULT_ENUM_CAP, FiniteDistribution, LadderLevel,
+                         enumerate_distribution, labeling_code, labeling_model,
+                         labelings, lattice_edges, potts_agreements)
 
 logger = logging.getLogger(__name__)
 
@@ -114,14 +116,6 @@ class RegionModelConfig:
             raise ConfigError("poly_fit order must be 0, 1 or 2")
 
 
-def lattice_edges(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """4-neighborhood edge endpoints as flat indices (no wraparound)."""
-    idx = np.arange(width * height).reshape(height, width)
-    ei = np.concatenate([idx[:, :-1].reshape(-1), idx[:-1, :].reshape(-1)])
-    ej = np.concatenate([idx[:, 1:].reshape(-1), idx[1:, :].reshape(-1)])
-    return ei, ej
-
-
 def _incidence(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
     """Each pixel's neighbours and the lattice_edges indices joining them.
 
@@ -190,9 +184,7 @@ def potts_logprior(W: Labeling, beta: float) -> float:
     """beta * number of agreeing 4-neighbor pairs (unnormalized log prior)."""
     if beta < 0:
         raise ConfigError("beta must be >= 0")
-    lab = W.labels
-    agree = int((lab[:, :-1] == lab[:, 1:]).sum() + (lab[:-1, :] == lab[1:, :]).sum())
-    return beta * agree
+    return beta * int(potts_agreements(W.labels))
 
 
 def _poly_design(width: int, height: int, order: int) -> np.ndarray:
@@ -265,19 +257,13 @@ def posterior_logdensity(
 
 
 def encode_labeling(W: Labeling) -> int:
-    """Base-L index of a labeling (flat pixel order, labels shifted to 0)."""
-    code = 0
-    for v in W.flat[::-1]:
-        code = code * W.n_labels + (int(v) - 1)
-    return code
+    """statespace's labeling code of W (labels shifted to 0)."""
+    return labeling_code(W.labels - 1, W.n_labels)
 
 
 def decode_labeling(code: int, n_labels: int, width: int, height: int) -> Labeling:
-    digits = np.empty(width * height, dtype=np.int64)
-    for i in range(width * height):
-        digits[i] = code % n_labels + 1
-        code //= n_labels
-    return Labeling(digits.reshape(height, width), n_labels)
+    lab = labelings([code], n_labels, width, height)[0]
+    return Labeling(1 + lab.astype(np.int64), n_labels)
 
 
 def enumerate_posterior(
@@ -285,19 +271,17 @@ def enumerate_posterior(
     n_labels: int,
     beta: float,
     cfg: RegionModelConfig,
-    enum_cap: int = 2 ** 20,
+    enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> FiniteDistribution:
-    """Exact posterior over all n_labels^(w*h) labelings."""
-    n = n_labels ** image.n_pixels
-    if n > enum_cap:
-        raise CapabilityError(
-            f"{n} labelings exceed the enumeration cap {enum_cap}"
-        )
-    logpost = np.empty(n)
-    for code in range(n):
-        W = decode_labeling(code, n_labels, image.width, image.height)
-        logpost[code] = posterior_logdensity(image, W, beta, cfg)
-    return FiniteDistribution.from_logweights(logpost)
+    """Exact posterior over all n_labels^(w*h) labelings, indexed by
+    encode_labeling's code."""
+    def logposts(labs: np.ndarray) -> np.ndarray:
+        return np.array([posterior_logdensity(
+            image, Labeling(1 + lab.astype(np.int64), n_labels), beta, cfg)
+            for lab in labs])
+    model = labeling_model("segmentation_posterior", image.width, image.height,
+                           n_labels, logposts, enum_cap)
+    return enumerate_distribution(model, LadderLevel(0, 1.0, -math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -796,8 +780,8 @@ class GibbsSiteSampler:
         if size > _EXACT_MAX_STATES:
             raise CapabilityError(f"{size} labelings exceed the cap {_EXACT_MAX_STATES}")
         K = np.zeros((size, size))
-        for x in range(size):
-            lab = decode_labeling(x, L, self.image.width, self.image.height).flat
+        labs = labelings(np.arange(size), L, self.image.width, self.image.height)
+        for x, lab in enumerate(1 + labs.reshape(size, n).astype(np.int64)):
             for i in range(n):
                 w, total = _label_weights(self._site_logweights(lab, i))
                 for c in range(L):

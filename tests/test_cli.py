@@ -157,6 +157,9 @@ def test_q2_arms_run_one_step_budget(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+POTTS_2X2 = {"kind": "potts_grid", "width": 2, "height": 2, "labels": 2,
+             "beta": 0.5}
+
 NEEDS = [
     ("q3", {"ladder": {"n_levels": 1}}, "ladder.n_levels"),
     ("q4", {"ladder": {"n_levels": 1}}, "ladder.n_levels"),
@@ -174,8 +177,15 @@ NEEDS = [
     # a 2x2 P2 header with two samples: read at load, not in the run
     ("segment", {"segmentation": {"image": {"kind": "pgm", "path": "bad.pgm"}}},
      "segmentation.image.path"),
+    # q1 and q2 read a model's states as points on a line
+    ("q1", {"model": POTTS_2X2}, "model.kind"),
+    ("q2", {"model": POTTS_2X2}, "model.kind"),
+    # a P2 sample that is not an integer
+    ("segment", {"segmentation": {"image": {"kind": "pgm", "path": "frac.pgm"}}},
+     "segmentation.image.path"),
 ]
-NEEDS_IDS = [n[0] for n in NEEDS[:-1]] + ["segment-malformed"]
+NEEDS_IDS = [n[0] for n in NEEDS[:7]] + [
+    "segment-malformed", "q1-potts_grid", "q2-potts_grid", "segment-non-integer"]
 
 
 @pytest.mark.parametrize("experiment,raw,key_path", NEEDS, ids=NEEDS_IDS)
@@ -185,6 +195,7 @@ def test_experiment_needs_are_checked_at_load(tmp_path, capsys, monkeypatch,
     when the config is loaded, so no output directory is made."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.pgm").write_text("P2\n2 2\n255\n0 255\n")
+    (tmp_path / "frac.pgm").write_text("P2\n2 2\n255\n0 3.5 255 9\n")
     cfg = write_config(tmp_path, {"experiment": experiment, **raw})
     out = tmp_path / "out"
     assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 1

@@ -49,6 +49,13 @@ class TestReadPgm:
         with pytest.raises(ConfigError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("sample", [b"3.5", b"abc"])
+    def test_rejects_non_integer_p2_sample(self, tmp_path, sample):
+        path = tmp_path / "s.pgm"
+        path.write_bytes(b"P2\n2 1\n255\n0 " + sample + b"\n")
+        with pytest.raises(ConfigError, match="non-integer P2 sample"):
+            read_pgm(path)
+
 
 class TestLabelOutput:
     def test_three_label_gray_levels(self):
