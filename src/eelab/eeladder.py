@@ -363,37 +363,83 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def _jump_kernel(model: EnergyModel, level_lo: LadderLevel, level_hi: LadderLevel,
-                 boundaries, weights: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Exact kernel of a jump move, one row per source state, written over
-    K's rows in place and returned.
+@dataclass(frozen=True, eq=False)
+class JumpTable:
+    """What every jump matrix between two levels under one ring layout
+    shares, whatever its proposal weights: the acceptances
+    min(1, [d_lo(y) d_hi(x)] / [d_lo(x) d_hi(y)]) within each ring.
 
-    From each state x the move proposes a state y of x's ring under
-    boundaries with probability weights[y] / (the sum of weights over the
-    ring), and accepts it with min(1, [d_lo(y) d_hi(x)] / [d_lo(x) d_hi(y)]);
-    the rejected mass stays on the diagonal. The rows of a ring whose
-    weights are all zero (an empty pool) keep K's values. Acceptances go
-    through math.exp and rows are summed left to right, so the matrix does
-    not depend on numpy's SIMD dispatch.
+    rings holds one (xs, accept) pair per ring that holds a state: the
+    ring's states in ascending order, and accept[i, j] the acceptance of
+    a jump from xs[i] to xs[j], taken as math.exp(min(log r, 0)) so that
+    it does not depend on numpy's SIMD dispatch. A table is built by
+    jump_table and records the model, level pair and boundaries it was
+    built for; the jump matrix builders refuse it for any other.
     """
+
+    model: EnergyModel
+    level_lo: LadderLevel
+    level_hi: LadderLevel
+    boundaries: tuple
+    rings: tuple
+
+
+def jump_table(model: EnergyModel, level_lo: LadderLevel, level_hi: LadderLevel,
+               boundaries) -> JumpTable:
+    """The JumpTable of jumps from level_lo to level_hi under boundaries."""
+    boundaries = _sorted_boundaries(boundaries)
     logd_lo = level_logdensities(model, level_lo)
     logd_hi = level_logdensities(model, level_hi)
     ring = ring_table(model.energies(), boundaries)
+    rings = []
     for r in range(len(boundaries) + 1):
         xs = np.flatnonzero(ring == r)
-        ys = xs[weights[xs] > 0]
-        if len(ys) == 0:
+        if len(xs) == 0:
+            continue
+        logr = (logd_lo[xs] + logd_hi[xs, None]) - (logd_lo[xs, None] + logd_hi[xs])
+        accept = np.fromiter(map(math.exp, np.minimum(logr, 0.0).ravel().tolist()),
+                             float, logr.size).reshape(logr.shape)
+        rings.append((xs, accept))
+    return JumpTable(model, level_lo, level_hi, boundaries, tuple(rings))
+
+
+def _table_for(table: Optional[JumpTable], model: EnergyModel, level_lo: LadderLevel,
+               level_hi: LadderLevel, boundaries) -> JumpTable:
+    """table, checked to be built for this model (the same object), level
+    pair and boundaries, else ConfigError; a new table when it is None."""
+    if table is None:
+        return jump_table(model, level_lo, level_hi, boundaries)
+    if not (table.model is model
+            and (table.level_lo, table.level_hi, table.boundaries)
+            == (level_lo, level_hi, _sorted_boundaries(boundaries))):
+        raise ConfigError("jump table was built for another model, level pair "
+                          "or ring layout")
+    return table
+
+
+def _jump_kernel(table: JumpTable, weights: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Exact kernel of a jump move, one row per source state, written over
+    K's rows in place and returned.
+
+    From each state x the move proposes a state y of x's ring under the
+    table's boundaries with probability weights[y] / (the sum of weights
+    over the ring), and accepts it with the table's acceptance; the
+    rejected mass stays on the diagonal. The rows of a ring whose weights
+    are all zero (an empty pool) keep K's values. Rows are summed left to
+    right, so the matrix does not depend on numpy's SIMD dispatch.
+    """
+    for xs, accept in table.rings:
+        w = weights[xs]
+        cols = np.flatnonzero(w > 0)
+        if len(cols) == 0:
             continue
         # summed over the whole ring, zero weights too: dropping them would
         # regroup numpy's pairwise sum and move the last bits
-        w = weights[ys] / weights[xs].sum()
-        logr = (logd_lo[ys] + logd_hi[xs, None]) - (logd_lo[xs, None] + logd_hi[ys])
-        a = np.fromiter(map(math.exp, np.minimum(logr, 0.0).ravel().tolist()),
-                        float, logr.size).reshape(logr.shape)
-        P = w * a
-        P[xs[:, None] == ys] = 0.0
+        P = accept[:, cols]
+        P *= w[cols] / w.sum()
+        P[cols, np.arange(len(cols))] = 0.0  # the proposals of x itself
         K[xs] = 0.0
-        K[np.ix_(xs, ys)] = P
+        K[np.ix_(xs, xs[cols])] = P
         K[xs, xs] = 1.0 - np.cumsum(P, axis=1)[:, -1]
     return K
 
@@ -403,6 +449,7 @@ def idealized_jump_matrix(
     level_lo: LadderLevel,
     level_hi: LadderLevel,
     boundaries,
+    table: Optional[JumpTable] = None,
 ) -> np.ndarray:
     """Exact kernel of the jump move with the empirical ledger replaced by
     the true level-hi distribution truncated to the current energy ring.
@@ -413,17 +460,17 @@ def idealized_jump_matrix(
     distribution underflows to zero in every state proposes from the
     level-hi log-densities shifted by the ring's maximum, which is the same
     ring-conditional law; every other ring proposes from the linear law.
+    table is jump_table(model, level_lo, level_hi, boundaries), which a
+    caller building several jump matrices builds once.
     """
+    table = _table_for(table, model, level_lo, level_hi, boundaries)
     weights = enumerate_distribution(model, level_hi).probs.copy()
     logd_hi = level_logdensities(model, level_hi)
-    ring = ring_table(model.energies(), boundaries)
-    for r in range(len(boundaries) + 1):
-        xs = np.flatnonzero(ring == r)
-        if len(xs) and weights[xs].sum() == 0.0:
+    for xs, _ in table.rings:
+        if weights[xs].sum() == 0.0:
             shifted = logd_hi[xs] - logd_hi[xs].max()
             weights[xs] = np.fromiter(map(math.exp, shifted.tolist()), float, len(xs))
-    return _jump_kernel(model, level_lo, level_hi, boundaries, weights,
-                        np.eye(model.size))
+    return _jump_kernel(table, weights, np.eye(model.size))
 
 
 def empirical_jump_chain_matrix(
@@ -433,6 +480,7 @@ def empirical_jump_chain_matrix(
     ledger: RingLedger,
     p_jump: float,
     K_local: np.ndarray,
+    table: Optional[JumpTable] = None,
 ) -> np.ndarray:
     """Exact kernel of one runner step at level lo against a frozen ledger.
 
@@ -441,14 +489,15 @@ def empirical_jump_chain_matrix(
     records in the current ring, falling back to a local move when the
     ring holds none; otherwise move locally. A ledger with no boundaries
     gives the unrestricted jump. K_local is the local move's matrix,
-    RandomWalkKernel(model, level_lo).exact_matrix(), which a caller
-    sweeping many ledgers builds once.
+    RandomWalkKernel(model, level_lo).exact_matrix(), and table is
+    jump_table(model, level_lo, level_hi, ledger.boundaries); a caller
+    sweeping many ledgers builds each once.
     """
     if not 0.0 <= p_jump <= 1.0:
         raise ConfigError("p_jump must be in [0, 1]")
+    table = _table_for(table, model, level_lo, level_hi, ledger.boundaries)
     counts = np.bincount(ledger.records, minlength=model.size)
-    K_jump = _jump_kernel(model, level_lo, level_hi, ledger.boundaries, counts,
-                          K_local.copy())
+    K_jump = _jump_kernel(table, counts, K_local.copy())
     return p_jump * K_jump + (1.0 - p_jump) * K_local
 
 

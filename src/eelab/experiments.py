@@ -28,6 +28,7 @@ from .eeladder import (
     MOVE_NAMES,
     empirical_jump_chain_matrix,
     idealized_jump_matrix,
+    jump_table,
     ledger_from_iid,
     ring_table,
     run_ladder,
@@ -316,7 +317,9 @@ def exp_q3(config: ExperimentConfig, out: Path) -> None:
     pi = enumerate_distribution(model, levels[0])
     p_jump = float(config.q3["p_jump"])
 
-    K_ideal = idealized_jump_matrix(model, levels[0], levels[1], boundaries)
+    # every jump matrix below shares the acceptances of this table
+    table = jump_table(model, levels[0], levels[1], boundaries)
+    K_ideal = idealized_jump_matrix(model, levels[0], levels[1], boundaries, table)
     K_local = RandomWalkKernel(model, levels[0]).exact_matrix()
     K_ideal_chain = p_jump * K_ideal + (1.0 - p_jump) * K_local
     ideal = {
@@ -334,7 +337,7 @@ def exp_q3(config: ExperimentConfig, out: Path) -> None:
             rng = RandomStream.from_seed(seed)
             ledger = ledger_from_iid(model, levels[1], boundaries, size, rng)
             K = empirical_jump_chain_matrix(
-                model, levels[0], levels[1], ledger, p_jump, K_local
+                model, levels[0], levels[1], ledger, p_jump, K_local, table
             )
             tv = tv_distance(stationary_distribution(K), pi.probs)
             rows.append((size, seed, tv))
@@ -352,24 +355,26 @@ def _kernel_reports(local, pi, q, alpha, prefix=""):
     targeting pi.
 
     At most two dense matrices are held at once (not counting the copy
-    LAPACK makes). The local matrix is symmetrised in place for its
-    report. The MIS eigenvalues are Liu's closed form, checked against
-    the MIS matrix by row blocks (mis_spectrum). The mixture is then
-    formed in the MIS matrix from a rebuilt local one, with the
-    arithmetic of MixtureKernel.exact_matrix (the constructor still
-    checks that the two components target the same law), and
+    LAPACK makes), and each is built once. Alpha times the local matrix
+    on its support is kept before the local matrix is symmetrised in
+    place for its report. The MIS eigenvalues are Liu's closed form,
+    checked against the MIS matrix by row blocks (mis_spectrum). The
+    mixture is then formed in the MIS matrix by adding the kept entries,
+    with the arithmetic of MixtureKernel.exact_matrix (the constructor
+    still checks that the two components target the same law), and
     symmetrised in place for its report.
     """
     jump = IndependenceKernel(pi, q)
     MixtureKernel(alpha, local, jump)
-    reports = {prefix + "local": _owned_spectrum(local.exact_matrix(), pi)}
+    K_local = local.exact_matrix()
+    support = np.flatnonzero(K_local != 0.0)
+    scaled = alpha * K_local.flat[support]
+    reports = {prefix + "local": _owned_spectrum(K_local, pi)}
+    del K_local
     K = jump.exact_matrix()
     reports[prefix + "mis"] = with_mis_bounds(mis_spectrum(K, pi, q), pi, q)
     K *= 1.0 - alpha
-    K_local = local.exact_matrix()
-    K_local *= alpha
-    K += K_local
-    del K_local
+    K.flat[support] += scaled
     reports[prefix + "mixture"] = _owned_spectrum(K, pi)
     return reports
 

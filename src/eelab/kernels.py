@@ -185,7 +185,9 @@ class RandomWalkKernel:
     def exact_matrix(self) -> np.ndarray:
         """K[x, y] sums 1/m, times the acceptance probability, over x's m
         slots that propose y, added slot by slot over all states at once;
-        the diagonal then takes the rest of each row."""
+        the diagonal then takes the rest of each row. That rest is the
+        rejection mass, never negative: where rounding makes it so (nine
+        slots of 1/9 sum to more than 1), the diagonal is 0."""
         n = self.model.size
         K = np.zeros((n, n))
         states = np.arange(n)
@@ -195,7 +197,8 @@ class RandomWalkKernel:
             p = np.array([1.0 if a is None else a for _, a in col])
             on = y >= 0
             K[states[on], y[on]] += p[on] / width[on]
-        K[states, states] += 1.0 - K.sum(axis=1)
+        stay = K[states, states] + (1.0 - K.sum(axis=1))
+        K[states, states] = np.maximum(stay, 0.0)
         return K
 
 

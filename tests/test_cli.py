@@ -183,9 +183,12 @@ NEEDS = [
     # a P2 sample that is not an integer
     ("segment", {"segmentation": {"image": {"kind": "pgm", "path": "frac.pgm"}}},
      "segmentation.image.path"),
+    # every step a jump, and the default boundaries make two rings
+    ("q3", {"q3": {"p_jump": 1}}, "q3.p_jump"),
 ]
 NEEDS_IDS = [n[0] for n in NEEDS[:7]] + [
-    "segment-malformed", "q1-potts_grid", "q2-potts_grid", "segment-non-integer"]
+    "segment-malformed", "q1-potts_grid", "q2-potts_grid", "segment-non-integer",
+    "q3-p_jump-1"]
 
 
 @pytest.mark.parametrize("experiment,raw,key_path", NEEDS, ids=NEEDS_IDS)
@@ -201,6 +204,38 @@ def test_experiment_needs_are_checked_at_load(tmp_path, capsys, monkeypatch,
     assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"eelab: config error: {key_path}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("ladder", [{"ring_boundaries": []},
+                                    {"ring_boundaries": [100.0]}],
+                         ids=["no-boundaries", "one-boundary-above-every-energy"])
+def test_q3_with_every_step_a_jump_runs_on_one_ring(tmp_path, ladder):
+    """q3.p_jump 1 is refused only when the states fall in two or more
+    rings: with one ring the jump chain has one closed class."""
+    cfg = write_config(tmp_path, {"experiment": "q3", "replicates": 2,
+                                  "model": {"points": 21}, "ladder": ladder,
+                                  "q3": {"p_jump": 1, "ledger_sizes": [0, 50]}})
+    out = tmp_path / "out"
+    assert main(["q3", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "DONE").exists()
+
+
+@pytest.mark.parametrize("experiment", ["spectral", "q4"])
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.7])
+def test_spectral_reports_run_on_a_3x3_potts_grid(tmp_path, experiment, beta):
+    """A 3x3 two-label grid has nine local slots of 1/9 each, which sum to
+    1.0000000000000002: the local matrix's diagonal must not go negative
+    where every move is accepted."""
+    model = {"kind": "potts_grid", "width": 3, "height": 3, "labels": 2,
+             "beta": beta}
+    cfg = write_config(tmp_path, {"experiment": experiment, "model": model})
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 0
+    config = load_config(cfg)
+    K = kernels.RandomWalkKernel(config.build_model(),
+                                 config.ladder.levels()[0]).exact_matrix()
+    assert (K >= 0.0).all()
+    assert (K.sum(axis=1) > 1.0).any()  # the rounding the diagonal absorbs
 
 
 def test_segment_reads_its_pgm_image_once(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from eelab.eeladder import (
     RingLedger,
     empirical_jump_chain_matrix,
     idealized_jump_matrix,
+    jump_table,
     ledger_from_iid,
     ring_table,
     run_ladder,
@@ -724,6 +725,62 @@ class TestJumpKernelMatchesLoops:
                                         RingLedger(ledger.records, bounds), 0.6, K_local)
         assert np.array_equal(K, loop_empirical_jump_chain_matrix(
             self.model, *self.levels, ledger, 0.6, jump_mode))
+
+
+class TestJumpTable:
+    """One jump_table per model, level pair and ring layout serves every
+    jump matrix built under them, and no other."""
+
+    levels = geometric_ladder(3, ratio=4.0, h_min=0.5, dh=0.5)
+
+    # one to four rings; the ring above h = 5000 holds states only at
+    # depth 2000, where the level-1 law is 0.0 in every one of them
+    @pytest.mark.parametrize("boundaries", [[], [1.0], [1.0, 5000.0],
+                                            [0.3, 1.0, 5000.0]])
+    @pytest.mark.parametrize("depth", [4.0, 200.0, 2000.0])
+    def test_one_table_builds_the_matrices_built_without_one(self, boundaries, depth):
+        model = builtin_model("double_well_grid", points=41, bounds=[-2.0, 2.0],
+                              depth=depth)
+        lo, hi = self.levels[:2]
+        top = ring_table(model.energies(), [5000.0]) == 1
+        assert top.any() == (depth == 2000.0)
+        assert not enumerate_distribution(model, hi).probs[top].any()
+        K_local = RandomWalkKernel(model, lo).exact_matrix()
+        # restricted jumps, then unrestricted ones: the one-ring layout
+        for bounds in (boundaries, []):
+            table = jump_table(model, lo, hi, bounds)
+            built = [(idealized_jump_matrix(model, lo, hi, bounds, table),
+                      idealized_jump_matrix(model, lo, hi, bounds))]
+            for size in (0, 5, 300):
+                ledger = ledger_from_iid(model, hi, bounds, size,
+                                         RandomStream.from_seed(size))
+                built.append((
+                    empirical_jump_chain_matrix(model, lo, hi, ledger, 0.6, K_local,
+                                                table),
+                    empirical_jump_chain_matrix(model, lo, hi, ledger, 0.6, K_local)))
+            for with_table, without in built:
+                assert np.array_equal(with_table, without)
+
+    def test_a_table_for_another_model_level_pair_or_layout_is_refused(self):
+        model = two_mode_model(20)
+        lo, hi, top = self.levels
+        table = jump_table(model, lo, hi, [1.0])
+        K_local = RandomWalkKernel(model, lo).exact_matrix()
+        records = np.array([0, 3, 5, 9])
+        for built_for in (jump_table(two_mode_model(20, depth=3.0), lo, hi, [1.0]),
+                          jump_table(model, lo, top, [1.0]),
+                          jump_table(model, hi, top, [1.0]),
+                          jump_table(model, lo, hi, [0.5]),
+                          jump_table(model, lo, hi, [1.0, 1.0]),
+                          jump_table(model, lo, hi, [])):
+            with pytest.raises(ConfigError, match="jump table was built for another"):
+                idealized_jump_matrix(model, lo, hi, [1.0], built_for)
+            with pytest.raises(ConfigError, match="jump table was built for another"):
+                empirical_jump_chain_matrix(model, lo, hi, RingLedger(records, (1.0,)),
+                                            0.5, K_local, built_for)
+        # equal spellings of the same layout are the same layout
+        assert np.array_equal(idealized_jump_matrix(model, lo, hi, (1.0,), table),
+                              idealized_jump_matrix(model, lo, hi, [1.0]))
 
 
 @pytest.mark.parametrize("points", [21, 61, 201])
