@@ -419,15 +419,15 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
             raise ConfigError(f"segmentation.image.path: {exc}") from None
     cfg.ladder.levels()
     if exp == "q3" and cfg.q3["p_jump"] == 1:
-        # restricted jumps never leave their ring, so with no local move the
-        # chains of two or more rings have no unique stationary law
+        # jumps never leave their ring, so with no local move the chains of
+        # two or more rings have no unique stationary law
         rings = len(set(ring_table(model.energies(),
-                                   cfg.ladder.build().boundaries()).tolist()))
+                                   cfg.ladder.build().jump_boundaries()).tolist()))
         _require(rings == 1, "q3.p_jump",
                  f"1 leaves no local move, and jumps never leave their ring: "
                  f"the ring boundaries put the model's states in {rings} rings, "
-                 f"so the chain has no unique stationary law (use p_jump < 1 "
-                 f"or one ring)")
+                 f"so the chain has no unique stationary law (use p_jump < 1, "
+                 f"or one ring: jump_mode unrestricted or no ring boundaries)")
     init = cfg.ladder.init_state
     _require(init is None or init < model.size, "ladder.init_state",
              f"must be < {model.size}, the model's state count, got {init}")

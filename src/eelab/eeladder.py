@@ -5,10 +5,10 @@ random-walk moves with jump moves that propose a state recorded by the
 level above from the energy ring of the current state. An unrestricted
 jump is the jump with no ring boundaries, one ring: it proposes any
 record, and with the records replaced by the upper level's law it is the
-Metropolized independence sampler (idealized_jump_matrix with no
-boundaries). A level's records are its trace's states from step burn_in
-on, at most max_records of them: its ledger is derived from its trace
-(TraceSet.ledger). A ring is never stored: ring_table derives it from a
+Metropolized independence sampler (idealized_jump_matrix of a table with
+no boundaries). A level's records are its trace's states from step
+burn_in on, at most max_records of them: its ledger is derived from its
+trace (TraceSet.ledger). A ring is never stored: ring_table derives it from a
 state's energy where it is needed. A jump from x to y at level i is
 accepted with probability
 
@@ -68,14 +68,18 @@ def ring_table(energies, boundaries) -> np.ndarray:
     return np.searchsorted(b, np.asarray(energies, dtype=np.float64), side="right")
 
 
+def _records(states: np.ndarray, burn_in: int, max_records: Optional[int]) -> np.ndarray:
+    """A level's records: its states from step burn_in on, at most max_records."""
+    return states[burn_in:][:max_records]
+
+
 @dataclass(frozen=True, eq=False)
 class RingLedger:
-    """Recorded states (int64, in record order) and the ring boundaries
-    that split them; an unrestricted ledger has none. A run's ledgers are
-    views of its traces (TraceSet.ledger)."""
+    """Recorded states (int64, in record order). The ring layout a jump
+    reads them by is its JumpTable's. A run's ledgers are views of its
+    traces (TraceSet.ledger)."""
 
     records: np.ndarray
-    boundaries: tuple
 
     @property
     def total(self) -> int:
@@ -132,6 +136,11 @@ class LadderConfig:
             return list(self.ring_boundaries)
         return [lv.truncation for lv in self.levels[1:]]
 
+    def jump_boundaries(self) -> list[float]:
+        """The ring layout jumps draw by: the boundaries when jumps are
+        restricted, none (one ring) when they are unrestricted."""
+        return self.boundaries() if self.jump_mode == "restricted" else []
+
 
 @dataclass
 class LevelTrace:
@@ -149,8 +158,8 @@ class LevelTrace:
 
 @dataclass
 class TraceSet:
-    """All level traces of one run, and what its ledgers derive from:
-    burn_in, max_records and the ring boundaries.
+    """All level traces of one run, what its ledgers derive from (burn_in
+    and max_records), and the configured ring boundaries.
 
     top_source holds what the top level's trace is a function of (see
     run_ladder); a later run may take its top level from here.
@@ -163,10 +172,9 @@ class TraceSet:
     top_source: tuple = field(default=(), repr=False, compare=False)
 
     def ledger(self, level: int) -> RingLedger:
-        """The level's records: its states from step burn_in on, at most
-        max_records of them."""
-        records = self.levels[level].states[self.burn_in:][:self.max_records]
-        return RingLedger(records, self.boundaries)
+        """The level's records (see _records)."""
+        return RingLedger(_records(self.levels[level].states, self.burn_in,
+                                   self.max_records))
 
     def empirical_counts(self, level: int, n_states: int,
                          upto: Optional[int] = None) -> np.ndarray:
@@ -231,7 +239,7 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
     with probability p_jump (never at the top level), else a local move;
     a jump whose pool holds no visible record falls back to the local
     move. A level's records are the states of its trace from step burn_in
-    on, at most max_records of them (TraceSet.ledger).
+    on, at most max_records of them (_records).
 
     A level never writes to the level above, so running each level to
     completion is exact for both schedules: before level i runs, the
@@ -264,9 +272,8 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
     """
     K = config.n_levels
     logd = [level_logdensities(model, lv).tolist() for lv in config.levels]
-    boundaries = tuple(config.boundaries())
     # the ring each state's jumps draw from: an unrestricted jump has one
-    jump_bounds = boundaries if config.jump_mode == "restricted" else ()
+    jump_bounds = config.jump_boundaries()
     jump_ring = ring_table(model.energies(), jump_bounds)
     rngs = RandomStream.from_seed(seed).spawn(K)
     inits = []
@@ -306,9 +313,9 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
             # ring: the ring's records in record order, and seen[t] the
             # number of them a jump at step t may see; rows[x] is the pair
             # of x's ring
-            recorded = traces[-1].states[burn_in:][:cap]
-            masks = ((jump_ring == j)[recorded] for j in range(len(jump_bounds) + 1))
-            pairs = [(recorded[m].tolist(), _visible_counts(m, n_steps, lag))
+            records = _records(traces[-1].states, burn_in, cap)
+            masks = ((jump_ring == j)[records] for j in range(len(jump_bounds) + 1))
+            pairs = [(records[m].tolist(), _visible_counts(m, n_steps, lag))
                      for m in masks]
             rows = [pairs[r] for r in jump_ring.tolist()]
             del pairs  # so that dropping rows frees the pools and tables
@@ -355,7 +362,7 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
         kinds >>= 1
         states >>= 3
         traces.append(LevelTrace(i, states, kinds, accepted))
-    return TraceSet(traces[::-1], burn_in, cap, boundaries, source)
+    return TraceSet(traces[::-1], burn_in, cap, tuple(config.boundaries()), source)
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +372,18 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
 
 @dataclass(frozen=True, eq=False)
 class JumpTable:
-    """What every jump matrix between two levels under one ring layout
-    shares, whatever its proposal weights: the acceptances
-    min(1, [d_lo(y) d_hi(x)] / [d_lo(x) d_hi(y)]) within each ring.
+    """A jump move between two levels under one ring layout, all but its
+    proposal weights: the model, the upper level and, within each ring, the
+    acceptances min(1, [d_lo(y) d_hi(x)] / [d_lo(x) d_hi(y)]).
 
     rings holds one (xs, accept) pair per ring that holds a state: the
     ring's states in ascending order, and accept[i, j] the acceptance of
     a jump from xs[i] to xs[j], taken as math.exp(min(log r, 0)) so that
-    it does not depend on numpy's SIMD dispatch. A table is built by
-    jump_table and records the model, level pair and boundaries it was
-    built for; the jump matrix builders refuse it for any other.
+    it does not depend on numpy's SIMD dispatch. jump_table builds it.
     """
 
     model: EnergyModel
-    level_lo: LadderLevel
     level_hi: LadderLevel
-    boundaries: tuple
     rings: tuple
 
 
@@ -400,33 +403,19 @@ def jump_table(model: EnergyModel, level_lo: LadderLevel, level_hi: LadderLevel,
         accept = np.fromiter(map(math.exp, np.minimum(logr, 0.0).ravel().tolist()),
                              float, logr.size).reshape(logr.shape)
         rings.append((xs, accept))
-    return JumpTable(model, level_lo, level_hi, boundaries, tuple(rings))
-
-
-def _table_for(table: Optional[JumpTable], model: EnergyModel, level_lo: LadderLevel,
-               level_hi: LadderLevel, boundaries) -> JumpTable:
-    """table, checked to be built for this model (the same object), level
-    pair and boundaries, else ConfigError; a new table when it is None."""
-    if table is None:
-        return jump_table(model, level_lo, level_hi, boundaries)
-    if not (table.model is model
-            and (table.level_lo, table.level_hi, table.boundaries)
-            == (level_lo, level_hi, _sorted_boundaries(boundaries))):
-        raise ConfigError("jump table was built for another model, level pair "
-                          "or ring layout")
-    return table
+    return JumpTable(model, level_hi, tuple(rings))
 
 
 def _jump_kernel(table: JumpTable, weights: np.ndarray, K: np.ndarray) -> np.ndarray:
     """Exact kernel of a jump move, one row per source state, written over
     K's rows in place and returned.
 
-    From each state x the move proposes a state y of x's ring under the
-    table's boundaries with probability weights[y] / (the sum of weights
-    over the ring), and accepts it with the table's acceptance; the
-    rejected mass stays on the diagonal. The rows of a ring whose weights
-    are all zero (an empty pool) keep K's values. Rows are summed left to
-    right, so the matrix does not depend on numpy's SIMD dispatch.
+    From each state x the move proposes a state y of x's ring in the
+    table with probability weights[y] / (the sum of weights over the
+    ring), and accepts it with the table's acceptance; the rejected mass
+    stays on the diagonal. The rows of a ring whose weights are all zero
+    (an empty pool) keep K's values. Rows are summed left to right, so
+    the matrix does not depend on numpy's SIMD dispatch.
     """
     for xs, accept in table.rings:
         w = weights[xs]
@@ -444,15 +433,9 @@ def _jump_kernel(table: JumpTable, weights: np.ndarray, K: np.ndarray) -> np.nda
     return K
 
 
-def idealized_jump_matrix(
-    model: EnergyModel,
-    level_lo: LadderLevel,
-    level_hi: LadderLevel,
-    boundaries,
-    table: Optional[JumpTable] = None,
-) -> np.ndarray:
-    """Exact kernel of the jump move with the empirical ledger replaced by
-    the true level-hi distribution truncated to the current energy ring.
+def idealized_jump_matrix(table: JumpTable) -> np.ndarray:
+    """Exact kernel of the table's jump move proposing from the true
+    level-hi distribution truncated to the current energy ring.
 
     The result is block-diagonal over rings and reversible for the
     level-lo target. With no boundaries it is the Metropolized independence
@@ -460,10 +443,8 @@ def idealized_jump_matrix(
     distribution underflows to zero in every state proposes from the
     level-hi log-densities shifted by the ring's maximum, which is the same
     ring-conditional law; every other ring proposes from the linear law.
-    table is jump_table(model, level_lo, level_hi, boundaries), which a
-    caller building several jump matrices builds once.
     """
-    table = _table_for(table, model, level_lo, level_hi, boundaries)
+    model, level_hi = table.model, table.level_hi
     weights = enumerate_distribution(model, level_hi).probs.copy()
     logd_hi = level_logdensities(model, level_hi)
     for xs, _ in table.rings:
@@ -473,45 +454,29 @@ def idealized_jump_matrix(
     return _jump_kernel(table, weights, np.eye(model.size))
 
 
-def empirical_jump_chain_matrix(
-    model: EnergyModel,
-    level_lo: LadderLevel,
-    level_hi: LadderLevel,
-    ledger: RingLedger,
-    p_jump: float,
-    K_local: np.ndarray,
-    table: Optional[JumpTable] = None,
-) -> np.ndarray:
+def empirical_jump_chain_matrix(table: JumpTable, ledger: RingLedger, p_jump: float,
+                                K_local: np.ndarray) -> np.ndarray:
     """Exact kernel of one runner step at level lo against a frozen ledger.
 
     The step is: with probability p_jump attempt a jump whose proposal is
     the empirical (multiplicity-weighted) distribution of the ledger's
     records in the current ring, falling back to a local move when the
-    ring holds none; otherwise move locally. A ledger with no boundaries
-    gives the unrestricted jump. K_local is the local move's matrix,
-    RandomWalkKernel(model, level_lo).exact_matrix(), and table is
-    jump_table(model, level_lo, level_hi, ledger.boundaries); a caller
-    sweeping many ledgers builds each once.
+    ring holds none; otherwise move locally. K_local is the local move's
+    matrix, RandomWalkKernel(table.model, level_lo).exact_matrix() for the
+    level_lo the table was built with; nothing checks that it is.
     """
     if not 0.0 <= p_jump <= 1.0:
         raise ConfigError("p_jump must be in [0, 1]")
-    table = _table_for(table, model, level_lo, level_hi, ledger.boundaries)
-    counts = np.bincount(ledger.records, minlength=model.size)
+    counts = np.bincount(ledger.records, minlength=table.model.size)
     K_jump = _jump_kernel(table, counts, K_local.copy())
     return p_jump * K_jump + (1.0 - p_jump) * K_local
 
 
-def ledger_from_iid(
-    model: EnergyModel,
-    level: LadderLevel,
-    boundaries,
-    n_records: int,
-    rng: RandomStream,
-) -> RingLedger:
+def ledger_from_iid(model: EnergyModel, level: LadderLevel, n_records: int,
+                    rng: RandomStream) -> RingLedger:
     """Ledger filled with n i.i.d. exact draws from the level distribution."""
-    boundaries = _sorted_boundaries(boundaries)
     dist = enumerate_distribution(model, level)
     cum = np.cumsum(dist.probs)
     cum[-1] = 1.0
     draws = np.searchsorted(cum, rng.uniforms(n_records), side="right")
-    return RingLedger(draws, boundaries)
+    return RingLedger(draws)

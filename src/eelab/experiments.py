@@ -313,13 +313,13 @@ def exp_q3(config: ExperimentConfig, out: Path) -> None:
     """Ledger-size bias sweep against the exact ring-truncated kernel."""
     model = config.build_model()
     levels = config.ladder.levels()
-    boundaries = config.ladder.build().boundaries()
+    boundaries = config.ladder.build().jump_boundaries()
     pi = enumerate_distribution(model, levels[0])
     p_jump = float(config.q3["p_jump"])
 
     # every jump matrix below shares the acceptances of this table
     table = jump_table(model, levels[0], levels[1], boundaries)
-    K_ideal = idealized_jump_matrix(model, levels[0], levels[1], boundaries, table)
+    K_ideal = idealized_jump_matrix(table)
     K_local = RandomWalkKernel(model, levels[0]).exact_matrix()
     K_ideal_chain = p_jump * K_ideal + (1.0 - p_jump) * K_local
     ideal = {
@@ -335,10 +335,8 @@ def exp_q3(config: ExperimentConfig, out: Path) -> None:
         for k in range(config.replicates):
             seed = config.seed + k
             rng = RandomStream.from_seed(seed)
-            ledger = ledger_from_iid(model, levels[1], boundaries, size, rng)
-            K = empirical_jump_chain_matrix(
-                model, levels[0], levels[1], ledger, p_jump, K_local, table
-            )
+            ledger = ledger_from_iid(model, levels[1], size, rng)
+            K = empirical_jump_chain_matrix(table, ledger, p_jump, K_local)
             tv = tv_distance(stationary_distribution(K), pi.probs)
             rows.append((size, seed, tv))
             tvs.append(tv)

@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigError
+
 _BUF = 8192
 
 
@@ -58,7 +60,9 @@ class RandomStream:
         return [RandomStream(child) for child in self._seq.spawn(n)]
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n floats in [0, 1) as an array."""
+        """n floats in [0, 1) as an array; ConfigError if n < 0."""
+        if n < 0:
+            raise ConfigError(f"cannot draw {n} uniforms")
         remaining = len(self._abuf) - self._apos
         if n <= remaining:
             out = self._abuf[self._apos:self._apos + n].copy()

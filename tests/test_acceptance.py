@@ -20,6 +20,7 @@ from eelab.eeladder import (
     LadderConfig,
     empirical_jump_chain_matrix,
     idealized_jump_matrix,
+    jump_table,
     ledger_from_iid,
     run_ladder,
 )
@@ -166,7 +167,7 @@ def test_criterion_3_kernel_exactness():
     flat = RegionModelConfig(mode="fixed_means", sigma=0.5, means=(0.5, 0.5))
     gibbs = GibbsSiteSampler(Image(2, 2, np.full((2, 2), 0.5)), 2, 0.6, flat)
 
-    ideal = idealized_jump_matrix(model, LEVEL0, lv1, [1.0])
+    ideal = idealized_jump_matrix(jump_table(model, LEVEL0, lv1, [1.0]))
 
     cases = [
         (local.exact_matrix(), pi.probs, "random-walk"),
@@ -239,10 +240,10 @@ def test_criterion_5_ee_ladder_correctness():
 def test_criterion_6_reversibility_bias_decay():
     model = two_mode_model(16)
     levels = geometric_ladder(2, ratio=4.0, h_min=1.0, dh=1.0)
-    boundaries = [lv.truncation for lv in levels[1:]]
+    table = jump_table(model, levels[0], levels[1], [lv.truncation for lv in levels[1:]])
     pi = enumerate_distribution(model, levels[0])
 
-    K_ideal = idealized_jump_matrix(model, levels[0], levels[1], boundaries)
+    K_ideal = idealized_jump_matrix(table)
     assert stationary_gap(K_ideal, pi.probs) <= 1e-12
     assert reversibility_gap(K_ideal, pi.probs) <= 1e-12
 
@@ -252,10 +253,8 @@ def test_criterion_6_reversibility_bias_decay():
         tvs = []
         for k in range(20):
             rng = RandomStream.from_seed(7000 + k)
-            ledger = ledger_from_iid(model, levels[1], boundaries, size, rng)
-            K = empirical_jump_chain_matrix(
-                model, levels[0], levels[1], ledger, 0.5, K_local
-            )
+            ledger = ledger_from_iid(model, levels[1], size, rng)
+            K = empirical_jump_chain_matrix(table, ledger, 0.5, K_local)
             tvs.append(tv_distance(stationary_distribution(K), pi.probs))
         medians.append(float(np.median(tvs)))
 

@@ -207,17 +207,40 @@ def test_experiment_needs_are_checked_at_load(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("ladder", [{"ring_boundaries": []},
-                                    {"ring_boundaries": [100.0]}],
-                         ids=["no-boundaries", "one-boundary-above-every-energy"])
+                                    {"ring_boundaries": [100.0]},
+                                    {"jump_mode": "unrestricted"}],
+                         ids=["no-boundaries", "one-boundary-above-every-energy",
+                              "unrestricted-jumps"])
 def test_q3_with_every_step_a_jump_runs_on_one_ring(tmp_path, ladder):
     """q3.p_jump 1 is refused only when the states fall in two or more
-    rings: with one ring the jump chain has one closed class."""
+    rings: with one ring the jump chain has one closed class. Unrestricted
+    jumps have one ring whatever the boundaries."""
     cfg = write_config(tmp_path, {"experiment": "q3", "replicates": 2,
                                   "model": {"points": 21}, "ladder": ladder,
                                   "q3": {"p_jump": 1, "ledger_sizes": [0, 50]}})
     out = tmp_path / "out"
     assert main(["q3", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "DONE").exists()
+
+
+def test_q3_with_unrestricted_jumps_is_q3_on_one_ring(tmp_path):
+    """q3 reads ladder.jump_mode: unrestricted jumps write the bytes of
+    the one-ring layout, and restricted jumps (the default boundaries
+    make two rings here) write others."""
+    written = {}
+    for name, ladder in (("unrestricted", {"jump_mode": "unrestricted"}),
+                         ("one-ring", {"ring_boundaries": []}),
+                         ("restricted", {})):
+        cfg = write_config(tmp_path, {"experiment": "q3", "replicates": 2,
+                                      "model": {"points": 21}, "ladder": ladder,
+                                      "q3": {"ledger_sizes": [0, 50]}},
+                           name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["q3", "--config", str(cfg), "--out", str(out)]) == 0
+        written[name] = [(out / f).read_bytes()
+                         for f in ("ledger_bias.csv", "summary.json")]
+    assert written["unrestricted"] == written["one-ring"]
+    assert written["restricted"] != written["one-ring"]
 
 
 @pytest.mark.parametrize("experiment", ["spectral", "q4"])

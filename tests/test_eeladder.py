@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import fields
 
 import numpy as np
@@ -85,24 +86,28 @@ class TestRingIndex:
         with pytest.raises(ConfigError):
             ring_table([0.0], [1.0, 0.5])
         with pytest.raises(ConfigError):
-            ledger_from_iid(two_mode_model(), LadderLevel(1, 4.0, 0.5),
-                            [2.0, 1.0], 10, RandomStream.from_seed(1))
+            jump_table(two_mode_model(), LEVEL0, LadderLevel(1, 4.0, 0.5), [2.0, 1.0])
 
 
 class TestRecord:
     def test_totals_count_records(self):
         model = two_mode_model()
-        led = ledger_from_iid(model, LadderLevel(1, 4.0, 0.5), [1.0, 2.0], 10,
+        led = ledger_from_iid(model, LadderLevel(1, 4.0, 0.5), 10,
                               RandomStream.from_seed(2))
         assert led.total == 10
-        assert led.boundaries == (1.0, 2.0)
+        assert [f.name for f in fields(led)] == ["records"]
+
+    def test_a_negative_record_count_is_refused(self):
+        with pytest.raises(ConfigError):
+            ledger_from_iid(two_mode_model(), LadderLevel(1, 4.0, 0.5), -2,
+                            RandomStream.from_seed(2))
 
     def test_energy_routes_to_ring(self):
         model = two_mode_model()
         h = model.energies()
-        led = ledger_from_iid(model, LadderLevel(1, 4.0, 0.5), [1.0, 2.0], 500,
+        led = ledger_from_iid(model, LadderLevel(1, 4.0, 0.5), 500,
                               RandomStream.from_seed(3))
-        rings = ring_table(h, led.boundaries)[led.records]
+        rings = ring_table(h, [1.0, 2.0])[led.records]
         assert rings.tolist() == [bisect_right([1.0, 2.0], h[x])
                                   for x in led.records.tolist()]
 
@@ -123,8 +128,9 @@ class TestJumpAcceptance:
         x -> y is accepted with probability exp(-0.05)."""
         model = builtin_model("energy_table", energies=[0.5, 0.6])
         lv1 = LadderLevel(1, 2.0, 0.0)
-        ledger = RingLedger(np.array([1]), ())  # single ring
-        K = empirical_jump_chain_matrix(model, LEVEL0, lv1, ledger, 1.0,
+        ledger = RingLedger(np.array([1]))
+        K = empirical_jump_chain_matrix(jump_table(model, LEVEL0, lv1, []),  # one ring
+                                        ledger, 1.0,
                                         RandomWalkKernel(model, LEVEL0).exact_matrix())
         assert K[0, 1] == pytest.approx(math.exp(-0.05), abs=1e-12)
 
@@ -133,17 +139,18 @@ class TestJumpAcceptance:
         so the kernel entry equals the full proposal mass."""
         model = builtin_model("energy_table", energies=[0.5, 0.6])
         lv1 = LadderLevel(1, 2.0, 0.0)
-        ledger = RingLedger(np.array([0]), ())  # proposing the lower-energy state from x=1
-        K = empirical_jump_chain_matrix(model, LEVEL0, lv1, ledger, 1.0,
+        ledger = RingLedger(np.array([0]))  # proposing the lower-energy state from x=1
+        K = empirical_jump_chain_matrix(jump_table(model, LEVEL0, lv1, []), ledger, 1.0,
                                         RandomWalkKernel(model, LEVEL0).exact_matrix())
         assert K[1, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_ledger_reduces_to_local_kernel(self):
         model = two_mode_model(10)
         lv1 = LadderLevel(1, 4.0, 1.0)
-        empty = RingLedger(np.array([], dtype=np.int64), (1.0,))
+        empty = RingLedger(np.array([], dtype=np.int64))
         K_local = RandomWalkKernel(model, LEVEL0).exact_matrix()
-        K = empirical_jump_chain_matrix(model, LEVEL0, lv1, empty, 0.7, K_local)
+        K = empirical_jump_chain_matrix(jump_table(model, LEVEL0, lv1, [1.0]), empty,
+                                        0.7, K_local)
         np.testing.assert_allclose(K, K_local, atol=1e-15)
 
 
@@ -193,10 +200,10 @@ class TestRuns:
         h = model.energies()
         for i in range(cfg.n_levels):
             led = ts.ledger(i)
-            rings = ring_table(h, led.boundaries)[led.records]
+            rings = ring_table(h, ts.boundaries)[led.records]
             assert rings.tolist() == [bisect_right(cfg.boundaries(), h[s])
                                       for s in led.records.tolist()]
-            assert np.all(rings <= len(led.boundaries))
+            assert np.all(rings <= len(ts.boundaries))
 
     def test_burn_in_states_absent_from_ledger(self):
         model = two_mode_model()
@@ -256,6 +263,18 @@ class TestRuns:
             LadderConfig(levels=levels, max_records=-1)
         with pytest.raises(ConfigError):
             LadderConfig(levels=levels, ring_boundaries=[2.0, 1.0])
+
+    def test_unrestricted_jumps_have_no_boundaries(self):
+        """jump_boundaries is the layout jumps draw by; the configured
+        boundaries stay what boundaries() returns either way."""
+        levels = geometric_ladder(3)
+        for ring_boundaries in (None, [0.5], []):
+            restricted, unrestricted = (
+                LadderConfig(levels=levels, ring_boundaries=ring_boundaries,
+                             jump_mode=mode) for mode in ("restricted", "unrestricted"))
+            assert restricted.jump_boundaries() == restricted.boundaries()
+            assert unrestricted.jump_boundaries() == []
+            assert unrestricted.boundaries() == restricted.boundaries()
 
 
 def interleaved_run(model, cfg, seed):
@@ -341,10 +360,10 @@ def assert_matches_reference(model, levels, schedule, jump_mode):
                     assert tr.accepted.tolist() == [int(a) for a in accepted], case
                 for i, (rings, flat) in enumerate(ledgers):
                     led = ts.ledger(i)
-                    ring = ring_table(model.energies(), led.boundaries)[led.records]
+                    ring = ring_table(model.energies(), ts.boundaries)[led.records]
                     assert led.records.tolist() == flat, case
                     assert [led.records[ring == j].tolist()
-                            for j in range(len(led.boundaries) + 1)] == rings, case
+                            for j in range(len(ts.boundaries) + 1)] == rings, case
 
 
 @pytest.mark.parametrize("n_levels", [1, 2, 3])
@@ -459,7 +478,7 @@ def assert_same_run(ts, fresh):
     for i in range(len(fresh.levels)):
         led, want = ts.ledger(i), fresh.ledger(i)
         assert led.records.tolist() == want.records.tolist()
-        assert led.boundaries == want.boundaries
+    assert ts.boundaries == fresh.boundaries
 
 
 FLIP = {"jump_mode": {"restricted": "unrestricted", "unrestricted": "restricted"},
@@ -606,7 +625,7 @@ class TestIdealizedJump:
         levels = geometric_ladder(2, ratio=4.0, h_min=0.5, dh=0.5)
         boundaries = [lv.truncation for lv in levels[1:]]
         pi = enumerate_distribution(model, levels[0])
-        K = idealized_jump_matrix(model, levels[0], levels[1], boundaries)
+        K = idealized_jump_matrix(jump_table(model, levels[0], levels[1], boundaries))
 
         assert stationary_gap(K, pi.probs) <= 1e-12
         assert reversibility_gap(K, pi.probs) <= 1e-12
@@ -617,16 +636,14 @@ class TestIdealizedJump:
     def test_ledger_bias_decays_with_ledger_size(self):
         model = two_mode_model(16)
         levels = geometric_ladder(2, ratio=4.0, h_min=0.5, dh=0.5)
-        boundaries = [lv.truncation for lv in levels[1:]]
+        table = jump_table(model, levels[0], levels[1], [lv.truncation for lv in levels[1:]])
         pi = enumerate_distribution(model, levels[0])
         K_local = RandomWalkKernel(model, levels[0]).exact_matrix()
         rng = RandomStream.from_seed(31)
         tvs = []
         for size in (100, 1000, 10000):
-            led = ledger_from_iid(model, levels[1], boundaries, size, rng)
-            K = empirical_jump_chain_matrix(
-                model, levels[0], levels[1], led, 0.5, K_local
-            )
+            led = ledger_from_iid(model, levels[1], size, rng)
+            K = empirical_jump_chain_matrix(table, led, 0.5, K_local)
             tvs.append(tv_distance(stationary_distribution(K), pi.probs))
         assert tvs[0] > tvs[2]
 
@@ -692,6 +709,10 @@ def loop_empirical_jump_chain_matrix(model, level_lo, level_hi, ledger, p_jump,
     return p_jump * K_jump + (1.0 - p_jump) * K_local
 
 
+# what the loop reference reads of a ledger: its records and the ring
+# boundaries that split them
+LoopLedger = namedtuple("LoopLedger", "records boundaries")
+
 # one ring per truncation, several rings, and two empty rings (below every
 # energy and between equal boundaries)
 RING_LAYOUTS = {"truncation": [1.0], "four_rings": [0.3, 1.0, 2.5],
@@ -705,7 +726,7 @@ class TestJumpKernelMatchesLoops:
     @pytest.mark.parametrize("layout", RING_LAYOUTS)
     def test_idealized(self, layout):
         b = RING_LAYOUTS[layout]
-        K = idealized_jump_matrix(self.model, *self.levels, b)
+        K = idealized_jump_matrix(jump_table(self.model, *self.levels, b))
         assert np.array_equal(K, loop_idealized_jump_matrix(self.model, *self.levels, b))
 
     @pytest.mark.parametrize("layout", RING_LAYOUTS)
@@ -714,22 +735,24 @@ class TestJumpKernelMatchesLoops:
     @pytest.mark.parametrize("cap", [None, 30])
     def test_empirical(self, layout, jump_mode, size, cap):
         b = RING_LAYOUTS[layout]
-        full = ledger_from_iid(self.model, self.levels[1], b, size,
+        full = ledger_from_iid(self.model, self.levels[1], size,
                                RandomStream.from_seed(size + 7))
-        ledger = RingLedger(full.records[:cap], full.boundaries)
+        ledger = RingLedger(full.records[:cap])
         assert ledger.total == (size if cap is None else min(size, cap))
         # the builder's unrestricted jump is the one-ring jump
-        bounds = ledger.boundaries if jump_mode == "restricted" else ()
+        bounds = b if jump_mode == "restricted" else ()
         K_local = RandomWalkKernel(self.model, self.levels[0]).exact_matrix()
-        K = empirical_jump_chain_matrix(self.model, *self.levels,
-                                        RingLedger(ledger.records, bounds), 0.6, K_local)
+        K = empirical_jump_chain_matrix(jump_table(self.model, *self.levels, bounds),
+                                        ledger, 0.6, K_local)
         assert np.array_equal(K, loop_empirical_jump_chain_matrix(
-            self.model, *self.levels, ledger, 0.6, jump_mode))
+            self.model, *self.levels, LoopLedger(ledger.records, tuple(b)), 0.6,
+            jump_mode))
 
 
 class TestJumpTable:
     """One jump_table per model, level pair and ring layout serves every
-    jump matrix built under them, and no other."""
+    jump matrix built under them: building a matrix leaves the table as
+    it was."""
 
     levels = geometric_ladder(3, ratio=4.0, h_min=0.5, dh=0.5)
 
@@ -738,7 +761,7 @@ class TestJumpTable:
     @pytest.mark.parametrize("boundaries", [[], [1.0], [1.0, 5000.0],
                                             [0.3, 1.0, 5000.0]])
     @pytest.mark.parametrize("depth", [4.0, 200.0, 2000.0])
-    def test_one_table_builds_the_matrices_built_without_one(self, boundaries, depth):
+    def test_one_table_builds_what_a_fresh_table_builds(self, boundaries, depth):
         model = builtin_model("double_well_grid", points=41, bounds=[-2.0, 2.0],
                               depth=depth)
         lo, hi = self.levels[:2]
@@ -749,38 +772,26 @@ class TestJumpTable:
         # restricted jumps, then unrestricted ones: the one-ring layout
         for bounds in (boundaries, []):
             table = jump_table(model, lo, hi, bounds)
-            built = [(idealized_jump_matrix(model, lo, hi, bounds, table),
-                      idealized_jump_matrix(model, lo, hi, bounds))]
+            built = [(idealized_jump_matrix(table),
+                      idealized_jump_matrix(jump_table(model, lo, hi, bounds)))]
             for size in (0, 5, 300):
-                ledger = ledger_from_iid(model, hi, bounds, size,
-                                         RandomStream.from_seed(size))
+                ledger = ledger_from_iid(model, hi, size, RandomStream.from_seed(size))
                 built.append((
-                    empirical_jump_chain_matrix(model, lo, hi, ledger, 0.6, K_local,
-                                                table),
-                    empirical_jump_chain_matrix(model, lo, hi, ledger, 0.6, K_local)))
-            for with_table, without in built:
-                assert np.array_equal(with_table, without)
+                    empirical_jump_chain_matrix(table, ledger, 0.6, K_local),
+                    empirical_jump_chain_matrix(jump_table(model, lo, hi, bounds),
+                                                ledger, 0.6, K_local)))
+            for shared, fresh in built:
+                assert np.array_equal(shared, fresh)
 
-    def test_a_table_for_another_model_level_pair_or_layout_is_refused(self):
+    def test_equal_spellings_of_one_layout_build_one_table(self):
         model = two_mode_model(20)
-        lo, hi, top = self.levels
-        table = jump_table(model, lo, hi, [1.0])
-        K_local = RandomWalkKernel(model, lo).exact_matrix()
-        records = np.array([0, 3, 5, 9])
-        for built_for in (jump_table(two_mode_model(20, depth=3.0), lo, hi, [1.0]),
-                          jump_table(model, lo, top, [1.0]),
-                          jump_table(model, hi, top, [1.0]),
-                          jump_table(model, lo, hi, [0.5]),
-                          jump_table(model, lo, hi, [1.0, 1.0]),
-                          jump_table(model, lo, hi, [])):
-            with pytest.raises(ConfigError, match="jump table was built for another"):
-                idealized_jump_matrix(model, lo, hi, [1.0], built_for)
-            with pytest.raises(ConfigError, match="jump table was built for another"):
-                empirical_jump_chain_matrix(model, lo, hi, RingLedger(records, (1.0,)),
-                                            0.5, K_local, built_for)
-        # equal spellings of the same layout are the same layout
-        assert np.array_equal(idealized_jump_matrix(model, lo, hi, (1.0,), table),
-                              idealized_jump_matrix(model, lo, hi, [1.0]))
+        lo, hi = self.levels[:2]
+        tuple_table, list_table = (jump_table(model, lo, hi, b) for b in ((1.0,), [1.0]))
+        assert np.array_equal(idealized_jump_matrix(tuple_table),
+                              idealized_jump_matrix(list_table))
+        for (xs, accept), (ys, want) in zip(tuple_table.rings, list_table.rings,
+                                            strict=True):
+            assert np.array_equal(xs, ys) and np.array_equal(accept, want)
 
 
 @pytest.mark.parametrize("points", [21, 61, 201])
@@ -793,7 +804,7 @@ def test_one_ring_idealized_jump_is_the_independence_sampler(points, depth):
                           depth=depth)
     levels = geometric_ladder(2, ratio=4.0, h_min=0.5, dh=0.5)
     pi, q_hi = (enumerate_distribution(model, lv) for lv in levels)
-    K = idealized_jump_matrix(model, *levels, [])
+    K = idealized_jump_matrix(jump_table(model, *levels, []))
     assert np.max(np.abs(K - IndependenceKernel(pi, q_hi).exact_matrix())) <= 1e-12
 
 
@@ -805,7 +816,7 @@ def test_idealized_kernel_is_exact_on_deep_wells(depth):
                           depth=depth)
     levels = geometric_ladder(2, ratio=4.0, h_min=0.5, dh=0.5)
     pi = enumerate_distribution(model, levels[0])
-    K = idealized_jump_matrix(model, *levels, [levels[1].truncation])
+    K = idealized_jump_matrix(jump_table(model, *levels, [levels[1].truncation]))
     assert stationary_gap(K, pi.probs) <= 1e-12
     assert reversibility_gap(K, pi.probs) <= 1e-12
 
@@ -823,7 +834,7 @@ def test_idealized_ring_where_the_upper_law_underflows_proposes_in_it():
     top = np.flatnonzero(ring_table(model.energies(), boundaries) == 2)
     assert top.tolist() == [0, 1, 2, 3, 37, 38, 39, 40]
     assert not enumerate_distribution(model, levels[1]).probs[top].any()
-    K = idealized_jump_matrix(model, *levels, boundaries)
+    K = idealized_jump_matrix(jump_table(model, *levels, boundaries))
     outside = np.setdiff1d(np.arange(model.size), top)
     assert not K[np.ix_(top, outside)].any()
     assert (np.diag(K)[top] < 1.0).all()

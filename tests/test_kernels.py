@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eelab.config import validate_config
-from eelab.eeladder import empirical_jump_chain_matrix, ledger_from_iid
+from eelab.eeladder import empirical_jump_chain_matrix, jump_table, ledger_from_iid
 from eelab.errors import (
     CapabilityError,
     ConfigError,
@@ -320,10 +320,9 @@ def q3_chain():
     config = validate_config({"experiment": "q3", "model": {"points": 201}})
     model = config.build_model()
     levels = config.ladder.levels()
-    ledger = ledger_from_iid(model, levels[1], config.ladder.build().boundaries(),
-                             1000, RandomStream.from_seed(0))
-    return empirical_jump_chain_matrix(model, levels[0], levels[1], ledger,
-                                       float(config.q3["p_jump"]),
+    table = jump_table(model, levels[0], levels[1], config.ladder.build().jump_boundaries())
+    ledger = ledger_from_iid(model, levels[1], 1000, RandomStream.from_seed(0))
+    return empirical_jump_chain_matrix(table, ledger, float(config.q3["p_jump"]),
                                        RandomWalkKernel(model, levels[0]).exact_matrix())
 
 

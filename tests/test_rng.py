@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eelab.errors import ConfigError
 from eelab.rng import RandomStream
 
 BLOCK = 8192
@@ -69,6 +70,16 @@ def test_stream_matches_buffered_reference(seed):
             n = int(plan.choice([0, 1, 5, 100, BLOCK - 1, BLOCK, BLOCK + 3, 20000]))
             np.testing.assert_array_equal(ours.uniforms(n), ref.uniforms(n))
             vectors += n
+
+
+def test_a_negative_draw_count_is_refused_and_draws_nothing():
+    """uniforms(n) with n < 0 raises before touching its buffer, so the
+    stream goes on as if the call had not been made."""
+    ours, ref = RandomStream.from_seed(3), RandomStream.from_seed(3)
+    np.testing.assert_array_equal(ours.uniforms(3), ref.uniforms(3))
+    with pytest.raises(ConfigError):
+        ours.uniforms(-1)
+    np.testing.assert_array_equal(ours.uniforms(2), ref.uniforms(2))
 
 
 def test_spawned_streams_match_buffered_reference():
