@@ -306,6 +306,11 @@ class SegmentationSection:
         if self.region_mode == "fixed_means":
             _require(len(self.means) >= self.n_labels, f"{path}.means",
                      f"need {self.n_labels} means")
+        # with the leaves and means checked, only sigma can be refused here
+        try:
+            self.region_config()
+        except ConfigError as exc:
+            raise ConfigError(f"{path}.sigma: {exc}") from None
 
     def region_config(self) -> RegionModelConfig:
         if self.region_mode == "fixed_means":

@@ -373,8 +373,9 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
 @dataclass(frozen=True, eq=False)
 class JumpTable:
     """A jump move between two levels under one ring layout, all but its
-    proposal weights: the model, the upper level and, within each ring, the
-    acceptances min(1, [d_lo(y) d_hi(x)] / [d_lo(x) d_hi(y)]).
+    proposal weights: the model, the upper level, within each ring the
+    acceptances min(1, [d_lo(y) d_hi(x)] / [d_lo(x) d_hi(y)]), and K_local,
+    the read-only RandomWalkKernel matrix of the lower level.
 
     rings holds one (xs, accept) pair per ring that holds a state: the
     ring's states in ascending order, and accept[i, j] the acceptance of
@@ -385,6 +386,7 @@ class JumpTable:
     model: EnergyModel
     level_hi: LadderLevel
     rings: tuple
+    K_local: np.ndarray
 
 
 def jump_table(model: EnergyModel, level_lo: LadderLevel, level_hi: LadderLevel,
@@ -403,7 +405,9 @@ def jump_table(model: EnergyModel, level_lo: LadderLevel, level_hi: LadderLevel,
         accept = np.fromiter(map(math.exp, np.minimum(logr, 0.0).ravel().tolist()),
                              float, logr.size).reshape(logr.shape)
         rings.append((xs, accept))
-    return JumpTable(model, level_hi, tuple(rings))
+    K_local = RandomWalkKernel(model, level_lo).exact_matrix()
+    K_local.setflags(write=False)
+    return JumpTable(model, level_hi, tuple(rings), K_local)
 
 
 def _jump_kernel(table: JumpTable, weights: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -454,22 +458,20 @@ def idealized_jump_matrix(table: JumpTable) -> np.ndarray:
     return _jump_kernel(table, weights, np.eye(model.size))
 
 
-def empirical_jump_chain_matrix(table: JumpTable, ledger: RingLedger, p_jump: float,
-                                K_local: np.ndarray) -> np.ndarray:
+def empirical_jump_chain_matrix(table: JumpTable, ledger: RingLedger,
+                                p_jump: float) -> np.ndarray:
     """Exact kernel of one runner step at level lo against a frozen ledger.
 
     The step is: with probability p_jump attempt a jump whose proposal is
     the empirical (multiplicity-weighted) distribution of the ledger's
-    records in the current ring, falling back to a local move when the
-    ring holds none; otherwise move locally. K_local is the local move's
-    matrix, RandomWalkKernel(table.model, level_lo).exact_matrix() for the
-    level_lo the table was built with; nothing checks that it is.
+    records in the current ring, falling back to the table's local move
+    when the ring holds none; otherwise move locally.
     """
     if not 0.0 <= p_jump <= 1.0:
         raise ConfigError("p_jump must be in [0, 1]")
     counts = np.bincount(ledger.records, minlength=table.model.size)
-    K_jump = _jump_kernel(table, counts, K_local.copy())
-    return p_jump * K_jump + (1.0 - p_jump) * K_local
+    K_jump = _jump_kernel(table, counts, table.K_local.copy())
+    return p_jump * K_jump + (1.0 - p_jump) * table.K_local
 
 
 def ledger_from_iid(model: EnergyModel, level: LadderLevel, n_records: int,

@@ -36,7 +36,6 @@ from .eeladder import (
 from .errors import ConfigError
 from .kernels import (
     IndependenceKernel,
-    MixtureKernel,
     RandomWalkKernel,
     reversibility_gap,
     stationary_distribution,
@@ -320,8 +319,7 @@ def exp_q3(config: ExperimentConfig, out: Path) -> None:
     # every jump matrix below shares the acceptances of this table
     table = jump_table(model, levels[0], levels[1], boundaries)
     K_ideal = idealized_jump_matrix(table)
-    K_local = RandomWalkKernel(model, levels[0]).exact_matrix()
-    K_ideal_chain = p_jump * K_ideal + (1.0 - p_jump) * K_local
+    K_ideal_chain = p_jump * K_ideal + (1.0 - p_jump) * table.K_local
     ideal = {
         "stationary_gap": stationary_gap(K_ideal, pi.probs),
         "reversibility_gap": reversibility_gap(K_ideal, pi.probs),
@@ -336,7 +334,7 @@ def exp_q3(config: ExperimentConfig, out: Path) -> None:
             seed = config.seed + k
             rng = RandomStream.from_seed(seed)
             ledger = ledger_from_iid(model, levels[1], size, rng)
-            K = empirical_jump_chain_matrix(table, ledger, p_jump, K_local)
+            K = empirical_jump_chain_matrix(table, ledger, p_jump)
             tv = tv_distance(stationary_distribution(K), pi.probs)
             rows.append((size, seed, tv))
             tvs.append(tv)
@@ -358,12 +356,10 @@ def _kernel_reports(local, pi, q, alpha, prefix=""):
     place for its report. The MIS eigenvalues are Liu's closed form,
     checked against the MIS matrix by row blocks (mis_spectrum). The
     mixture is then formed in the MIS matrix by adding the kept entries,
-    with the arithmetic of MixtureKernel.exact_matrix (the constructor
-    still checks that the two components target the same law), and
-    symmetrised in place for its report.
+    with MixtureKernel.exact_matrix's arithmetic, and symmetrised in place
+    for its report (both components were checked reversible for pi).
     """
     jump = IndependenceKernel(pi, q)
-    MixtureKernel(alpha, local, jump)
     K_local = local.exact_matrix()
     support = np.flatnonzero(K_local != 0.0)
     scaled = alpha * K_local.flat[support]

@@ -78,7 +78,9 @@ class RandomStream:
         return np.concatenate(parts)
 
     def randint(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
+        """Uniform integer in [0, n); ConfigError if n <= 0."""
+        if n <= 0:
+            raise ConfigError(f"cannot draw an integer below {n}")
         j = int(self.uniform() * n)
         # no rounding reaches n: int(u * n) < n for every double u < 1 and
         # n < 2**53, so the guard acts only on a stream that yields exactly

@@ -139,11 +139,18 @@ class EnergyModel:
     h holds the energy of every state; neighbor_fn returns a fixed-length
     tuple of proposal candidates for the local random-walk move, with
     None marking out-of-range slots that count as automatic rejections.
+    A table holding an infinite or NaN energy is refused.
     """
 
     kind: str
     h: np.ndarray
     neighbor_fn: Callable[[int], tuple]
+
+    def __post_init__(self):
+        bad = np.flatnonzero(~np.isfinite(self.h))
+        if len(bad):
+            raise ConfigError(f"{self.kind} energies must be finite, got "
+                              f"{self.h[bad[0]]} at state {bad[0]}")
 
     @property
     def size(self) -> int:
@@ -221,8 +228,6 @@ def _energy_table_model(energies, enum_cap: int) -> EnergyModel:
     h = np.asarray(energies, dtype=np.float64)
     if h.ndim != 1 or len(h) < 1:
         raise ConfigError("energy table must be a non-empty 1-D sequence")
-    if np.any(~np.isfinite(h)):
-        raise ConfigError("energies must be finite")
     _refuse_above_cap("energy_table", len(h), enum_cap)
     return _path_model("energy_table", h)
 
@@ -336,7 +341,9 @@ def builtin_model(kind: str, enum_cap: int = DEFAULT_ENUM_CAP, **params) -> Ener
     potts_grid(width, height, labels, beta).
 
     Raises CapabilityError, before enumerating, for a space of more than
-    enum_cap states.
+    enum_cap states, and ConfigError for parameters whose energy table is
+    not finite. numpy's floating-point warnings are off while the table is
+    filled, since an overflow or NaN there ends in that refusal.
     """
     if enum_cap < 1:
         raise ConfigError("enum_cap must be >= 1")
@@ -349,4 +356,5 @@ def builtin_model(kind: str, enum_cap: int = DEFAULT_ENUM_CAP, **params) -> Ener
     unknown = params.keys() - required - optional
     if unknown:
         raise ConfigError(f"model kind {kind!r} got unknown parameters {sorted(unknown)}")
-    return build(enum_cap=enum_cap, **params)
+    with np.errstate(all="ignore"):
+        return build(enum_cap=enum_cap, **params)

@@ -106,8 +106,13 @@ class RegionModelConfig:
     def __post_init__(self):
         if self.mode not in ("fixed_means", "poly_fit"):
             raise ConfigError(f"unknown region model mode {self.mode!r}")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be > 0")
+        # 1 / (2 sigma^2) and log sigma must be finite and non-zero; no **,
+        # which raises OverflowError on a large sigma
+        two_var = 2.0 * self.sigma * self.sigma
+        if not (self.sigma > 0 and 0.0 < two_var < math.inf
+                and 1.0 / two_var < math.inf):
+            raise ConfigError(f"sigma must be > 0 with 1/(2 sigma^2) finite and "
+                              f"non-zero, got {self.sigma!r}")
         if self.mode == "fixed_means":
             if self.means is None or len(self.means) < 1:
                 raise ConfigError("fixed_means mode requires a means list")
@@ -289,33 +294,26 @@ def enumerate_posterior(
 # ---------------------------------------------------------------------------
 
 
-def _components(
-    n: int, ei: np.ndarray, ej: np.ndarray, on: np.ndarray
-) -> list[list[int]]:
-    """Connected components of the on-edge graph, in first-pixel order."""
+def _roots(n: int, edges: list, label: list, u: list) -> list[int]:
+    """Each pixel's root, its component's smallest pixel, where edge
+    k = (a, b, p) bonds when u[k] < p and label[a] == label[b]."""
     # union-find with path halving; the larger root always hooks under the
     # smaller, so parent[i] <= i and each root is its component's minimum
     parent = list(range(n))
-    for a, b in zip(ei[on].tolist(), ej[on].tolist()):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
+    for (a, b, p), uk in zip(edges, u):
+        if uk < p and label[a] == label[b]:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
     # in increasing i, parent[parent[i]] is already i's root
-    comps: list[list[int]] = []
-    members: dict[int, list[int]] = {}
     for i in range(n):
-        root = parent[i] = parent[parent[i]]
-        if root == i:
-            members[i] = [i]
-            comps.append(members[i])
-        else:
-            members[root].append(i)
-    return comps
+        parent[i] = parent[parent[i]]
+    return parent
 
 
 def _run_roots(start: np.ndarray, bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -551,14 +549,12 @@ def _draw_label(logw: list[float], rng: RandomStream) -> int:
     return len(w)
 
 
-# Lattices of at most this many pixels form clusters with the scalar
-# union-find, where numpy's per-call overhead costs more than the array
-# passes save. Timed per move on 2 vCPUs (median vector/scalar ratio of
-# interleaved rounds, threshold and random init), the paths break even
-# near 11x11 with fixed means (1.05-1.09 at 10x10, 0.95-0.97 at 11x11,
-# 0.86 at 12x12, 0.6 at 16x16) and near 12x12 with poly_fit order 1
-# (1.01-1.17 at 11x11, 0.99-1.02 at 12x12), so lattices up to 11x11 stay
-# scalar.
+# Lattices of at most this many pixels group with _roots, where numpy's
+# per-call overhead costs more than the array passes save. Timed per move
+# on 2 vCPUs (median vector/scalar ratio of interleaved rounds, threshold
+# and random init): fixed means 1.56 at 8x8, 1.14 at 10x10, 0.96-1.02 at
+# 11x11, 0.88 at 12x12; poly_fit order 1 1.48, 1.17-1.20, 1.07-1.08 and
+# 0.88-0.96. So the paths break even near 11x11, which stays scalar.
 _SCALAR_MAX_PIXELS = 121
 
 # Largest state space of GibbsSiteSampler.exact_matrix (128 MB of matrix)
@@ -582,9 +578,9 @@ class SwCutSampler:
     cluster is picked among the root runs (a few hundred at 32x32, against
     1024 pixels), only its runs are mapped back to pixels, and its cut
     sums are one bincount when it has more than 32 pixels. Smaller
-    lattices keep the scalar union-find and loops. Both paths give the
-    same cluster, member order and float sums, so every draw and result
-    is identical.
+    lattices group straight to roots with _roots and collect only the
+    picked cluster. Both paths give the same cluster, member order and
+    float sums, so every draw and result is identical.
     """
 
     def __init__(
@@ -619,7 +615,13 @@ class SwCutSampler:
             for ks, bs in zip(self._eid.tolist(), self._nbr.tolist())
         ]
         self._in_v0 = [False] * self.n
-        self._vector = self.n > _SCALAR_MAX_PIXELS
+        # the function, not a bound method, which would make the sampler a
+        # reference cycle that only the cyclic collector frees (+5.7 MB RSS)
+        if self.n <= _SCALAR_MAX_PIXELS:
+            self._pick = SwCutSampler._pick_scalar
+            self._edges = list(zip(self.ei.tolist(), self.ej.tolist(), self.p.tolist()))
+        else:
+            self._pick = SwCutSampler._pick_vector
         self._pixels = np.arange(self.n)
         # the vector path's buffers, and p's horizontal and vertical edges
         # as 2-D views (a row-major edge k maps onto them as lattice_edges
@@ -643,17 +645,7 @@ class SwCutSampler:
         the candidate weights and always accepted.
         """
         u = rng.uniforms(len(self.ei))
-        if self._vector:
-            v0, cut_log, cut_count = self._pick_vector(labels, u, rng)
-        else:
-            on = (labels[self.ei] == labels[self.ej]) & (u < self.p)
-            comps = _components(self.n, self.ei, self.ej, on)
-            if self.cluster_pick == "uniform":
-                v0 = comps[rng.randint(len(comps))]
-            else:
-                pix = rng.randint(self.n)
-                v0 = next(c for c in comps if pix in c)
-            cut_log, cut_count = self._cut_sums(labels, v0)
+        v0, cut_log, cut_count = self._pick(self, labels, u, rng)
 
         l_cur = int(labels[v0[0]])
 
@@ -676,6 +668,17 @@ class SwCutSampler:
             labels[np.asarray(v0)] = l_new
             self.likelihood.commit(l_new)
         return float(dpost)
+
+    def _pick_scalar(self, lab: np.ndarray, u: np.ndarray, rng: RandomStream):
+        """The picked cluster and its cut sums, grouped by _roots."""
+        root = _roots(self.n, self._edges, lab.tolist(), u.tolist())
+        if self.cluster_pick == "uniform":
+            roots = [i for i, r in enumerate(root) if i == r]
+            picked = roots[rng.randint(len(roots))]
+        else:
+            picked = root[rng.randint(self.n)]
+        v0 = [i for i, r in enumerate(root) if r == picked]
+        return (v0, *self._cut_sums(lab, v0))
 
     def _pick_vector(self, lab: np.ndarray, u: np.ndarray, rng: RandomStream):
         """The picked cluster and its cut sums, under the bonds the edge

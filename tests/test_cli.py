@@ -206,6 +206,36 @@ def test_experiment_needs_are_checked_at_load(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+EXTREME = [
+    # 1 / (2 sigma^2) divides by zero, or sigma ** 2 overflows
+    ("segment", {"segmentation": {"sigma": 1e-308}}, "segmentation.sigma"),
+    ("segment", {"segmentation": {"sigma": 1e308}}, "segmentation.sigma"),
+    ("segment", {"segmentation": {"sigma": 1e-300, "region_mode": "poly_fit"}},
+     "segmentation.sigma"),
+    ("segment", {"segmentation": {"sigma": 1e308, "region_mode": "poly_fit"}},
+     "segmentation.sigma"),
+    # the energy table overflows to inf, or the grid's span to NaN
+    ("run", {"model": {"depth": 1e308}}, "model"),
+    ("run", {"model": {"bounds": [-1e308, 1e308]}}, "model"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("experiment,raw,key_path", EXTREME,
+                         ids=["sigma-tiny", "sigma-huge", "poly-sigma-tiny",
+                              "poly-sigma-huge", "depth-huge", "bounds-huge"])
+def test_extreme_values_are_refused_at_load(tmp_path, capsys, experiment, raw,
+                                            key_path):
+    """A finite config value whose likelihood scale or energy table is not
+    finite is refused at load with its key path, with no numpy warning on
+    the way and no output directory made."""
+    cfg = write_config(tmp_path, {"experiment": experiment, **raw})
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"eelab: config error: {key_path}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ladder", [{"ring_boundaries": []},
                                     {"ring_boundaries": [100.0]},
                                     {"jump_mode": "unrestricted"}],

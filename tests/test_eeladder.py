@@ -130,8 +130,7 @@ class TestJumpAcceptance:
         lv1 = LadderLevel(1, 2.0, 0.0)
         ledger = RingLedger(np.array([1]))
         K = empirical_jump_chain_matrix(jump_table(model, LEVEL0, lv1, []),  # one ring
-                                        ledger, 1.0,
-                                        RandomWalkKernel(model, LEVEL0).exact_matrix())
+                                        ledger, 1.0)
         assert K[0, 1] == pytest.approx(math.exp(-0.05), abs=1e-12)
 
     def test_favorable_ratio_always_accepted(self):
@@ -140,8 +139,7 @@ class TestJumpAcceptance:
         model = builtin_model("energy_table", energies=[0.5, 0.6])
         lv1 = LadderLevel(1, 2.0, 0.0)
         ledger = RingLedger(np.array([0]))  # proposing the lower-energy state from x=1
-        K = empirical_jump_chain_matrix(jump_table(model, LEVEL0, lv1, []), ledger, 1.0,
-                                        RandomWalkKernel(model, LEVEL0).exact_matrix())
+        K = empirical_jump_chain_matrix(jump_table(model, LEVEL0, lv1, []), ledger, 1.0)
         assert K[1, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_ledger_reduces_to_local_kernel(self):
@@ -150,7 +148,7 @@ class TestJumpAcceptance:
         empty = RingLedger(np.array([], dtype=np.int64))
         K_local = RandomWalkKernel(model, LEVEL0).exact_matrix()
         K = empirical_jump_chain_matrix(jump_table(model, LEVEL0, lv1, [1.0]), empty,
-                                        0.7, K_local)
+                                        0.7)
         np.testing.assert_allclose(K, K_local, atol=1e-15)
 
 
@@ -638,12 +636,11 @@ class TestIdealizedJump:
         levels = geometric_ladder(2, ratio=4.0, h_min=0.5, dh=0.5)
         table = jump_table(model, levels[0], levels[1], [lv.truncation for lv in levels[1:]])
         pi = enumerate_distribution(model, levels[0])
-        K_local = RandomWalkKernel(model, levels[0]).exact_matrix()
         rng = RandomStream.from_seed(31)
         tvs = []
         for size in (100, 1000, 10000):
             led = ledger_from_iid(model, levels[1], size, rng)
-            K = empirical_jump_chain_matrix(table, led, 0.5, K_local)
+            K = empirical_jump_chain_matrix(table, led, 0.5)
             tvs.append(tv_distance(stationary_distribution(K), pi.probs))
         assert tvs[0] > tvs[2]
 
@@ -741,9 +738,8 @@ class TestJumpKernelMatchesLoops:
         assert ledger.total == (size if cap is None else min(size, cap))
         # the builder's unrestricted jump is the one-ring jump
         bounds = b if jump_mode == "restricted" else ()
-        K_local = RandomWalkKernel(self.model, self.levels[0]).exact_matrix()
         K = empirical_jump_chain_matrix(jump_table(self.model, *self.levels, bounds),
-                                        ledger, 0.6, K_local)
+                                        ledger, 0.6)
         assert np.array_equal(K, loop_empirical_jump_chain_matrix(
             self.model, *self.levels, LoopLedger(ledger.records, tuple(b)), 0.6,
             jump_mode))
@@ -768,7 +764,6 @@ class TestJumpTable:
         top = ring_table(model.energies(), [5000.0]) == 1
         assert top.any() == (depth == 2000.0)
         assert not enumerate_distribution(model, hi).probs[top].any()
-        K_local = RandomWalkKernel(model, lo).exact_matrix()
         # restricted jumps, then unrestricted ones: the one-ring layout
         for bounds in (boundaries, []):
             table = jump_table(model, lo, hi, bounds)
@@ -777,11 +772,20 @@ class TestJumpTable:
             for size in (0, 5, 300):
                 ledger = ledger_from_iid(model, hi, size, RandomStream.from_seed(size))
                 built.append((
-                    empirical_jump_chain_matrix(table, ledger, 0.6, K_local),
+                    empirical_jump_chain_matrix(table, ledger, 0.6),
                     empirical_jump_chain_matrix(jump_table(model, lo, hi, bounds),
-                                                ledger, 0.6, K_local)))
+                                                ledger, 0.6)))
             for shared, fresh in built:
                 assert np.array_equal(shared, fresh)
+
+    def test_the_table_carries_its_lower_levels_local_move(self):
+        model = two_mode_model(20)
+        lo, hi = self.levels[1:]
+        table = jump_table(model, lo, hi, [1.0])
+        assert np.array_equal(table.K_local, RandomWalkKernel(model, lo).exact_matrix())
+        assert not table.K_local.flags.writeable
+        with pytest.raises(ValueError):
+            table.K_local[0, 0] = 0.5
 
     def test_equal_spellings_of_one_layout_build_one_table(self):
         model = two_mode_model(20)

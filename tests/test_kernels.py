@@ -322,8 +322,7 @@ def q3_chain():
     levels = config.ladder.levels()
     table = jump_table(model, levels[0], levels[1], config.ladder.build().jump_boundaries())
     ledger = ledger_from_iid(model, levels[1], 1000, RandomStream.from_seed(0))
-    return empirical_jump_chain_matrix(table, ledger, float(config.q3["p_jump"]),
-                                       RandomWalkKernel(model, levels[0]).exact_matrix())
+    return empirical_jump_chain_matrix(table, ledger, float(config.q3["p_jump"]))
 
 
 # expected: the exact law, None to compare with lstsq_stationary, or

@@ -82,6 +82,17 @@ def test_a_negative_draw_count_is_refused_and_draws_nothing():
     np.testing.assert_array_equal(ours.uniforms(2), ref.uniforms(2))
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_an_empty_integer_range_is_refused_and_draws_nothing(n):
+    """randint(n) with n <= 0 has no value to return: it raises before
+    drawing, so the stream goes on as if the call had not been made."""
+    ours, ref = RandomStream.from_seed(5), RandomStream.from_seed(5)
+    assert ours.randint(7) == ref.randint(7)
+    with pytest.raises(ConfigError):
+        ours.randint(n)
+    assert [ours.uniform() for _ in range(3)] == [ref.uniform() for _ in range(3)]
+
+
 def test_spawned_streams_match_buffered_reference():
     ours = RandomStream.from_seed(11).spawn(3)
     refs = [BufferedStream(s) for s in np.random.SeedSequence(11).spawn(3)]

@@ -136,6 +136,21 @@ class TestBuiltinModels:
         with pytest.raises(ConfigError):
             builtin_model("table", weights=[1], bogus=2)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params", [
+        dict(kind="energy_table", energies=[0.0, math.inf]),
+        dict(kind="double_well_grid", points=5, bounds=(-2, 2), depth=1e308),
+        dict(kind="double_well_grid", points=5, bounds=(-1e308, 1e308)),
+        dict(kind="gaussian_mixture_grid", means=[0], sds=[1e-300], weights=[1],
+             points=5, bounds=(-1, 1)),
+        dict(kind="potts_grid", width=2, height=2, labels=2, beta=1e308),
+    ], ids=["inf-entry", "deep-well", "wide-grid", "narrow-mixture", "potts"])
+    def test_a_non_finite_energy_table_is_refused(self, params):
+        """Every kind refuses a table holding inf or NaN, with no numpy
+        warning on the way."""
+        with pytest.raises(ConfigError, match="energies must be finite"):
+            builtin_model(**params)
+
     @pytest.mark.parametrize("params", [
         dict(kind="potts_grid", width=4, height=4, labels=4, beta=0.2),
         dict(kind="double_well_grid", points=2 ** 20 + 1, bounds=(-2, 2)),

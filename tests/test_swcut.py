@@ -16,9 +16,9 @@ from eelab.swcut import (
     RegionLikelihood,
     RegionModelConfig,
     SwCutSampler,
-    _components,
     _incidence,
     _poly_design,
+    _roots,
     _run_roots,
     agreement,
     edge_affinity,
@@ -42,6 +42,18 @@ def flat_image(w, h, value=0.5):
 def const_affinity(image, p):
     n_edges = 2 * image.width * image.height - image.width - image.height
     return EdgeAffinityMap(image.width, image.height, np.full(n_edges, p))
+
+
+@pytest.mark.parametrize("mode", ["fixed_means", "poly_fit"])
+def test_sigma_needs_a_finite_non_zero_likelihood_scale(mode):
+    """1 / (2 sigma^2) is finite at sigma 1e-154 and overflows at 1e-155;
+    it is non-zero at 1e153, and 2 sigma^2 overflows at 1e154."""
+    kw = dict(mode=mode, means=(0.2, 0.7))
+    for sigma in (1e-154, 1.0, 1e153):
+        RegionModelConfig(sigma=sigma, **kw)
+    for sigma in (0.0, -1.0, 1e-155, 1e-308, 1e154, 1e308, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="sigma"):
+            RegionModelConfig(sigma=sigma, **kw)
 
 
 class TestEdgeAffinity:
@@ -183,13 +195,13 @@ class TestPosterior:
             )
 
 
-def bond_clusters(W, aff, rng):
-    """The clusters of one bond draw as SwCutSampler.step makes it: each
-    same-label edge is on with probability p_e."""
-    lab = W.flat
+def bond_roots(W, aff, rng):
+    """Each pixel's root under one bond draw as SwCutSampler.step makes it:
+    each same-label edge is on with probability p_e."""
     ei, ej = lattice_edges(aff.width, aff.height)
-    on = (lab[ei] == lab[ej]) & (rng.uniforms(len(ei)) < aff.p)
-    return _components(len(lab), ei, ej, on)
+    edges = list(zip(ei.tolist(), ej.tolist(), aff.p.tolist()))
+    u = rng.uniforms(len(ei)).tolist()
+    return _roots(W.flat.size, edges, W.flat.tolist(), u)
 
 
 def moved_pixels(sampler, lab, rng):
@@ -209,7 +221,7 @@ class TestFormClusters:
         W = Labeling(np.ones((3, 3), dtype=int), 2)
         aff = const_affinity(img, 1 - 1e-12)
         rng = RandomStream.from_seed(0)
-        assert bond_clusters(W, aff, rng) == [list(range(9))]
+        assert bond_roots(W, aff, rng) == [0] * 9
         # a move relabels the whole field or nothing
         sam = SwCutSampler(img, 2, 0.0, FLAT, aff)
         lab = W.flat.copy()
@@ -221,7 +233,7 @@ class TestFormClusters:
         W = Labeling(np.ones((3, 3), dtype=int), 2)
         aff = const_affinity(img, 1e-12)
         rng = RandomStream.from_seed(0)
-        assert bond_clusters(W, aff, rng) == [[i] for i in range(9)]
+        assert bond_roots(W, aff, rng) == list(range(9))
         sam = SwCutSampler(img, 2, 0.0, FLAT, aff)
         lab = W.flat.copy()
         sizes = {len(moved_pixels(sam, lab, rng)[0]) for _ in range(50)}
@@ -232,7 +244,7 @@ class TestFormClusters:
         W = Labeling(np.array([[1, 1], [2, 2]]), 2)
         aff = const_affinity(img, 1 - 1e-12)
         rng = RandomStream.from_seed(0)
-        assert bond_clusters(W, aff, rng) == [[0, 1], [2, 3]]
+        assert bond_roots(W, aff, rng) == [0, 0, 2, 2]
         # at p_e = 1/2 a move may relabel part of a row, never both rows
         sam = SwCutSampler(img, 2, 0.0, FLAT, const_affinity(img, 0.5))
         moved = {tuple(moved_pixels(sam, W.flat.copy(), rng)[0])
@@ -245,8 +257,8 @@ class TestFormClusters:
         rng = RandomStream.from_seed(5)
         W = initial_labeling(img, 3, "random", rng)
         for _ in range(20):
-            for c in bond_clusters(W, aff, rng):
-                assert len(set(W.flat[c].tolist())) == 1
+            # every pixel carries its root's label
+            assert (W.flat[bond_roots(W, aff, rng)] == W.flat).all()
         cfg = RegionModelConfig(mode="fixed_means", sigma=0.3,
                                 means=(0.2, 0.5, 0.8))
         sam = SwCutSampler(img, 3, 0.3, cfg, aff)
@@ -263,7 +275,10 @@ COMPONENT_SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (3, 3), (15, 17), (16, 16),
 def assert_roots_match_union_find(width, height, on):
     ei, ej = lattice_edges(width, height)
     n = width * height
-    comps = _components(n, ei, ej, on)
+    # the bond mask as _roots' draw: one label, and u below p = 1/2 exactly
+    # on the bonds
+    edges = list(zip(ei.tolist(), ej.tolist(), [0.5] * len(ei)))
+    expect = _roots(n, edges, [0] * n, np.where(on, 0.25, 0.75).tolist())
     # _run_roots' input from the bond mask: the horizontal bonds cut the
     # rows into runs, the vertical ones join them
     n_h = height * (width - 1)
@@ -272,11 +287,7 @@ def assert_roots_match_union_find(width, height, on):
     run, run_root = _run_roots(start, on[n_h:].reshape(height - 1, width))
     first = np.flatnonzero(start)
     assert (first[run] <= np.arange(n)).all() and (np.diff(run) >= 0).all()
-    root = first[run_root[run]]
-    roots = np.flatnonzero(root == np.arange(n))
-    assert len(roots) == len(comps)
-    for r, members in zip(roots, comps):
-        assert np.flatnonzero(root == r).tolist() == members
+    assert first[run_root[run]].tolist() == expect
 
 
 def path_bonds(width, height, cells):
@@ -405,7 +416,8 @@ def assert_paths_take_identical_steps(monkeypatch, img, aff, cfg, pick):
     for limit in (10 ** 9, 0):
         monkeypatch.setattr(swcut, "_SCALAR_MAX_PIXELS", limit)
         samplers.append(SwCutSampler(img, 2, 0.1, cfg, aff, pick))
-        assert samplers[-1]._vector == (limit == 0)
+        sampler = samplers[-1]
+        assert (sampler._pick is SwCutSampler._pick_vector) == (limit == 0)
     # the two run in lockstep, so a failure names the first step that differs
     for init in ("threshold", "random"):
         runs = []
@@ -442,6 +454,17 @@ def test_vector_path_on_strips_takes_the_scalar_steps(monkeypatch, width,
     assert_paths_take_identical_steps(monkeypatch, img, aff, cfg, pick)
 
 
+@pytest.mark.parametrize("pick", ["uniform", "pixel"])
+def test_paths_take_identical_steps_on_the_criterion_7_image(monkeypatch, pick):
+    """Criterion 7's 3x3 image and first affinity setting take the same
+    steps on either path."""
+    img = Image(3, 3, np.array([[0.1, 0.2, 0.7], [0.15, 0.5, 0.8],
+                                [0.2, 0.6, 0.75]]))
+    aff = edge_affinity(img, p_max=0.85, p_min=0.1, scale=0.2)
+    cfg = RegionModelConfig(mode="fixed_means", sigma=0.25, means=(0.2, 0.7))
+    assert_paths_take_identical_steps(monkeypatch, img, aff, cfg, pick)
+
+
 def test_vector_cut_sums_equal_the_loop():
     """The bincount cut sums of large clusters add the loop's floats in
     the loop's order."""
@@ -450,7 +473,7 @@ def test_vector_cut_sums_equal_the_loop():
     aff = edge_affinity(img, p_max=0.95, p_min=0.05, scale=0.3)
     cfg = RegionModelConfig(mode="fixed_means", sigma=0.1, means=(0.2, 0.5, 0.8))
     sampler = SwCutSampler(img, 3, 0.4, cfg, aff, "pixel")
-    assert sampler._vector
+    assert sampler._pick is SwCutSampler._pick_vector
     gen = np.random.default_rng(2)
     rng = RandomStream.from_seed(4)
     large = 0
