@@ -25,7 +25,7 @@ from .eeladder import LadderConfig, ring_table
 from .errors import CapabilityError, ConfigError
 from .netpbm import read_pgm
 from .spectral import SPECTRAL_CAP
-from .statespace import EnergyModel, LadderLevel, builtin_model
+from .statespace import EnergyModel, LadderLevel, builtin_model, enumerate_distribution
 from .swcut import Image, RegionModelConfig
 
 EXPERIMENTS = (
@@ -312,6 +312,27 @@ class SegmentationSection:
         except ConfigError as exc:
             raise ConfigError(f"{path}.sigma: {exc}") from None
 
+    def check_scales(self, width: int, height: int) -> None:
+        """Refuse a beta, sigma or means with which the log posterior of a
+        width x height image overflows. With intensities in [0, 1] its Potts
+        term is at most beta * n_edges, and its likelihood term at most
+        n_pixels * d / (2 sigma^2), d the largest max(m^2, (1 - m)^2) over
+        the label means (1 with poly_fit); Python floats overflow to inf."""
+        n_pixels = width * height
+        n_edges = 2 * n_pixels - width - height
+        _require(self.beta * n_edges < math.inf, "segmentation.beta",
+                 f"beta * {n_edges} edges overflows the log posterior, "
+                 f"got {self.beta!r}")
+        means = self.means[:self.n_labels] if self.region_mode == "fixed_means" else []
+        d = max([max(m * m, (1.0 - m) * (1.0 - m)) for m in means], default=1.0)
+        two_var = 2.0 * self.sigma * self.sigma
+        # means in [0, 1] give d <= 1: they are to blame only if d = 1 passes
+        leaf = "means" if d > 1.0 and n_pixels / two_var < math.inf else "sigma"
+        _require(n_pixels * d / two_var < math.inf, f"segmentation.{leaf}",
+                 f"n_pixels * d / (2 sigma^2) overflows the log posterior "
+                 f"({n_pixels} pixels, d = {d!r} from the means, "
+                 f"sigma = {self.sigma!r})")
+
     def region_config(self) -> RegionModelConfig:
         if self.region_mode == "fixed_means":
             return RegionModelConfig(mode="fixed_means", sigma=self.sigma,
@@ -419,10 +440,19 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
     image = cfg.segmentation.image
     if exp == "segment" and image.kind == "pgm":
         try:
-            image.pgm_image()  # a missing or malformed file is refused here
+            image = image.pgm_image()  # a missing or malformed file is refused here
         except (OSError, ConfigError) as exc:
             raise ConfigError(f"segmentation.image.path: {exc}") from None
-    cfg.ladder.levels()
+    if exp in ("segment", "swcut_vs_gibbs"):
+        cfg.segmentation.check_scales(image.width, image.height)
+    levels = cfg.ladder.levels()
+    if exp in ("spectral", "q4"):
+        # the MIS kernel and the spectra divide by both laws
+        for lv in levels[:2]:
+            zero = int((enumerate_distribution(model, lv).probs == 0).sum())
+            _require(zero == 0, "model",
+                     f"{exp} needs the level-{lv.index} law positive, but it "
+                     f"underflows to 0 at {zero} of {model.size} states")
     if exp == "q3" and cfg.q3["p_jump"] == 1:
         # jumps never leave their ring, so with no local move the chains of
         # two or more rings have no unique stationary law

@@ -131,6 +131,23 @@ class LadderConfig:
         """Steps each level takes on this config's schedule."""
         return self.steps_per_level if self.schedule == "serial" else self.macro_steps
 
+    @property
+    def record_lag(self) -> int:
+        """Upper record k is made at upper step burn_in + k. Before lower
+        step t the upper level has taken its steps <= t (parallel) or all
+        of them (serial), so a jump at step t sees the records with index
+        <= t + record_lag."""
+        return (self.n_steps if self.schedule == "serial" else 0) - self.burn_in
+
+    def first_record_step(self) -> Optional[int]:
+        """The first step at which a jump sees a record of the level above,
+        or None if none ever does (a single level, max_records 0, or
+        burn_in >= the step count). Before it every jump falls back to a
+        local move."""
+        if self.n_levels < 2 or self.max_records == 0 or self.burn_in >= self.n_steps:
+            return None
+        return max(0, -self.record_lag)
+
     def boundaries(self) -> list[float]:
         if self.ring_boundaries is not None:
             return list(self.ring_boundaries)
@@ -248,7 +265,7 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
     On the serial schedule a level reads every upper record. On the
     parallel schedule, where every level advances once per macro step,
     level i at step t reads the records the upper level made at its steps
-    <= t, a prefix of each pool.
+    <= t, a prefix of each pool (LadderConfig.record_lag).
 
     A level-step is table lookups and one append. Before a level runs,
     its local move becomes a step table (_step_table), one for a plain
@@ -282,7 +299,6 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
         model.check_state(s)
         inits.append(s)
 
-    serial = config.schedule == "serial"
     n_steps = config.n_steps
     p_jump, burn_in, cap = config.p_jump, config.burn_in, config.max_records
     # init_state None means the start is drawn from the top level's stream
@@ -290,10 +306,6 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
     # the model compares by identity (== on its energy table is ambiguous)
     given = reuse.top_source if reuse is not None else ()
     shared = bool(given) and given[0] is model and given[1:] == source[1:]
-    # Upper record k is made at upper step burn_in + k. Before lower step t
-    # the upper level has taken its steps <= t (parallel) or all of them
-    # (serial), so a jump sees the records with flat index <= t + lag.
-    lag = (n_steps if serial else 0) - burn_in
     # the codes a jump appends, for the levels that jump: accepted, by its
     # target, and refused, by the state it stays at
     jumping = range(model.size if K > 1 and p_jump else 0)
@@ -315,7 +327,8 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
             # of x's ring
             records = _records(traces[-1].states, burn_in, cap)
             masks = ((jump_ring == j)[records] for j in range(len(jump_bounds) + 1))
-            pairs = [(records[m].tolist(), _visible_counts(m, n_steps, lag))
+            pairs = [(records[m].tolist(),
+                      _visible_counts(m, n_steps, config.record_lag))
                      for m in masks]
             rows = [pairs[r] for r in jump_ring.tolist()]
             del pairs  # so that dropping rows frees the pools and tables

@@ -17,7 +17,6 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .eeladder import (
     ring_table,
     run_ladder,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .kernels import (
     IndependenceKernel,
     RandomWalkKernel,
@@ -43,10 +42,10 @@ from .kernels import (
 )
 from .netpbm import write_label_pgm, write_overlay_ppm
 from .rng import RandomStream
-from .spectral import (Partition, _owned_spectrum, coarsen, mis_spectrum, ratio_extremes,
-                       tv_distance, with_mis_bounds)
+from .spectral import (Partition, _owned_spectrum, coarsen, mis_spectrum, tv_distance,
+                       with_mis_bounds)
 from .spectral import eigen_spectrum, mis_gap_report  # noqa: F401 (spans.py wraps them)
-from .statespace import builtin_model, enumerate_distribution
+from .statespace import LadderLevel, builtin_model, enumerate_distribution
 from .swcut import (
     GibbsSiteSampler,
     Labeling,
@@ -119,9 +118,14 @@ def write_trace_csv(path: Path, model, ts) -> None:
 
 
 def write_json(path: Path, obj) -> None:
+    """obj as strict JSON: a NaN or an infinity is a NumericError raised
+    before the file is opened."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path}: not strict JSON: {exc}") from None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def prepare_out_dir(out: Path, force: bool) -> None:
@@ -194,22 +198,6 @@ def _first_passage(states: np.ndarray, target: np.ndarray) -> int:
     return int(hits[0]) if len(hits) else -1
 
 
-def _warmup_step(ladder) -> Optional[int]:
-    """The first level-0 step at which the level-1 ledger holds a record,
-    or None if it never does (a single level, max_records 0, or burn_in
-    >= the step count).
-
-    On the parallel schedule level 1 records from its step burn_in on,
-    just before level 0 takes the same step; on the serial one level 1
-    has run to completion before level 0 starts. Before this step every
-    jump falls back to a local move.
-    """
-    if (ladder.n_levels < 2 or ladder.max_records == 0
-            or ladder.burn_in >= ladder.n_steps):
-        return None
-    return ladder.burn_in if ladder.schedule == "parallel" else 0
-
-
 def _ladder_runs(config, model, variations, out: Path):
     """Run the ladder over (label, overrides) variations x replicates and
     write TV curves, first-passage steps, and a summary.
@@ -228,7 +216,7 @@ def _ladder_runs(config, model, variations, out: Path):
         if config.ladder.init_state is None:
             overrides["init_state"] = init
         ladder = config.ladder.build(**overrides)
-        arms.append((label, ladder, _warmup_step(ladder),
+        arms.append((label, ladder, ladder.first_record_step(),
                      {"curves": [], "passages": [], "final_tvs": [],
                       "fallback_shares": []}))
     for k in range(config.replicates):
@@ -416,15 +404,14 @@ def exp_q4(config: ExperimentConfig, out: Path) -> None:
     part = Partition((np.arange(n) * m) // n)
     pi_c, q_c = coarsen(pi, part), coarsen(q, part)
 
-    # coarse-space kernels: local walk over the coarse cells, independence
-    # jumps from the coarsened proposal, and their mixture
+    # coarse-space kernels: local walk over the coarse cells (level 0 of a
+    # model whose energies are -log pi_c), independence jumps from the
+    # coarsened proposal, and their mixture
     coarse_model = builtin_model("energy_table",
                                  energies=(-np.log(pi_c.probs)).tolist())
-    reports.update(_kernel_reports(RandomWalkKernel(coarse_model), pi_c, q_c,
-                                   alpha, "coarse_"))
-
-    fine_lo, fine_hi = ratio_extremes(pi, q)
-    coarse_lo, coarse_hi = ratio_extremes(pi_c, q_c)
+    local = RandomWalkKernel(coarse_model, LadderLevel(0, 1.0, -math.inf))
+    reports.update(_kernel_reports(local, pi_c, q_c, alpha, "coarse_"))
+    fine, coarse = reports["mis"], reports["coarse_mis"]
 
     _write_reports(out, "spectral_reports.json", "q4_summary.csv", reports)
     write_json(out / "summary.json", {
@@ -433,8 +420,9 @@ def exp_q4(config: ExperimentConfig, out: Path) -> None:
         "gap_mis": reports["mis"].gap,
         "gap_mixture": reports["mixture"].gap,
         "mixture_beats_local": reports["mixture"].gap > reports["local"].gap,
-        "fine_ratio_extremes": [fine_lo, fine_hi],
-        "coarse_ratio_extremes": [coarse_lo, coarse_hi],
+        "fine_ratio_extremes": [fine.ratio_min_pi_over_q, fine.ratio_max_pi_over_q],
+        "coarse_ratio_extremes": [coarse.ratio_min_pi_over_q,
+                                  coarse.ratio_max_pi_over_q],
         "coarse_cells": m,
         "mis_matched_bound": reports["mis"].matched_bound,
         "printed_bound_matches_lambda2":
@@ -529,12 +517,14 @@ def exp_swcut_vs_gibbs(config: ExperimentConfig, out: Path) -> None:
             results[name].append(sweeps)
     write_csv(out / "mixing.csv", ["sampler", "seed", "sweeps_to_target"], rows)
 
+    # a median run that never reached the target (inf) is written as null
     med_sw = float(np.median(results["swcut"]))
     med_gb = float(np.median(results["gibbs"]))
+    reached = math.isfinite(med_sw) and math.isfinite(med_gb)
     write_json(out / "summary.json", {
-        "median_sweeps_swcut": med_sw,
-        "median_sweeps_gibbs": med_gb,
-        "speedup_ratio": (med_gb / med_sw if med_sw > 0 else None),
+        "median_sweeps_swcut": med_sw if math.isfinite(med_sw) else None,
+        "median_sweeps_gibbs": med_gb if math.isfinite(med_gb) else None,
+        "speedup_ratio": med_gb / med_sw if reached else None,
         "target_agreement": target,
         "replicates": config.replicates,
     })

@@ -33,8 +33,8 @@ from .statespace import (
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
 # rows per strip of the work done on a dense matrix a strip at a time (the
-# MIS diagonal, and spectral's checks and symmetrisation): a strip of a
-# 4096-state matrix is 2 MB
+# MIS diagonal, the reversibility check, and spectral's symmetrisation):
+# a strip of a 4096-state matrix is 2 MB
 BLOCK_ROWS = 64
 
 
@@ -65,10 +65,29 @@ def stationary_gap(K: np.ndarray, pi: np.ndarray) -> float:
     return float(np.abs(pi @ K - pi).max())
 
 
+def reversibility_violation(K: np.ndarray,
+                            pi: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """max_{x,y} |pi(x) K(x,y) - pi(y) K(y,x)| and the first pair (x, y) in
+    row-major order that reaches it (a NaN gives NaN and the first NaN's
+    pair), worked a strip of rows at a time with the arithmetic of the
+    dense |F - F^T|, F = diag(pi) K, so the maximum has the same bits."""
+    n = K.shape[0]
+    err, worst = -np.inf, 0
+    for rows in row_blocks(n):
+        viol = pi[rows, None] * K[rows]
+        viol -= (pi[:, None] * K[:, rows]).T
+        np.abs(viol, out=viol)
+        m = viol.max()
+        if not m <= err:
+            err, worst = m, rows.start * n + int(viol.argmax())
+            if np.isnan(m):
+                break
+    return float(err), divmod(worst, n)
+
+
 def reversibility_gap(K: np.ndarray, pi: np.ndarray) -> float:
-    """max_{x,y} |pi(x) K(x,y) - pi(y) K(y,x)|."""
-    F = pi[:, None] * K
-    return float(np.abs(F - F.T).max())
+    """max_{x,y} |pi(x) K(x,y) - pi(y) K(y,x)| (reversibility_violation)."""
+    return reversibility_violation(K, pi)[0]
 
 
 def _search_steps(support: np.ndarray, x: int) -> np.ndarray:
@@ -157,10 +176,9 @@ class RandomWalkKernel:
     accepted). ConfigError if a state has no neighbor slot.
     """
 
-    def __init__(self, model: EnergyModel, level: LadderLevel | None = None):
+    def __init__(self, model: EnergyModel, level: LadderLevel):
         self.model = model
-        self._logd = (-model.energies() if level is None
-                      else level_logdensities(model, level))
+        self._logd = level_logdensities(model, level)
         ld = self._logd.tolist()
         self.moves = [
             tuple((None, None) if y is None else (y, _mh_accept(ld[y] - ld[x]))
@@ -172,8 +190,7 @@ class RandomWalkKernel:
 
     @property
     def target_probs(self) -> np.ndarray:
-        w = np.exp(self._logd - self._logd.max())
-        return w / w.sum()
+        return FiniteDistribution.from_logweights(self._logd).probs
 
     def step(self, state: int, rng: RandomStream) -> tuple[int, bool]:
         slots = self.moves[state]
@@ -260,10 +277,6 @@ class MixtureKernel:
         else:
             if not np.allclose(p_local, p_jump, atol=1e-9):
                 raise ConfigError("mixture components target different densities")
-
-    @property
-    def target_probs(self) -> np.ndarray:
-        return self.local.target_probs
 
     def exact_matrix(self) -> np.ndarray:
         return (

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import (CapabilityError, ConfigError, NumericError, ReversibilityError,
                      ShapeError, SupportError)
-from .kernels import IndependenceKernel, check_transition_matrix, row_blocks
+from .kernels import (IndependenceKernel, check_transition_matrix,
+                      reversibility_violation, row_blocks)
 from .statespace import FiniteDistribution
 
 REVERSIBILITY_TOL = 1e-10
@@ -81,21 +82,8 @@ def _checked_law(K: np.ndarray, pi: FiniteDistribution | np.ndarray) -> np.ndarr
     if not np.all(p > 0):
         raise ConfigError("eigen_spectrum requires strictly positive pi")
 
-    # |F - F^T| with F = diag(pi) K, one strip of rows at a time; the worst
-    # pair is the first maximum in row-major order, as an argmax over the
-    # whole matrix would find it (a NaN stops the search)
-    err, worst = -np.inf, 0
-    for rows in row_blocks(n):
-        viol = p[rows, None] * K[rows]
-        viol -= (p[:, None] * K[:, rows]).T
-        np.abs(viol, out=viol)
-        m = viol.max()
-        if not m <= err:
-            err, worst = m, rows.start * n + int(viol.argmax())
-            if np.isnan(m):
-                break
+    err, (x, y) = reversibility_violation(K, p)
     if not err <= REVERSIBILITY_TOL:
-        x, y = divmod(worst, n)
         raise ReversibilityError(
             f"kernel is not reversible: |pi(x)K(x,y) - pi(y)K(y,x)| = {err:.3e} "
             f"at pair ({x}, {y})"

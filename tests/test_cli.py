@@ -11,7 +11,7 @@ from eelab import experiments, kernels, netpbm
 from eelab.cli import main
 from eelab.config import load_config, validate_config
 from eelab.eeladder import MOVE_JUMP_FALLBACK, MOVE_NAMES, LadderConfig, run_ladder
-from eelab.errors import ConfigError
+from eelab.errors import ConfigError, NumericError
 from eelab.experiments import write_trace_csv
 from eelab.netpbm import write_pgm
 from eelab.spectral import SPECTRAL_CAP, tv_distance
@@ -217,13 +217,29 @@ EXTREME = [
     # the energy table overflows to inf, or the grid's span to NaN
     ("run", {"model": {"depth": 1e308}}, "model"),
     ("run", {"model": {"bounds": [-1e308, 1e308]}}, "model"),
+    # the log posterior's Potts term beta * n_edges, or its likelihood term
+    # n_pixels * d / (2 sigma^2), overflows
+    ("segment", {"segmentation": {"beta": 1e308}}, "segmentation.beta"),
+    ("swcut_vs_gibbs", {"segmentation": {"beta": 1e308}}, "segmentation.beta"),
+    ("segment", {"segmentation": {"sigma": 1e-154}}, "segmentation.sigma"),
+    ("swcut_vs_gibbs", {"segmentation": {"sigma": 1e-154}}, "segmentation.sigma"),
+    ("segment", {"segmentation": {"sigma": 1e-154, "region_mode": "poly_fit"}},
+     "segmentation.sigma"),
+    ("segment", {"segmentation": {"means": [0.25, 1e200]}}, "segmentation.means"),
+    # the level-0 law underflows to 0 away from the wells
+    ("spectral", {"model": {"depth": 1000}}, "model"),
+    ("q4", {"model": {"depth": 1000}}, "model"),
 ]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("experiment,raw,key_path", EXTREME,
                          ids=["sigma-tiny", "sigma-huge", "poly-sigma-tiny",
-                              "poly-sigma-huge", "depth-huge", "bounds-huge"])
+                              "poly-sigma-huge", "depth-huge", "bounds-huge",
+                              "beta-huge", "mixing-beta-huge", "sigma-sum-overflows",
+                              "mixing-sigma-sum-overflows", "poly-sigma-sum-overflows",
+                              "mean-huge", "spectral-law-underflows",
+                              "q4-law-underflows"])
 def test_extreme_values_are_refused_at_load(tmp_path, capsys, experiment, raw,
                                             key_path):
     """A finite config value whose likelihood scale or energy table is not
@@ -234,6 +250,38 @@ def test_extreme_values_are_refused_at_load(tmp_path, capsys, experiment, raw,
     assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"eelab: config error: {key_path}: ")
     assert not out.exists()
+
+
+def test_unreached_target_writes_strict_json(tmp_path):
+    """With equal region means no sampler reaches the target agreement:
+    swcut_vs_gibbs writes null medians and a null speedup, not the
+    non-standard Infinity and NaN tokens."""
+    cfg = write_config(tmp_path, {
+        "experiment": "swcut_vs_gibbs", "replicates": 2,
+        "segmentation": {"image": {"width": 8, "height": 8, "means": [0.5, 0.5]}},
+        "mixing": {"max_sweeps": 2}})
+    out = tmp_path / "out"
+    assert main(["swcut_vs_gibbs", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    written = {path.name: json.loads(path.read_text(), parse_constant=refuse)
+               for path in out.glob("*.json")}
+    summary = written["summary.json"]
+    assert summary["median_sweeps_swcut"] is None
+    assert summary["median_sweeps_gibbs"] is None
+    assert summary["speedup_ratio"] is None
+
+
+def test_write_json_refuses_a_non_finite_value(tmp_path):
+    """A NaN or an infinity is a NumericError naming the file, raised
+    before the file is made."""
+    path = tmp_path / "summary.json"
+    for value in (math.nan, math.inf):
+        with pytest.raises(NumericError, match="summary.json"):
+            experiments.write_json(path, {"x": [1.0, value]})
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("ladder", [{"ring_boundaries": []},

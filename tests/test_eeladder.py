@@ -24,7 +24,7 @@ from eelab.eeladder import (
     run_ladder,
 )
 from eelab.errors import ConfigError
-from eelab.experiments import _first_passage, _warmup_step
+from eelab.experiments import _first_passage
 from eelab.kernels import (
     IndependenceKernel,
     RandomWalkKernel,
@@ -212,25 +212,29 @@ class TestRuns:
             assert ts.ledger(i).records.tolist() == tr.states[150:].tolist()
 
     @pytest.mark.parametrize("schedule", ["parallel", "serial"])
-    def test_warmup_step_is_the_first_jump_with_a_ledger(self, schedule):
-        """Every level-0 jump before the warm-up step finds the level-1
-        ledger empty; the one at the warm-up step finds a record. When the
-        ledger never holds one, there is no warm-up step."""
-        cfg = small_config(schedule=schedule, p_jump=1.0,
-                           jump_mode="unrestricted", burn_in=120,
+    @pytest.mark.parametrize("max_records", [None, 0, 5])
+    @pytest.mark.parametrize("burn_in", [0, 120, 300])
+    def test_warmup_step_is_the_first_jump_with_a_ledger(self, schedule,
+                                                         max_records, burn_in):
+        """With every step a jump and one ring, every level-0 jump before
+        the warm-up step (first_record_step) finds the level-1 ledger
+        empty, and the one at the warm-up step finds a record. When the
+        ledger never holds one, there is no warm-up step and every jump
+        falls back."""
+        cfg = small_config(schedule=schedule, p_jump=1.0, jump_mode="unrestricted",
+                           burn_in=burn_in, max_records=max_records,
                            macro_steps=300, steps_per_level=300)
         moves = run_ladder(two_mode_model(), cfg, seed=3).levels[0].move_types
-        warm = _warmup_step(cfg)
-        assert warm == (120 if schedule == "parallel" else 0)
-        assert np.all(moves[:warm] == MOVE_JUMP_FALLBACK)
-        assert moves[warm] == MOVE_JUMP
-        for empty in (small_config(schedule=schedule, p_jump=1.0, max_records=0),
-                      small_config(schedule=schedule, p_jump=1.0, burn_in=300,
-                                   macro_steps=300, steps_per_level=300)):
-            assert _warmup_step(empty) is None
-            moves = run_ladder(two_mode_model(), empty, seed=3).levels[0].move_types
+        warm = cfg.first_record_step()
+        if max_records == 0 or burn_in >= 300:
+            assert warm is None
             assert np.all(moves == MOVE_JUMP_FALLBACK)
-        assert _warmup_step(small_config(levels=[LEVEL0], schedule=schedule)) is None
+        else:
+            assert warm == (burn_in if schedule == "parallel" else 0)
+            assert np.all(moves[:warm] == MOVE_JUMP_FALLBACK)
+            assert moves[warm] == MOVE_JUMP
+        single = small_config(levels=[LEVEL0], schedule=schedule)
+        assert single.first_record_step() is None
 
     def test_serial_ledger_matches_own_trace(self):
         """In a serial run the upper ledger is written only by its own level

@@ -18,6 +18,7 @@ from eelab.kernels import (
     RandomWalkKernel,
     check_transition_matrix,
     reversibility_gap,
+    reversibility_violation,
     stationary_distribution,
     stationary_gap,
 )
@@ -73,7 +74,7 @@ class TestRandomWalk:
         model = config.build_model()
         kernels = [RandomWalkKernel(model, lv) for lv in config.ladder.levels()]
         kernels.append(RandomWalkKernel(builtin_model(
-            "potts_grid", width=2, height=2, labels=3, beta=0.7)))
+            "potts_grid", width=2, height=2, labels=3, beta=0.7), LEVEL0))
         h = np.random.default_rng(5).random(7)
         ragged = EnergyModel("energy_table", h, lambda s: (
             (s, (s + 1) % 7, (s + 1) % 7, None) if s % 2 else ((s + 3) % 7,)))
@@ -363,6 +364,25 @@ class TestMatrixHelpers:
         ]
         for K in mats:
             assert np.abs(K.sum(axis=1) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 130])
+    def test_reversibility_violation_is_the_dense_maximum(self, n):
+        """The strip-wise maximum has the bits of the dense |F - F^T|.max(),
+        F = diag(pi) K, and its pair is the dense argmax (|F - F^T| is
+        symmetric, so the pair is the first of two) on either side of a
+        strip boundary; a NaN entry gives NaN at the dense argmax's pair."""
+        K = random_chain(n, n)
+        pi = np.random.default_rng(n).random(n)
+        pi /= pi.sum()
+        for _ in range(2):
+            F = pi[:, None] * K
+            dense = np.abs(F - F.T)
+            err, pair = reversibility_violation(K, pi)
+            assert np.array_equal(err, dense.max(), equal_nan=True)
+            assert np.array_equal(reversibility_gap(K, pi), err, equal_nan=True)
+            assert pair == np.unravel_index(np.argmax(dense), dense.shape)
+            K[n - 2, 1] = np.nan
+        assert math.isnan(err)
 
     def test_check_transition_matrix_refuses_a_nan_entry(self):
         K = np.array([[0.5, 0.5], [np.nan, 0.5]])
