@@ -304,8 +304,12 @@ class SegmentationSection:
         _require(self.p_min <= self.p_max, f"{path}.p_max",
                  f"must be >= p_min ({self.p_min}), got {self.p_max}")
         if self.region_mode == "fixed_means":
-            _require(len(self.means) >= self.n_labels, f"{path}.means",
+            means = self.means[:self.n_labels]
+            _require(len(means) == self.n_labels, f"{path}.means",
                      f"need {self.n_labels} means")
+            _require(all(0.0 <= m <= 1.0 for m in means), f"{path}.means",
+                     f"the first {self.n_labels} must lie in [0, 1], the "
+                     f"intensity range, got {means}")
         # with the leaves and means checked, only sigma can be refused here
         try:
             self.region_config()
@@ -313,11 +317,11 @@ class SegmentationSection:
             raise ConfigError(f"{path}.sigma: {exc}") from None
 
     def check_scales(self, width: int, height: int) -> None:
-        """Refuse a beta, sigma or means with which the log posterior of a
-        width x height image overflows. With intensities in [0, 1] its Potts
-        term is at most beta * n_edges, and its likelihood term at most
-        n_pixels * d / (2 sigma^2), d the largest max(m^2, (1 - m)^2) over
-        the label means (1 with poly_fit); Python floats overflow to inf."""
+        """Refuse a beta or sigma with which the log posterior of a width x
+        height image overflows. With intensities and means in [0, 1] its
+        Potts term is at most beta * n_edges, and its likelihood term at most
+        n_pixels * d / (2 sigma^2), d <= 1 the largest max(m^2, (1 - m)^2)
+        over the label means (1 with poly_fit); floats overflow to inf."""
         n_pixels = width * height
         n_edges = 2 * n_pixels - width - height
         _require(self.beta * n_edges < math.inf, "segmentation.beta",
@@ -326,9 +330,7 @@ class SegmentationSection:
         means = self.means[:self.n_labels] if self.region_mode == "fixed_means" else []
         d = max([max(m * m, (1.0 - m) * (1.0 - m)) for m in means], default=1.0)
         two_var = 2.0 * self.sigma * self.sigma
-        # means in [0, 1] give d <= 1: they are to blame only if d = 1 passes
-        leaf = "means" if d > 1.0 and n_pixels / two_var < math.inf else "sigma"
-        _require(n_pixels * d / two_var < math.inf, f"segmentation.{leaf}",
+        _require(n_pixels * d / two_var < math.inf, "segmentation.sigma",
                  f"n_pixels * d / (2 sigma^2) overflows the log posterior "
                  f"({n_pixels} pixels, d = {d!r} from the means, "
                  f"sigma = {self.sigma!r})")
@@ -355,7 +357,7 @@ _MODEL = {
 _Q3 = {"ledger_sizes": Rule("ints", [100, 1000, 10000], ge=0),
        "p_jump": Rule("num", 0.5, ge=0.0, le=1.0)}
 _Q4 = {"alpha": Rule("num", 0.5, ge=0.0, le=1.0),
-       "coarse_cells": Rule("int", 8, ge=1)}
+       "coarse_cells": Rule("int", 8, ge=2)}
 _MIXING = {"max_sweeps": Rule("int", 20, ge=1),
            "target_agreement": Rule("num", 0.95, gt=0.0, le=1.0),
            "check_every": Rule("int", 16, ge=1)}
@@ -433,8 +435,11 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
         raise ConfigError(f"model: {exc}") from None
     if exp in ("spectral", "q4") and model.size > SPECTRAL_CAP:
         raise CapabilityError(f"dense eigensolver capped at {SPECTRAL_CAP} states")
-    _require(exp not in ("q1", "q2") or model.size >= 4, "model",
-             f"{exp} needs a model with >= 4 states, got {model.size}")
+    # q1 and q2 find a start and a target basin in the line's quarters; a
+    # spectrum's gap needs a second eigenvalue
+    need = {"q1": 4, "q2": 4, "spectral": 2, "q4": 2}.get(exp, 1)
+    _require(model.size >= need, "model",
+             f"{exp} needs a model with >= {need} states, got {model.size}")
     _require(exp not in ("q1", "q2") or model.kind != "potts_grid", "model.kind",
              f"{exp} reads states as points on a line, not potts_grid labelings")
     image = cfg.segmentation.image

@@ -19,6 +19,11 @@ idealized within-ring jump exactly reversible for the level-i target
 (see idealized_jump_matrix). A jump whose ring holds no record falls
 back to a local move, so the chain never stalls.
 
+On the exact side, level_chain_matrix builds every level-0 chain,
+p_jump K_jump + (1 - p_jump) K_local, from a JumpTable and proposal
+weights: the table's idealized ones (idealized_jump_matrix) or a
+ledger's counts (empirical_jump_chain_matrix).
+
 Per-level rng streams are split from the run seed, which makes traces
 deterministic and schedule-independent per level.
 """
@@ -385,20 +390,21 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
 
 @dataclass(frozen=True, eq=False)
 class JumpTable:
-    """A jump move between two levels under one ring layout, all but its
-    proposal weights: the model, the upper level, within each ring the
-    acceptances min(1, [d_lo(y) d_hi(x)] / [d_lo(x) d_hi(y)]), and K_local,
-    the read-only RandomWalkKernel matrix of the lower level.
+    """What every exact level-0 chain of a jump from level lo to level hi
+    under one ring layout shares; jump_table builds it.
 
-    rings holds one (xs, accept) pair per ring that holds a state: the
-    ring's states in ascending order, and accept[i, j] the acceptance of
-    a jump from xs[i] to xs[j], taken as math.exp(min(log r, 0)) so that
-    it does not depend on numpy's SIMD dispatch. jump_table builds it.
+    rings holds one (xs, accept) pair per ring that holds a state: its
+    states in ascending order, and accept[i, j] = math.exp(min(log r, 0))
+    for r = [d_lo(y) d_hi(x)] / [d_lo(x) d_hi(y)], x = xs[i], y = xs[j]
+    (math.exp, so it does not depend on numpy's SIMD dispatch). ideal, the
+    idealized proposal weights, is the level-hi law, or exp(log d_hi - its
+    ring maximum) in a ring where that law underflows to zero everywhere.
+    K_local is level lo's RandomWalkKernel matrix. ideal and K_local are
+    read-only.
     """
 
-    model: EnergyModel
-    level_hi: LadderLevel
     rings: tuple
+    ideal: np.ndarray
     K_local: np.ndarray
 
 
@@ -408,6 +414,7 @@ def jump_table(model: EnergyModel, level_lo: LadderLevel, level_hi: LadderLevel,
     boundaries = _sorted_boundaries(boundaries)
     logd_lo = level_logdensities(model, level_lo)
     logd_hi = level_logdensities(model, level_hi)
+    ideal = enumerate_distribution(model, level_hi).probs.copy()
     ring = ring_table(model.energies(), boundaries)
     rings = []
     for r in range(len(boundaries) + 1):
@@ -418,22 +425,27 @@ def jump_table(model: EnergyModel, level_lo: LadderLevel, level_hi: LadderLevel,
         accept = np.fromiter(map(math.exp, np.minimum(logr, 0.0).ravel().tolist()),
                              float, logr.size).reshape(logr.shape)
         rings.append((xs, accept))
+        if ideal[xs].sum() == 0.0:
+            shifted = logd_hi[xs] - logd_hi[xs].max()
+            ideal[xs] = np.fromiter(map(math.exp, shifted.tolist()), float, len(xs))
     K_local = RandomWalkKernel(model, level_lo).exact_matrix()
+    ideal.setflags(write=False)
     K_local.setflags(write=False)
-    return JumpTable(model, level_hi, tuple(rings), K_local)
+    return JumpTable(tuple(rings), ideal, K_local)
 
 
-def _jump_kernel(table: JumpTable, weights: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Exact kernel of a jump move, one row per source state, written over
-    K's rows in place and returned.
-
-    From each state x the move proposes a state y of x's ring in the
-    table with probability weights[y] / (the sum of weights over the
-    ring), and accepts it with the table's acceptance; the rejected mass
-    stays on the diagonal. The rows of a ring whose weights are all zero
-    (an empty pool) keep K's values. Rows are summed left to right, so
-    the matrix does not depend on numpy's SIMD dispatch.
-    """
+def level_chain_matrix(table: JumpTable, weights: np.ndarray,
+                       p_jump: float) -> np.ndarray:
+    """Exact kernel of one level-0 EE step, p_jump K_jump + (1 - p_jump)
+    K_local: from each state x the jump proposes y in x's ring with
+    probability weights[y] / (the ring's weight sum) and accepts it with
+    the table's acceptance, the rejected mass staying on the diagonal; a
+    ring whose weights are all zero (an empty pool) moves locally. Rows
+    are summed left to right, so the matrix does not depend on numpy's
+    SIMD dispatch."""
+    if not 0.0 <= p_jump <= 1.0:
+        raise ConfigError("p_jump must be in [0, 1]")
+    K = table.K_local.copy()
     for xs, accept in table.rings:
         w = weights[xs]
         cols = np.flatnonzero(w > 0)
@@ -447,44 +459,26 @@ def _jump_kernel(table: JumpTable, weights: np.ndarray, K: np.ndarray) -> np.nda
         K[xs] = 0.0
         K[np.ix_(xs, xs[cols])] = P
         K[xs, xs] = 1.0 - np.cumsum(P, axis=1)[:, -1]
+    K *= p_jump
+    K += (1.0 - p_jump) * table.K_local
     return K
 
 
 def idealized_jump_matrix(table: JumpTable) -> np.ndarray:
-    """Exact kernel of the table's jump move proposing from the true
-    level-hi distribution truncated to the current energy ring.
-
-    The result is block-diagonal over rings and reversible for the
-    level-lo target. With no boundaries it is the Metropolized independence
-    sampler that proposes from the level-hi distribution. A ring where that
-    distribution underflows to zero in every state proposes from the
-    level-hi log-densities shifted by the ring's maximum, which is the same
-    ring-conditional law; every other ring proposes from the linear law.
-    """
-    model, level_hi = table.model, table.level_hi
-    weights = enumerate_distribution(model, level_hi).probs.copy()
-    logd_hi = level_logdensities(model, level_hi)
-    for xs, _ in table.rings:
-        if weights[xs].sum() == 0.0:
-            shifted = logd_hi[xs] - logd_hi[xs].max()
-            weights[xs] = np.fromiter(map(math.exp, shifted.tolist()), float, len(xs))
-    return _jump_kernel(table, weights, np.eye(model.size))
+    """Exact kernel of the jump proposing from table.ideal, the level-hi
+    law truncated to the current ring: block-diagonal over rings and
+    reversible for the level-lo target. With no boundaries it is the
+    Metropolized independence sampler proposing from the level-hi law."""
+    return level_chain_matrix(table, table.ideal, 1.0)
 
 
 def empirical_jump_chain_matrix(table: JumpTable, ledger: RingLedger,
                                 p_jump: float) -> np.ndarray:
-    """Exact kernel of one runner step at level lo against a frozen ledger.
-
-    The step is: with probability p_jump attempt a jump whose proposal is
-    the empirical (multiplicity-weighted) distribution of the ledger's
-    records in the current ring, falling back to the table's local move
-    when the ring holds none; otherwise move locally.
-    """
-    if not 0.0 <= p_jump <= 1.0:
-        raise ConfigError("p_jump must be in [0, 1]")
-    counts = np.bincount(ledger.records, minlength=table.model.size)
-    K_jump = _jump_kernel(table, counts, table.K_local.copy())
-    return p_jump * K_jump + (1.0 - p_jump) * table.K_local
+    """Exact kernel of one runner step at level lo against a frozen ledger:
+    its jump proposes from the ledger's records in the current ring,
+    weighted by multiplicity."""
+    counts = np.bincount(ledger.records, minlength=len(table.ideal))
+    return level_chain_matrix(table, counts, p_jump)
 
 
 def ledger_from_iid(model: EnergyModel, level: LadderLevel, n_records: int,

@@ -29,6 +29,7 @@ from .eeladder import (
     idealized_jump_matrix,
     jump_table,
     ledger_from_iid,
+    level_chain_matrix,
     ring_table,
     run_ladder,
 )
@@ -307,7 +308,7 @@ def exp_q3(config: ExperimentConfig, out: Path) -> None:
     # every jump matrix below shares the acceptances of this table
     table = jump_table(model, levels[0], levels[1], boundaries)
     K_ideal = idealized_jump_matrix(table)
-    K_ideal_chain = p_jump * K_ideal + (1.0 - p_jump) * table.K_local
+    K_ideal_chain = level_chain_matrix(table, table.ideal, p_jump)
     ideal = {
         "stationary_gap": stationary_gap(K_ideal, pi.probs),
         "reversibility_gap": reversibility_gap(K_ideal, pi.probs),

@@ -120,13 +120,16 @@ def _owned_spectrum(K: np.ndarray, pi: FiniteDistribution | np.ndarray) -> Spect
 
 
 def _checked_report(vals: np.ndarray) -> SpectralReport:
-    """The report of a descending spectrum whose top eigenvalue is 1 and
-    whose eigenvalues all lie in [-1, 1] (a NaN fails either check)."""
+    """The report of a descending spectrum of at least two eigenvalues
+    whose top eigenvalue is 1 and whose eigenvalues all lie in [-1, 1] (a
+    NaN fails either check)."""
+    if len(vals) < 2:
+        raise ShapeError("a one-state kernel has no second eigenvalue")
     if not abs(vals[0] - 1.0) <= EIGEN_RANGE_TOL:
         raise ReversibilityError(f"top eigenvalue {vals[0]!r} is not 1")
     if not (vals[-1] >= -1.0 - EIGEN_RANGE_TOL and vals[0] <= 1.0 + EIGEN_RANGE_TOL):
         raise ReversibilityError("eigenvalues fall outside [-1, 1]")
-    lam2 = float(vals[1]) if len(vals) > 1 else float(vals[0])
+    lam2 = float(vals[1])
     return SpectralReport(eigenvalues=vals, lambda2=lam2, gap=1.0 - lam2)
 
 

@@ -185,10 +185,14 @@ NEEDS = [
      "segmentation.image.path"),
     # every step a jump, and the default boundaries make two rings
     ("q3", {"q3": {"p_jump": 1}}, "q3.p_jump"),
+    # a one-state spectrum has no second eigenvalue, so no gap
+    ("q4", {"q4": {"coarse_cells": 1}}, "q4.coarse_cells"),
+    ("spectral", {"model": {"kind": "energy_table", "energies": [0.0]}}, "model"),
+    ("q4", {"model": {"kind": "energy_table", "energies": [0.0]}}, "model"),
 ]
 NEEDS_IDS = [n[0] for n in NEEDS[:7]] + [
     "segment-malformed", "q1-potts_grid", "q2-potts_grid", "segment-non-integer",
-    "q3-p_jump-1"]
+    "q3-p_jump-1", "q4-one-coarse-cell", "spectral-one-state", "q4-one-state"]
 
 
 @pytest.mark.parametrize("experiment,raw,key_path", NEEDS, ids=NEEDS_IDS)
@@ -225,7 +229,11 @@ EXTREME = [
     ("swcut_vs_gibbs", {"segmentation": {"sigma": 1e-154}}, "segmentation.sigma"),
     ("segment", {"segmentation": {"sigma": 1e-154, "region_mode": "poly_fit"}},
      "segmentation.sigma"),
+    # a label mean outside the intensity range [0, 1]: the first overflows
+    # the likelihood term; the second does not, but one move's delta wipes
+    # out the precision of the running log posterior
     ("segment", {"segmentation": {"means": [0.25, 1e200]}}, "segmentation.means"),
+    ("segment", {"segmentation": {"means": [0.25, 1e150]}}, "segmentation.means"),
     # the level-0 law underflows to 0 away from the wells
     ("spectral", {"model": {"depth": 1000}}, "model"),
     ("q4", {"model": {"depth": 1000}}, "model"),
@@ -238,7 +246,7 @@ EXTREME = [
                               "poly-sigma-huge", "depth-huge", "bounds-huge",
                               "beta-huge", "mixing-beta-huge", "sigma-sum-overflows",
                               "mixing-sigma-sum-overflows", "poly-sigma-sum-overflows",
-                              "mean-huge", "spectral-law-underflows",
+                              "mean-huge", "mean-large", "spectral-law-underflows",
                               "q4-law-underflows"])
 def test_extreme_values_are_refused_at_load(tmp_path, capsys, experiment, raw,
                                             key_path):

@@ -20,6 +20,7 @@ from eelab.eeladder import (
     idealized_jump_matrix,
     jump_table,
     ledger_from_iid,
+    level_chain_matrix,
     ring_table,
     run_ladder,
 )
@@ -800,6 +801,56 @@ class TestJumpTable:
         for (xs, accept), (ys, want) in zip(tuple_table.rings, list_table.rings,
                                             strict=True):
             assert np.array_equal(xs, ys) and np.array_equal(accept, want)
+
+
+class TestLevelChainMatrix:
+    """level_chain_matrix is the one builder of an exact level-0 chain: the
+    idealized jump is its call at p_jump 1, and q3's idealized chain is
+    the dense p K_ideal + (1 - p) K_local it replaced, bit for bit."""
+
+    model = TestJumpKernelMatchesLoops.model
+    levels = TestJumpKernelMatchesLoops.levels
+    # above h = 5000 the level-1 law of this well is 0.0 in every state
+    deep = builtin_model("double_well_grid", points=41, bounds=[-2.0, 2.0],
+                         depth=2000.0)
+    LAYOUTS = [*RING_LAYOUTS, "underflow"]
+
+    def table(self, layout):
+        if layout == "underflow":
+            return jump_table(self.deep, *self.levels, [1.0, 5000.0])
+        return jump_table(self.model, *self.levels, RING_LAYOUTS[layout])
+
+    def test_the_underflow_layout_proposes_where_the_upper_law_is_zero(self):
+        t = self.table("underflow")
+        top = ring_table(self.deep.energies(), [1.0, 5000.0]) == 2
+        law = enumerate_distribution(self.deep, self.levels[1]).probs
+        assert top.any() and not law[top].any() and t.ideal[top].any()
+        assert np.array_equal(t.ideal[~top], law[~top])
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_idealized_is_the_chain_at_p_jump_1(self, layout):
+        t = self.table(layout)
+        assert np.array_equal(idealized_jump_matrix(t), level_chain_matrix(t, t.ideal, 1.0))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("p_jump", [0.0, 0.1, 0.5, 1.0])
+    def test_q3_chain_is_the_dense_mixture(self, layout, p_jump):
+        t = self.table(layout)
+        dense = p_jump * idealized_jump_matrix(t) + (1.0 - p_jump) * t.K_local
+        assert np.array_equal(level_chain_matrix(t, t.ideal, p_jump), dense)
+
+    def test_the_tables_arrays_are_read_only(self):
+        t = self.table("truncation")
+        for arr in (t.ideal, t.K_local):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+    @pytest.mark.parametrize("p_jump", [-0.1, 1.1, math.nan])
+    def test_refuses_a_p_jump_outside_the_unit_interval(self, p_jump):
+        t = self.table("truncation")
+        with pytest.raises(ConfigError, match="p_jump"):
+            level_chain_matrix(t, t.ideal, p_jump)
 
 
 @pytest.mark.parametrize("points", [21, 61, 201])

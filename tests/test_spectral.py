@@ -107,6 +107,13 @@ class TestEigenSpectrum:
         rep = eigen_spectrum(np.eye(4), pi)
         np.testing.assert_allclose(rep.eigenvalues, np.ones(4), atol=1e-12)
 
+    def test_a_one_state_kernel_has_no_gap(self):
+        pi = FiniteDistribution(np.array([1.0]))
+        with pytest.raises(ShapeError, match="second eigenvalue"):
+            eigen_spectrum(np.eye(1), pi)
+        with pytest.raises(ShapeError, match="second eigenvalue"):
+            mis_spectrum(np.eye(1), pi, pi)
+
     def test_rank_one_kernel(self):
         pi = np.array([0.5, 0.5])
         rep = eigen_spectrum(np.full((2, 2), 0.5), pi)
