@@ -391,6 +391,13 @@ class ExperimentConfig:
                  "ladder.steps_per_level", f"q2 compares the schedules at one "
                  f"step budget, so it must equal ladder.macro_steps ({steps[0]}), "
                  f"got {steps[1]}")
+        if self.experiment in ("q1", "q2"):
+            # the leaf the schedule reads; q2 runs both at macro_steps
+            serial = self.experiment == "q1" and self.ladder.schedule == "serial"
+            key = "steps_per_level" if serial else "macro_steps"
+            n = getattr(self.ladder, key)
+            _require(n > 0, f"ladder.{key}", f"{self.experiment} measures its "
+                     f"chains' steps, so it needs at least 1, got {n}")
         levels = self.ladder.n_levels
         _require(self.experiment not in ("q3", "q4", "spectral") or levels >= 2,
                  "ladder.n_levels",

@@ -216,10 +216,10 @@ def _step_table(moves, move_type: int) -> list:
     """RandomWalkKernel.step as a table of one row per state x,
     (m, slots, stay): stay is the code of staying at x, and slots holds a
     (target, acceptance, code on moving) triple for each of x's m neighbor
-    slots, then a copy of the last one, which a draw int(u * m) == m picks
-    as RandomStream.randint's guard does. Only a stream that yields
-    exactly 1.0 makes that draw (int(u * m) < m for every double u < 1 and
-    m < 2**53), such as edge_blocks in tests/test_eeladder.py. An
+    slots, then a copy of the last one, which a draw floor(u * m) == m
+    picks as RandomStream.randint's guard does. Only a stream that yields
+    exactly 1.0 makes that draw (floor(u * m) < m for every double u < 1
+    and m < 2**53), such as edge_blocks in tests/test_eeladder.py. An
     out-of-range slot is (x, None, stay): the chain stays without drawing
     a uniform and records a rejection. Codes are made once here, so the
     chain appends them without making an int."""
@@ -272,7 +272,9 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
     level i at step t reads the records the upper level made at its steps
     <= t, a prefix of each pool (LadderConfig.record_lag).
 
-    A level-step is table lookups and one append. Before a level runs,
+    A level-step is table lookups and one append; the for statement pulls
+    its first draw from the level's RandomStream.stream, and its slot and
+    record draws are math.floor, not int(), of u * m. Before a level runs,
     its local move becomes a step table (_step_table), one for a plain
     local move and one for a jump's fallback, and a jump's codes are
     listed by state. Each step appends one packed code, 8 * state +
@@ -305,6 +307,7 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
         inits.append(s)
 
     n_steps = config.n_steps
+    floor = math.floor  # int() of a float >= 0, at half the cost
     p_jump, burn_in, cap = config.p_jump, config.burn_in, config.max_records
     # init_state None means the start is drawn from the top level's stream
     source = (model, seed, config.levels[-1], n_steps, config.init_state)
@@ -322,7 +325,7 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
             traces.append(reuse.levels[-1])
             continue
         x = inits[i]
-        uniform = rngs[i].uniform
+        stream, uniform = rngs[i].stream, rngs[i].uniform
         moves = RandomWalkKernel(model, config.levels[i]).moves
         jumps = p_jump if i < K - 1 else 0.0
         if jumps:
@@ -343,28 +346,33 @@ def run_ladder(model: EnergyModel, config: LadderConfig, seed: int,
         hi = logd[i + 1] if jumps else None  # None: this level never jumps
         codes = []
         append = codes.append
-        for t in range(n_steps):
+        # u is the step's first draw: the jump test on a level that jumps,
+        # else the slot draw; range first, so no draw is read past the end
+        for t, u in zip(range(n_steps), stream):
             table = local
-            if jumps and uniform() < jumps:
-                pool, seen = rows[x]
-                visible = seen[t]
-                if visible:  # uniform over the visible records
-                    j = int(uniform() * visible)
-                    # j == visible only on a stream yielding exactly 1.0
-                    y = pool[visible - 1 if j == visible else j]
-                    logr = (lo[y] + hi[x]) - (lo[x] + hi[y])
-                    if logr >= 0.0 or uniform() < math.exp(logr):
-                        x = y
-                        append(jumped[y])
-                    else:
-                        append(refused[x])
-                    continue
-                # an empty pool draws no uniform, so its fallback is
-                # bit-identical to a plain local move
-                table = fallback
+            if jumps:
+                if u < jumps:
+                    pool, seen = rows[x]
+                    visible = seen[t]
+                    if visible:  # uniform over the visible records
+                        j = floor(uniform() * visible)
+                        # floor(u * visible) == visible only on a stream
+                        # yielding exactly 1.0
+                        y = pool[visible - 1 if j == visible else j]
+                        logr = (lo[y] + hi[x]) - (lo[x] + hi[y])
+                        if logr >= 0.0 or uniform() < math.exp(logr):
+                            x = y
+                            append(jumped[y])
+                        else:
+                            append(refused[x])
+                        continue
+                    # an empty pool draws no uniform, so its fallback is
+                    # bit-identical to a plain local move
+                    table = fallback
+                u = uniform()
             # RandomWalkKernel.step on the state's row of the step table
             m, slots, stay = table[x]
-            y, p, code = slots[int(uniform() * m)]
+            y, p, code = slots[floor(u * m)]
             if p is None or uniform() < p:
                 x = y
                 append(code)

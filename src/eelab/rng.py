@@ -9,13 +9,17 @@ runs regardless of how many levels or replicates share the root.
 
 Draws are served from blocks filled by one vectorized Generator call at
 a time; this keeps tight chain loops cheap while staying
-bit-deterministic for a fixed block size.
+bit-deterministic for a fixed block size. ``stream`` is the scalar
+draws as an iterator, so a loop can pull one draw per pass in its ``for``
+statement, and ``randint`` floors its draw (math.floor, which gives the
+int() of a float >= 0 at half its cost).
 """
 
 from __future__ import annotations
 
+import math
 from itertools import chain
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -38,16 +42,18 @@ class RandomStream:
     sequence is deterministic for a fixed call pattern.
 
     ``uniform()`` returns one float in [0, 1). It is the ``__next__`` of
-    one iterator over the scalar blocks, so a hot loop may bind it once
-    and call it directly. A block is drawn only when the previous one is
-    used up.
+    ``stream``, the one iterator over the scalar blocks, so a hot loop may
+    bind it once and call it directly, or draw from ``stream`` in a
+    ``for`` statement (``zip(range(n), stream)`` draws n values and no
+    more); both read the same sequence. A block is drawn only when the
+    previous one is used up. ``randint(n)`` is floor(uniform() * n).
     """
 
     def __init__(self, seed_seq: np.random.SeedSequence):
         self._seq = seed_seq
         self._gen = np.random.Generator(np.random.PCG64(seed_seq))
-        self.uniform: Callable[[], float] = chain.from_iterable(
-            _blocks(self._gen)).__next__
+        self.stream: Iterator[float] = chain.from_iterable(_blocks(self._gen))
+        self.uniform: Callable[[], float] = self.stream.__next__
         self._abuf = np.empty(0)
         self._apos = 0
 
@@ -81,8 +87,8 @@ class RandomStream:
         """Uniform integer in [0, n); ConfigError if n <= 0."""
         if n <= 0:
             raise ConfigError(f"cannot draw an integer below {n}")
-        j = int(self.uniform() * n)
-        # no rounding reaches n: int(u * n) < n for every double u < 1 and
+        j = math.floor(self.uniform() * n)
+        # no rounding reaches n: floor(u * n) < n for every double u < 1 and
         # n < 2**53, so the guard acts only on a stream that yields exactly
         # 1.0, such as edge_blocks in tests/test_eeladder.py
         return n - 1 if j == n else j

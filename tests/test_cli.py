@@ -189,10 +189,17 @@ NEEDS = [
     ("q4", {"q4": {"coarse_cells": 1}}, "q4.coarse_cells"),
     ("spectral", {"model": {"kind": "energy_table", "energies": [0.0]}}, "model"),
     ("q4", {"model": {"kind": "energy_table", "energies": [0.0]}}, "model"),
+    # no ladder steps: nothing to measure, and the summary's means are NaN
+    ("q2", {"replicates": 1, "ladder": {"macro_steps": 0, "steps_per_level": 0}},
+     "ladder.macro_steps"),
+    ("q1", {"replicates": 1, "ladder": {"macro_steps": 0}}, "ladder.macro_steps"),
+    ("q1", {"replicates": 1, "ladder": {"schedule": "serial", "steps_per_level": 0}},
+     "ladder.steps_per_level"),
 ]
 NEEDS_IDS = [n[0] for n in NEEDS[:7]] + [
     "segment-malformed", "q1-potts_grid", "q2-potts_grid", "segment-non-integer",
-    "q3-p_jump-1", "q4-one-coarse-cell", "spectral-one-state", "q4-one-state"]
+    "q3-p_jump-1", "q4-one-coarse-cell", "spectral-one-state", "q4-one-state",
+    "q2-no-steps", "q1-no-parallel-steps", "q1-no-serial-steps"]
 
 
 @pytest.mark.parametrize("experiment,raw,key_path", NEEDS, ids=NEEDS_IDS)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,46 @@ def test_spawned_streams_match_buffered_reference():
             assert a.uniform() == b.uniform()
             assert a.randint(21) == b.randint(21)
 
+
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 41, 1000, 2 ** 20, 2 ** 53 - 1])
+def test_floor_and_int_agree_on_every_draw(m):
+    """randint and the ladder's slot and record draws take floor(u * m),
+    which is int(u * m) for every draw u in [0, 1]: at the ends, and on
+    both sides of every k / m for the m below 1000, where u * m rounds
+    to a whole number or just misses one."""
+    us = [0.0, 5e-324, 1.0 - 2.0 ** -53, 1.0]
+    if m < 1000:
+        for k in range(m + 1):
+            us += [math.nextafter(k / m, -math.inf), k / m,
+                   math.nextafter(k / m, math.inf)]
+    for u in us:
+        if 0.0 <= u <= 1.0:
+            assert math.floor(u * m) == int(u * m), (u, m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 41, 2 ** 31])
+def test_randint_maps_a_draw_of_one_to_the_last_integer(n):
+    stream = RandomStream.from_seed(0)
+    stream.uniform = lambda: 1.0
+    assert stream.randint(n) == n - 1
+
+
+@pytest.mark.parametrize("calls_per_pull", [0, 1])
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_stream_read_in_a_for_statement_and_by_uniform_is_one_sequence(
+        n, calls_per_pull):
+    """n draws pulled by zip(range(n), stream), each followed by
+    calls_per_pull uniform() calls, then three more uniform() calls, give
+    the reference's sequence: with range first the zip reads no draw past
+    its n-th, so the first call after it is the next draw of a fresh
+    stream (draw n + 1 when the loop calls nothing)."""
+    ours = RandomStream.from_seed(29)
+    got = []
+    for _, u in zip(range(n), ours.stream):
+        got.append(u)
+        got += [ours.uniform() for _ in range(calls_per_pull)]
+    got += [ours.uniform() for _ in range(3)]
+    ref = BufferedStream(np.random.SeedSequence(29))
+    assert got == [ref.uniform() for _ in got]
