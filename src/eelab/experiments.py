@@ -4,7 +4,8 @@ Every experiment writes into one output directory: CSV tables with a
 fixed header row, a metadata.json sidecar (config echo, seed, package
 version), any images, and finally a DONE sentinel. A directory whose
 sentinel is missing holds an incomplete run. Reruns refuse to touch a
-non-empty directory unless forced.
+non-empty directory unless forced; a forced rerun removes the earlier
+run's artifacts first (prepare_out_dir).
 
 Replicate k of a multi-seed experiment uses integer seed (config seed
 + k); all randomness inside a replicate derives from that seed via
@@ -59,6 +60,14 @@ from .swcut import (
 )
 
 DONE_SENTINEL = "DONE"
+
+# every file name an experiment writes; --force removes only these
+ARTIFACTS = frozenset({
+    DONE_SENTINEL, "metadata.json", "summary.json", "trace.csv", "tv_curves.csv",
+    "first_passage.csv", "ledger_bias.csv", "spectral.json", "spectral.csv",
+    "spectral_reports.json", "q4_summary.csv", "labels.pgm", "overlay.ppm",
+    "mixing.csv",
+})
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +139,25 @@ def write_json(path: Path, obj) -> None:
 
 
 def prepare_out_dir(out: Path, force: bool) -> None:
-    if out.exists() and any(out.iterdir()):
+    """Make out, or, when forced, empty it of an earlier run's artifacts.
+
+    A forced run into a directory that holds anything but regular files
+    named in ARTIFACTS removes nothing and is a ConfigError naming those
+    entries. Otherwise DONE goes first, which marks the old run
+    incomplete, then every other artifact."""
+    entries = sorted(out.iterdir()) if out.exists() else []
+    if entries:
         if not force:
             raise ConfigError(
                 f"output directory {out} is not empty; pass --force to overwrite"
             )
-        sentinel = out / DONE_SENTINEL
-        if sentinel.exists():
-            sentinel.unlink()  # invalidate the old run before rewriting
+        foreign = [e.name for e in entries
+                   if e.name not in ARTIFACTS or e.is_symlink() or not e.is_file()]
+        if foreign:
+            raise ConfigError(f"output directory {out} holds {', '.join(foreign)} "
+                              "besides artifact files; --force removed nothing")
+        for entry in sorted(entries, key=lambda e: e.name != DONE_SENTINEL):
+            entry.unlink()
     out.mkdir(parents=True, exist_ok=True)
 
 
@@ -447,23 +467,25 @@ def _build_image(config: ExperimentConfig):
     return image, truth
 
 
+def _sampler(seg, image, kind: str):
+    """The "swcut" or "gibbs" sampler of the segmentation section on image.
+
+    Construction draws nothing, and a sampler's likelihood rebuilds its
+    statistics when handed a run's new label array, so one sampler may
+    serve many runs."""
+    cfg = seg.region_config()
+    if kind == "gibbs":
+        return GibbsSiteSampler(image, seg.n_labels, seg.beta, cfg)
+    aff = edge_affinity(image, p_max=seg.p_max, p_min=seg.p_min, scale=seg.scale)
+    return SwCutSampler(image, seg.n_labels, seg.beta, cfg, aff, seg.cluster_pick)
+
+
 def exp_segment(config: ExperimentConfig, out: Path) -> None:
     """One segmentation run: label map, boundary overlay, energy trace."""
     seg = config.segmentation
     image, truth = _build_image(config)
-    aff = edge_affinity(image, p_max=seg.p_max, p_min=seg.p_min, scale=seg.scale)
-    final, logposts = segment(
-        image,
-        n_labels=seg.n_labels,
-        beta=seg.beta,
-        region_cfg=seg.region_config(),
-        affinity=aff,
-        sampler=seg.sampler,
-        sweeps=seg.sweeps,
-        init=seg.init,
-        cluster_pick=seg.cluster_pick,
-        seed=config.seed,
-    )
+    final, logposts = segment(_sampler(seg, image, seg.sampler), sweeps=seg.sweeps,
+                              init=seg.init, seed=config.seed)
     write_label_pgm(out / "labels.pgm", final)
     write_overlay_ppm(out / "overlay.ppm", image, final)
     write_csv(out / "trace.csv", ["step", "log_posterior"],
@@ -493,19 +515,11 @@ def exp_swcut_vs_gibbs(config: ExperimentConfig, out: Path) -> None:
     """Sweeps-to-agreement distributions for cluster vs single-site moves."""
     seg = config.segmentation
     image, truth = _build_image(config)
-    aff = edge_affinity(image, p_max=seg.p_max, p_min=seg.p_min, scale=seg.scale)
-    cfg = seg.region_config()
     max_sweeps = int(config.mixing["max_sweeps"])
     target = float(config.mixing["target_agreement"])
     check_every = int(config.mixing["check_every"])
 
-    # built once: construction draws nothing, and a sampler's likelihood
-    # rebuilds its statistics when handed a replicate's new label array
-    samplers = {
-        "swcut": SwCutSampler(image, seg.n_labels, seg.beta, cfg, aff,
-                              seg.cluster_pick),
-        "gibbs": GibbsSiteSampler(image, seg.n_labels, seg.beta, cfg),
-    }
+    samplers = {name: _sampler(seg, image, name) for name in ("swcut", "gibbs")}
     rows = []
     results = {"swcut": [], "gibbs": []}
     for k in range(config.replicates):

@@ -18,7 +18,7 @@ matches its second eigenvalue; it never asserts one of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -53,16 +53,7 @@ class SpectralReport:
     matched_bound: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "lambda2": self.lambda2,
-            "gap": self.gap,
-            "ratio_min_pi_over_q": self.ratio_min_pi_over_q,
-            "ratio_max_pi_over_q": self.ratio_max_pi_over_q,
-            "bound_printed": self.bound_printed,
-            "bound_alternate": self.bound_alternate,
-            "matched_bound": self.matched_bound,
-        }
+        return {**asdict(self), "eigenvalues": self.eigenvalues.tolist()}
 
 
 def _checked_law(K: np.ndarray, pi: FiniteDistribution | np.ndarray) -> np.ndarray:

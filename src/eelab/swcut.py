@@ -601,6 +601,7 @@ class SwCutSampler:
         self.image = image
         self.n_labels = n_labels
         self.beta = beta
+        self.region_cfg = region_cfg
         self.cluster_pick = cluster_pick
 
         self.n = image.n_pixels
@@ -754,6 +755,7 @@ class GibbsSiteSampler:
         self.image = image
         self.n_labels = n_labels
         self.beta = beta
+        self.region_cfg = region_cfg
         self.n = image.n_pixels
         nbr, _ = _incidence(image.width, image.height)
         self.nbrs = [tuple(b for b in row if b >= 0) for row in nbr.tolist()]
@@ -813,43 +815,31 @@ def initial_labeling(
 
 
 def segment(
-    image: Image,
+    sampler: SwCutSampler | GibbsSiteSampler,
     *,
-    n_labels: int,
-    beta: float,
-    region_cfg: RegionModelConfig,
-    affinity: Optional[EdgeAffinityMap] = None,
-    sampler: str = "swcut",
     sweeps: int = 1,
     init: str = "threshold",
-    cluster_pick: str = "uniform",
     seed: int = 0,
 ) -> tuple[Labeling, np.ndarray]:
-    """Run a sampler for sweeps * width * height steps; return the final
-    labeling and the log posterior after each step.
+    """Run the sampler on its image, label count, beta and region config
+    for sweeps * width * height steps; return the final labeling and the
+    log posterior after each step.
 
     One step is a single cluster move (swcut) or a single site update
-    (gibbs), so sweep counts are comparable across samplers.
+    (gibbs), so sweep counts are comparable across samplers. Each run
+    starts on a new label array, so one sampler may serve many runs.
     """
     if sweeps < 0:
         raise ConfigError("sweeps must be >= 0")
+    image, n_labels = sampler.image, sampler.n_labels
     rng = RandomStream.from_seed(seed)
     W = initial_labeling(image, n_labels, init, rng)
-
-    if sampler == "swcut":
-        aff = affinity if affinity is not None else edge_affinity(image)
-        stepper = SwCutSampler(image, n_labels, beta, region_cfg, aff, cluster_pick)
-    elif sampler == "gibbs":
-        stepper = GibbsSiteSampler(image, n_labels, beta, region_cfg)
-    else:
-        raise ConfigError(f"unknown sampler {sampler!r}")
-
     lab = W.flat.copy()
     n_steps = sweeps * image.n_pixels
-    logpost = posterior_logdensity(image, W, beta, region_cfg)
+    logpost = posterior_logdensity(image, W, sampler.beta, sampler.region_cfg)
     logposts = np.empty(n_steps)
     for t in range(n_steps):
-        logpost += stepper.step(lab, rng)
+        logpost += sampler.step(lab, rng)
         logposts[t] = logpost
     return Labeling(lab.reshape(image.height, image.width), n_labels), logposts
 

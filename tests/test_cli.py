@@ -414,6 +414,41 @@ class TestCliExitCodes:
         assert main(["run", "--config", str(cfg), "--out", out]) == 1
         assert main(["run", "--config", str(cfg), "--out", out, "--force"]) == 0
 
+    def test_force_removes_the_earlier_runs_artifacts(self, tmp_path, capsys):
+        """spectral forced over q3 leaves none of q3's files (q3 writes a
+        summary.json, spectral does not)."""
+        out = str(tmp_path / "out")
+        q3 = write_config(tmp_path, {"replicates": 1, "model": {"points": 21}}, "q3.json")
+        spectral = write_config(tmp_path, {"model": {"points": 21}}, "spectral.json")
+        assert main(["q3", "--config", str(q3), "--out", out]) == 0
+        assert main(["spectral", "--config", str(spectral), "--out", out,
+                     "--force"]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "DONE", "metadata.json", "spectral.csv", "spectral.json"]
+
+    @pytest.mark.parametrize("name,kind", [("notes.txt", "file"), ("trace.csv", "dir"),
+                                           ("summary.json", "symlink")])
+    def test_force_refuses_a_foreign_entry_and_removes_nothing(self, tmp_path, capsys,
+                                                                name, kind):
+        """A name no experiment writes, or an artifact's name on anything
+        but a regular file."""
+        cfg = write_config(tmp_path, {"model": {"points": 21}})
+        out = tmp_path / "out"
+        assert main(["spectral", "--config", str(cfg), "--out", str(out)]) == 0
+        if kind == "dir":
+            (out / name).mkdir()
+        elif kind == "symlink":
+            (out / name).symlink_to(cfg)
+        else:
+            (out / name).write_text("keep\n")
+        before = {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["spectral", "--config", str(cfg), "--out", str(out),
+                     "--force"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("eelab: config error: ") and name in err
+        assert {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()} == before
+
     def test_runtime_error_is_two(self, tmp_path, capsys):
         """An I/O error while running: the output directory cannot be
         made under a regular file."""
@@ -517,6 +552,28 @@ class TestCliExitCodes:
 
 
 class TestArtifacts:
+    @pytest.mark.parametrize("raw", [
+        {"experiment": "run", "ladder": {"macro_steps": 50}},
+        {"experiment": "q1", "ladder": {"macro_steps": 50}},
+        {"experiment": "q2", "ladder": {"macro_steps": 50, "steps_per_level": 50}},
+        {"experiment": "q3", "q3": {"ledger_sizes": [10]}},
+        {"experiment": "spectral"},
+        {"experiment": "q4"},
+        {"experiment": "segment"},
+        {"experiment": "swcut_vs_gibbs", "mixing": {"max_sweeps": 1}},
+    ], ids=lambda raw: raw["experiment"])
+    def test_every_file_written_is_a_known_artifact(self, tmp_path, raw):
+        """--force may remove only names in ARTIFACTS, so every file an
+        experiment writes must be one."""
+        from eelab.experiments import ARTIFACTS, run_experiment
+
+        cfg = validate_config({"replicates": 1, "model": {"points": 21},
+                               "segmentation": {"image": {"width": 6, "height": 6}},
+                               **raw})
+        out = run_experiment(cfg, out_dir=tmp_path / "out")
+        written = {p.name for p in out.iterdir()}
+        assert {"DONE", "metadata.json"} < written <= ARTIFACTS
+
     def test_empty_trace_writes_header_only_csv_and_sentinel(self, tmp_path):
         cfg = validate_config({
             "experiment": "run",

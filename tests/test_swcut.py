@@ -829,8 +829,9 @@ class TestPolyFitSamplers:
     def test_delta_sum_does_not_drift(self, sampler):
         img, _ = make_two_region_image(32, 32, noise_sd=0.05, seed=4)
         cfg = poly_cfg(2)
-        final, logposts = segment(img, n_labels=2, beta=0.4, region_cfg=cfg,
-                                  sampler=sampler, sweeps=10, init="random", seed=6)
+        stepper = (SwCutSampler(img, 2, 0.4, cfg, edge_affinity(img))
+                   if sampler == "swcut" else GibbsSiteSampler(img, 2, 0.4, cfg))
+        final, logposts = segment(stepper, sweeps=10, init="random", seed=6)
         expect = posterior_logdensity(img, final, 0.4, cfg)
         assert abs(logposts[-1] - expect) <= 1e-9 * max(1.0, abs(expect))
 
@@ -910,7 +911,7 @@ class TestSegment:
     def test_zero_sweeps_returns_initial(self):
         img, _ = make_two_region_image(6, 6, seed=2)
         cfg = RegionModelConfig(mode="fixed_means", sigma=0.05, means=(0.25, 0.75))
-        final, logposts = segment(img, n_labels=2, beta=0.3, region_cfg=cfg,
+        final, logposts = segment(SwCutSampler(img, 2, 0.3, cfg, edge_affinity(img)),
                                   sweeps=0, init="threshold", seed=5)
         expected = initial_labeling(img, 2, "threshold", RandomStream.from_seed(5))
         assert np.array_equal(final.labels, expected.labels)
@@ -920,22 +921,24 @@ class TestSegment:
         img, truth = make_two_region_image(12, 12, noise_sd=0.0, seed=3)
         cfg = RegionModelConfig(mode="fixed_means", sigma=0.05, means=(0.25, 0.75))
         for seed in (1, 2, 3):
-            final, _ = segment(img, n_labels=2, beta=0.3, region_cfg=cfg,
+            final, _ = segment(SwCutSampler(img, 2, 0.3, cfg, edge_affinity(img)),
                                sweeps=2, init="random", seed=seed)
             assert agreement(final, truth) >= 0.99
 
     def test_seed_determinism(self):
         img, _ = make_two_region_image(8, 8, seed=6)
         cfg = RegionModelConfig(mode="fixed_means", sigma=0.05, means=(0.25, 0.75))
-        a, ta = segment(img, n_labels=2, beta=0.3, region_cfg=cfg, sweeps=2, seed=11)
-        b, tb = segment(img, n_labels=2, beta=0.3, region_cfg=cfg, sweeps=2, seed=11)
+        a, ta = segment(SwCutSampler(img, 2, 0.3, cfg, edge_affinity(img)),
+                        sweeps=2, seed=11)
+        b, tb = segment(SwCutSampler(img, 2, 0.3, cfg, edge_affinity(img)),
+                        sweeps=2, seed=11)
         assert np.array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(ta, tb)
 
     def test_trace_matches_recomputed_posterior(self):
         img, _ = make_two_region_image(5, 5, seed=8)
         cfg = RegionModelConfig(mode="fixed_means", sigma=0.1, means=(0.25, 0.75))
-        final, logposts = segment(img, n_labels=2, beta=0.4, region_cfg=cfg,
+        final, logposts = segment(SwCutSampler(img, 2, 0.4, cfg, edge_affinity(img)),
                                   sweeps=1, seed=9)
         assert logposts[-1] == pytest.approx(
             posterior_logdensity(img, final, 0.4, cfg), abs=1e-8
@@ -944,9 +947,27 @@ class TestSegment:
     def test_gibbs_sampler_variant(self):
         img, truth = make_two_region_image(8, 8, noise_sd=0.01, seed=10)
         cfg = RegionModelConfig(mode="fixed_means", sigma=0.05, means=(0.25, 0.75))
-        final, _ = segment(img, n_labels=2, beta=0.3, region_cfg=cfg,
-                           sampler="gibbs", sweeps=5, init="random", seed=4)
+        final, _ = segment(GibbsSiteSampler(img, 2, 0.3, cfg),
+                           sweeps=5, init="random", seed=4)
         assert agreement(final, truth) >= 0.95
+
+    @pytest.mark.parametrize("mode", ["fixed_means", "poly_fit"])
+    def test_reused_sampler_runs_as_fresh_ones(self, mode):
+        """One sampler handed to runs of two seeds gives each run's labels
+        and trace, bit for bit, as a fresh sampler per run does."""
+        img, _ = make_two_region_image(14, 14, noise_sd=0.1, seed=5)
+        cfg = RegionModelConfig(mode=mode, sigma=0.1, means=(0.25, 0.75), order=1)
+        aff = edge_affinity(img, p_max=0.8, p_min=0.1, scale=0.3)
+        builders = (lambda: SwCutSampler(img, 2, 0.4, cfg, aff),
+                    lambda: SwCutSampler(img, 2, 0.4, cfg, aff, "pixel"),
+                    lambda: GibbsSiteSampler(img, 2, 0.4, cfg))
+        for build in builders:
+            reused = build()
+            for seed in (3, 4):
+                a, ta = segment(reused, sweeps=1, init="random", seed=seed)
+                b, tb = segment(build(), sweeps=1, init="random", seed=seed)
+                assert np.array_equal(a.labels, b.labels)
+                assert np.array_equal(ta, tb)
 
 
 class TestHelpers:
