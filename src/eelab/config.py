@@ -32,6 +32,11 @@ EXPERIMENTS = (
     "run", "spectral", "segment", "q1", "q2", "q3", "q4", "swcut_vs_gibbs",
 )
 
+# Largest segmentation image, in pixels. Building SwCutSampler peaks at
+# about 1 KB per pixel (tracemalloc: 977 B at 32x32, 1016 B at 64x64 with
+# fixed means; 899 B and 940 B with poly_fit), so this is about 1 GiB
+MAX_IMAGE_PIXELS = 2 ** 20
+
 
 def _require(cond: bool, path: str, msg: str) -> None:
     if not cond:
@@ -436,12 +441,19 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
             f"{experiment!r}"
         )
     cfg = _build(ExperimentConfig, {**raw, "experiment": exp}, "")
+    # the leaves that set the model's state count
+    size_key = {"potts_grid": "model.labels ** (model.width * model.height)",
+                "table": "model.weights", "energy_table": "model.energies",
+                }.get(cfg.model.get("kind"), "model.points")
     try:
         model = cfg.build_model()  # surface model parameter errors now
     except ConfigError as exc:
         raise ConfigError(f"model: {exc}") from None
-    if exp in ("spectral", "q4") and model.size > SPECTRAL_CAP:
-        raise CapabilityError(f"dense eigensolver capped at {SPECTRAL_CAP} states")
+    except CapabilityError as exc:
+        raise ConfigError(f"{size_key}: {exc}") from None
+    _require(exp not in ("spectral", "q4") or model.size <= SPECTRAL_CAP, size_key,
+             f"the dense eigensolver is capped at {SPECTRAL_CAP} states, got "
+             f"{model.size}")
     # q1 and q2 find a start and a target basin in the line's quarters; a
     # spectrum's gap needs a second eigenvalue
     need = {"q1": 4, "q2": 4, "spectral": 2, "q4": 2}.get(exp, 1)
@@ -456,6 +468,11 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
         except (OSError, ConfigError) as exc:
             raise ConfigError(f"segmentation.image.path: {exc}") from None
     if exp in ("segment", "swcut_vs_gibbs"):
+        leaf = ("path" if cfg.segmentation.image.kind == "pgm"
+                else "width" if image.width >= image.height else "height")
+        _require(image.width * image.height <= MAX_IMAGE_PIXELS,
+                 f"segmentation.image.{leaf}", f"width * height must be at most "
+                 f"{MAX_IMAGE_PIXELS} pixels, got {image.width} x {image.height}")
         cfg.segmentation.check_scales(image.width, image.height)
     levels = cfg.ladder.levels()
     if exp in ("spectral", "q4"):

@@ -298,6 +298,11 @@ def labeling_model(kind: str, width: int, height: int, labels: int,
     lab of them all and single-site relabelings, site by site and label by
     label, as local moves; refused above enum_cap before anything is built."""
     n_sites = width * height
+    # with labels >= 2, more sites than enum_cap has bits are over the cap,
+    # and labels ** n_sites may be too large to compute
+    if labels > 1 and n_sites > enum_cap.bit_length():
+        raise CapabilityError(f"{kind} model with {labels}**{n_sites} states is "
+                              f"above the enumeration cap {enum_cap}")
     size = labels ** n_sites
     _refuse_above_cap(kind, size, enum_cap)
     lab = labelings(np.arange(size), labels, width, height)

@@ -316,48 +316,56 @@ def _roots(n: int, edges: list, label: list, u: list) -> list[int]:
     return parent
 
 
-def _run_roots(start: np.ndarray, bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _run_roots(start: np.ndarray, bonds: np.ndarray, width: int,
+               out: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """Row runs and their components under vertical bonds.
 
-    start (h x w, bool) marks each pixel that begins a row run: all of
-    column 0, and every pixel not bonded to its left neighbour. bonds
-    ((h - 1) x w, bool) marks the vertical bonds, bonds[r, c] joining
-    pixel (r, c) to (r + 1, c). Returns each pixel's run id (the runs
-    numbered 0, 1, ... in pixel order) and each run's root, the smallest
-    run id of its component, whose first pixel is the component's
-    smallest pixel.
+    start (h * w, bool, row-major) marks each pixel that begins a row
+    run: all of column 0, and every pixel not bonded to its left
+    neighbour. bonds ((h - 1) * w, bool) marks the vertical bonds, bonds[i]
+    joining pixel i to pixel i + width. Returns each pixel's run id (the
+    runs numbered 0, 1, ... in pixel order, written into out if given)
+    and each run's root, the smallest run id of its component, whose
+    first pixel is the component's smallest pixel.
 
     The runs are merged by Shiloach & Vishkin's hook-and-shortcut scheme:
     each round hooks roots across the pairs of runs that vertical bonds
     join, jumps pointers to a fixed point and keeps the pairs whose roots
     still differ. Parent <= run throughout, so each root is its
-    component's minimum. At 32x32 numpy's per-call overhead is most of
-    the cost, so a round is a handful of whole-array calls over the runs
-    (a few hundred), not the pixels."""
-    width = start.shape[1]
-    run = np.cumsum(start.reshape(-1))
+    component's minimum. Both runs of a pair are roots when it hooks, so
+    only the larger moves: a hook is one np.minimum.at of the larger run
+    under the smaller. At 32x32 numpy's per-call overhead is most of the
+    cost, so a round is a handful of calls over flat arrays of runs (a
+    few hundred), not pixels."""
+    run = np.add.accumulate(start, dtype=np.intp, out=out)
     run -= 1
-    # bond (r, c) joins the same two runs as bond (r, c - 1) when that is
-    # on and neither of its pixels starts a run, and is dropped; for bools
-    # a >= b is a | ~b
-    keep = start[:-1] | start[1:]
-    np.greater_equal(keep[:, 1:], bonds[:, :-1], out=keep[:, 1:])
+    # bond i joins the same two runs as bond i - 1 when that is on and
+    # neither of its pixels starts a run (never across rows: column 0
+    # starts runs), and is dropped; for bools a >= b is a | ~b
+    keep = start[:-width] | start[width:]
+    np.greater_equal(keep[1:], bonds[:-1], out=keep[1:])
     keep &= bonds
-    a = keep.reshape(-1).nonzero()[0]
-    pairs = run.take((a, a + width))
+    a = keep.nonzero()[0]
+    # each pair is (upper run, lower run), the upper the smaller
+    lo, hi = run.take(a), run[width:].take(a)
     root = np.arange(run[-1] + 1)
-    while pairs.shape[1]:
-        # each pair both ways round: the larger root takes the smallest
-        # root it meets, the smaller one keeps itself
-        np.minimum.at(root, pairs.ravel(), pairs[::-1].ravel())
+    np.minimum.at(root, hi, lo)
+    # the first hooks point each run into the row above, so a chain is
+    # shorter than the rows and ceil(log2(rows - 1)) doublings end it
+    for _ in range((len(start) // width - 2).bit_length()):
+        root = root.take(root)
+    while True:
+        lo, hi = root.take(lo), root.take(hi)
+        differ = lo != hi
+        lo, hi = lo.compress(differ), hi.compress(differ)
+        if not len(lo):
+            return run, root
+        np.minimum.at(root, np.maximum(lo, hi), np.minimum(lo, hi))
         while True:
             up = root.take(root)
             if up.tobytes() == root.tobytes():
                 break
             root = up
-        pairs = root.take(pairs)
-        pairs = pairs.compress(pairs[0] != pairs[1], axis=1)
-    return run, root
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +434,7 @@ class RegionLikelihood:
         """Log-likelihood change of relabeling the pixels v0 (all labeled
         l_cur) to each label 1..L; the entry of l_cur is 0."""
         if self.lik is None:
-            v0 = np.asarray(v0)
-            z = self._z[v0]
+            z = self._z.take(v0, axis=0)
             return self._poly_deltas(lab, v0, l_cur, z.T @ z)
         L = self.n_labels
         if len(v0) <= 32:
@@ -438,7 +445,8 @@ class RegionLikelihood:
                 for c in range(L):
                     lik_sums[c] += row[c]
         else:
-            lik_sums = self.lik[v0].sum(axis=0).tolist()
+            # accumulate adds the rows in order, as the loop does
+            lik_sums = np.add.accumulate(self.lik.take(v0, axis=0))[-1].tolist()
         base = lik_sums[l_cur - 1]
         return [s - base for s in lik_sums]
 
@@ -552,10 +560,10 @@ def _draw_label(logw: list[float], rng: RandomStream) -> int:
 # Lattices of at most this many pixels group with _roots, where numpy's
 # per-call overhead costs more than the array passes save. Timed per move
 # on 2 vCPUs (median vector/scalar ratio of interleaved rounds, threshold
-# and random init): fixed means 1.56 at 8x8, 1.14 at 10x10, 0.96-1.02 at
-# 11x11, 0.88 at 12x12; poly_fit order 1 1.48, 1.17-1.20, 1.07-1.08 and
-# 0.88-0.96. So the paths break even near 11x11, which stays scalar.
-_SCALAR_MAX_PIXELS = 121
+# and random init): fixed means 1.07-1.09 at 8x8, 0.86-0.87 at 9x9 and
+# 0.76-0.78 at 10x10; poly_fit order 1 1.12-1.13, 0.93-1.03 and 0.84. So
+# the paths break even between 8x8 and 9x9, and 8x8 stays scalar.
+_SCALAR_MAX_PIXELS = 64
 
 # Largest state space of GibbsSiteSampler.exact_matrix (128 MB of matrix)
 _EXACT_MAX_STATES = 4096
@@ -570,16 +578,17 @@ class SwCutSampler:
 
     A move draws a bond for every same-label lattice edge and groups the
     whole field, because the uniform pick needs the number of clusters.
-    Above _SCALAR_MAX_PIXELS pixels the grouping works in run space: the
-    move compares 2-D views of the labels and of the bond uniforms against
-    p into buffers made here, marking where row runs start and which
-    vertical bonds are on; _run_roots numbers the runs and merges them by
-    hook-and-jump rounds over the pairs of runs those bonds join. The
-    cluster is picked among the root runs (a few hundred at 32x32, against
-    1024 pixels), only its runs are mapped back to pixels, and its cut
-    sums are one bincount when it has more than 32 pixels. Smaller
-    lattices group straight to roots with _roots and collect only the
-    picked cluster. Both paths give the same cluster, member order and
+    Above _SCALAR_MAX_PIXELS pixels the grouping works in run space: flat
+    compares of the labels, and of the bond uniforms against p, mark in
+    buffers made here where row runs start and which vertical bonds are
+    on; _run_roots numbers the runs and merges them by hook-and-jump
+    rounds over the pairs of runs those bonds join. The cluster is picked
+    among the root runs (a few hundred at 32x32, against 1024 pixels) and
+    only its runs are mapped back to pixels. A cluster of more than 32
+    pixels gathers its rows of the neighbour, edge and likelihood tables
+    with take, and bincount and accumulate add them in the loop's order.
+    Smaller lattices group straight to roots with _roots and collect only
+    the picked cluster. Both paths give the same cluster, member order and
     float sums, so every draw and result is identical.
     """
 
@@ -610,11 +619,14 @@ class SwCutSampler:
         self.log1mp = aff.log1mp
         self._log1mp_list = self.log1mp.tolist()
         # edges incident to each pixel, with the opposite endpoint
-        self._nbr, self._eid = _incidence(image.width, image.height)
+        nbr, self._eid = _incidence(image.width, image.height)
         self.incident = [
             tuple((k, b) for k, b in zip(ks, bs) if k >= 0)
-            for ks, bs in zip(self._eid.tolist(), self._nbr.tolist())
+            for ks, bs in zip(self._eid.tolist(), nbr.tolist())
         ]
+        # the vector path's neighbours: a missing one is the pixel itself,
+        # which is in every cluster that gathers its row, so is never cut
+        self._nbr = np.where(self._eid < 0, np.arange(self.n)[:, None], nbr)
         self._in_v0 = [False] * self.n
         # the function, not a bound method, which would make the sampler a
         # reference cycle that only the cyclic collector frees (+5.7 MB RSS)
@@ -624,17 +636,19 @@ class SwCutSampler:
         else:
             self._pick = SwCutSampler._pick_vector
         self._pixels = np.arange(self.n)
-        # the vector path's buffers, and p's horizontal and vertical edges
-        # as 2-D views (a row-major edge k maps onto them as lattice_edges
-        # numbers it)
+        # the vector path's flat buffers, and p's horizontal edges as a 2-D
+        # view (a row-major edge k maps onto it as lattice_edges numbers
+        # it). _off's column 0 stays True: every row starts a run there
         w, h = image.width, image.height
         self._n_h = n_h = h * (w - 1)
         self._p_h = self.p[:n_h].reshape(h, w - 1)
-        self._p_v = self.p[n_h:].reshape(h - 1, w)
-        self._start = np.ones((h, w), dtype=bool)
-        self._off_h = np.empty((h, w - 1), dtype=bool)
-        self._bonds = np.empty((h - 1, w), dtype=bool)
-        self._on_v = np.empty((h - 1, w), dtype=bool)
+        self._p_v = self.p[n_h:]
+        off = np.ones((h, w), dtype=bool)
+        self._off, self._off_h = off.reshape(-1), off[:, 1:]
+        self._start = np.empty(self.n, dtype=bool)
+        self._run = np.empty(self.n, dtype=np.intp)
+        self._bonds = np.empty(self.n - w, dtype=bool)
+        self._on_v = np.empty(self.n - w, dtype=bool)
         self.likelihood = RegionLikelihood(image, n_labels, region_cfg)
 
     # -- one cluster move ----------------------------------------------------
@@ -666,7 +680,7 @@ class SwCutSampler:
         dpost = logw[l_new - 1] - cut_log[l_new]
 
         if l_new != l_cur:
-            labels[np.asarray(v0)] = l_new
+            labels.put(v0, l_new)
             self.likelihood.commit(l_new)
         return float(dpost)
 
@@ -685,18 +699,18 @@ class SwCutSampler:
         """The picked cluster and its cut sums, under the bonds the edge
         uniforms u draw (edge k is on when its pixels agree and
         u[k] < p[k]), grouped in run space."""
-        h, w, n_h = self.image.height, self.image.width, self._n_h
-        lab2 = lab.reshape(h, w)
+        w, n_h = self.image.width, self._n_h
         start, bonds = self._start, self._bonds
         # a pixel starts a row run unless it bonds to its left neighbour;
-        # column 0 stays True from __init__
-        np.not_equal(lab2[:, 1:], lab2[:, :-1], out=start[:, 1:])
-        np.greater_equal(u[:n_h].reshape(h, w - 1), self._p_h, out=self._off_h)
-        np.logical_or(start[:, 1:], self._off_h, out=start[:, 1:])
-        np.equal(lab2[1:], lab2[:-1], out=bonds)
-        np.less(u[n_h:].reshape(h - 1, w), self._p_v, out=self._on_v)
+        # _off's column 0 overrides the flat compare across row ends
+        np.not_equal(lab[1:], lab[:-1], out=start[1:])
+        np.greater_equal(u[:n_h].reshape(self._p_h.shape), self._p_h,
+                         out=self._off_h)
+        start |= self._off
+        np.equal(lab[w:], lab[:-w], out=bonds)
+        np.less(u[n_h:], self._p_v, out=self._on_v)
         bonds &= self._on_v
-        run, root = _run_roots(start, bonds)
+        run, root = _run_roots(start, bonds, w, self._run)
         # pick a root run; only the picked cluster is mapped to pixels
         if self.cluster_pick == "uniform":
             roots = (root == self._pixels[:len(root)]).nonzero()[0]
@@ -710,11 +724,12 @@ class SwCutSampler:
             return (v0, *self._cut_sums(lab, v0))
         # the loop's edge order (v0 ascending, then incidence order), so
         # bincount adds the same floats in the same sequence
-        nbr, eid = self._nbr[v0], self._eid[v0]
-        cut = (eid >= 0) & ~in_v0[nbr]
-        c = lab[nbr[cut]]
+        nbr = self._nbr.take(v0, axis=0).reshape(-1)
+        cut = (~in_v0.take(nbr)).nonzero()[0]
+        c = lab.take(nbr.take(cut))
+        k = self._eid.take(v0, axis=0).reshape(-1).take(cut)
         L1 = self.n_labels + 1
-        cut_log = np.bincount(c, weights=self.log1mp[eid[cut]], minlength=L1)
+        cut_log = np.bincount(c, weights=self.log1mp.take(k), minlength=L1)
         return v0, cut_log.tolist(), np.bincount(c, minlength=L1).tolist()
 
     def _cut_sums(self, lab: np.ndarray, v0: list[int]):

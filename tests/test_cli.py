@@ -244,6 +244,23 @@ EXTREME = [
     # the level-0 law underflows to 0 away from the wells
     ("spectral", {"model": {"depth": 1000}}, "model"),
     ("q4", {"model": {"depth": 1000}}, "model"),
+    # a state space above the enumeration cap, refused before it is built;
+    # 2 ** (10^12) is never computed
+    ("run", {"model": {"points": 10 ** 12}}, "model.points"),
+    ("q3", {"model": {"points": 2 ** 63}}, "model.points"),
+    ("spectral", {"model": {"points": 10 ** 12}}, "model.points"),
+    ("q4", {"model": {"points": 2 ** 63}}, "model.points"),
+    ("run", {"model": {"kind": "potts_grid", "width": 10 ** 12, "height": 1,
+                       "labels": 2, "beta": 0.1}},
+     "model.labels ** (model.width * model.height)"),
+    # an image whose sampler would not fit in memory, refused before any
+    # array is made
+    ("segment", {"segmentation": {"image": {"width": 10 ** 12}}},
+     "segmentation.image.width"),
+    ("segment", {"segmentation": {"image": {"width": 2 ** 63}}},
+     "segmentation.image.width"),
+    ("swcut_vs_gibbs", {"segmentation": {"image": {"height": 2 ** 63}}},
+     "segmentation.image.height"),
 ]
 
 
@@ -254,7 +271,10 @@ EXTREME = [
                               "beta-huge", "mixing-beta-huge", "sigma-sum-overflows",
                               "mixing-sigma-sum-overflows", "poly-sigma-sum-overflows",
                               "mean-huge", "mean-large", "spectral-law-underflows",
-                              "q4-law-underflows"])
+                              "q4-law-underflows", "points-1e12", "q3-points-2^63",
+                              "spectral-points-1e12", "q4-points-2^63",
+                              "potts-width-1e12", "image-width-1e12",
+                              "image-width-2^63", "mixing-image-height-2^63"])
 def test_extreme_values_are_refused_at_load(tmp_path, capsys, experiment, raw,
                                             key_path):
     """A finite config value whose likelihood scale or energy table is not
@@ -474,25 +494,29 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err == f"eelab: error: {str(exc) or 'MemoryError'}\n"
 
-    def test_over_cap_model_is_two_and_writes_nothing(self, tmp_path, capsys):
-        """2^25 labelings are refused when the config is loaded, so no
-        output directory is left behind without its DONE sentinel."""
+    def test_over_cap_model_is_a_keyed_config_error(self, tmp_path, capsys):
+        """2^25 labelings are refused when the config is loaded, keyed by
+        the leaves that count them, so no output directory is left behind
+        without its DONE sentinel."""
         cfg = write_config(tmp_path, {
             "experiment": "run",
             "model": {"kind": "potts_grid", "width": 5, "height": 5,
                       "labels": 2, "beta": 0.1},
         })
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "enumeration cap 1048576" in capsys.readouterr().err
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("eelab: config error: "
+                              "model.labels ** (model.width * model.height): ")
+        assert "enumeration cap 1048576" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("experiment", ["spectral", "q4"])
-    def test_over_spectral_cap_is_two_and_builds_no_matrix(
+    def test_over_spectral_cap_is_a_keyed_config_error(
             self, tmp_path, capsys, monkeypatch, experiment):
         """A model above the dense eigensolver's cap is refused when the
-        config is loaded: no kernel matrix is built and no output
-        directory is made."""
+        config is loaded, keyed by model.points: no kernel matrix is built
+        and no output directory is made."""
         def no_matrix(self):
             raise AssertionError("exact_matrix called")
 
@@ -502,10 +526,20 @@ class TestCliExitCodes:
         cfg = write_config(tmp_path, {"experiment": experiment,
                                       "model": {"points": SPECTRAL_CAP + 1}})
         out = tmp_path / "out"
-        assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+        assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            f"eelab: error: dense eigensolver capped at {SPECTRAL_CAP} states\n")
+            f"eelab: config error: model.points: the dense eigensolver is capped "
+            f"at {SPECTRAL_CAP} states, got {SPECTRAL_CAP + 1}\n")
         assert not out.exists()
+
+    def test_a_256x256_image_still_loads(self, tmp_path):
+        """A 256x256 image is well under the pixel bound: it loads, builds
+        its sampler and writes a zero-sweep run."""
+        cfg = write_config(tmp_path, {"experiment": "segment", "segmentation": {
+            "image": {"width": 256, "height": 256}, "sweeps": 0}})
+        out = tmp_path / "out"
+        assert main(["segment", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "DONE").exists()
 
     @pytest.mark.parametrize("extra", [[], ["--seed", "3"]])
     def test_one_run_builds_the_model_once(self, tmp_path, monkeypatch, extra):

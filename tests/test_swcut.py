@@ -284,7 +284,7 @@ def assert_roots_match_union_find(width, height, on):
     n_h = height * (width - 1)
     start = np.ones((height, width), dtype=bool)
     start[:, 1:] = ~on[:n_h].reshape(height, width - 1)
-    run, run_root = _run_roots(start, on[n_h:].reshape(height - 1, width))
+    run, run_root = _run_roots(start.reshape(-1), on[n_h:], width)
     first = np.flatnonzero(start)
     assert (first[run] <= np.arange(n)).all() and (np.diff(run) >= 0).all()
     assert first[run_root[run]].tolist() == expect
@@ -441,6 +441,20 @@ def test_vector_and_scalar_paths_take_identical_steps(monkeypatch, mode, pick):
     assert_paths_take_identical_steps(monkeypatch, img, aff, cfg, pick)
 
 
+@pytest.mark.parametrize("width,height", [(37, 13), (13, 37)])
+@pytest.mark.parametrize("mode", ["fixed_means", "poly_fit"])
+@pytest.mark.parametrize("pick", ["uniform", "pixel"])
+def test_non_square_lattices_take_identical_steps(monkeypatch, width, height,
+                                                  mode, pick):
+    """The vector path's flat masks index by width and by height; a
+    lattice wider than tall, and one taller than wide, take the same
+    steps on either path."""
+    img, _ = make_two_region_image(width, height, noise_sd=0.1, seed=7)
+    aff = edge_affinity(img, p_max=0.95, p_min=0.05, scale=0.3)
+    cfg = RegionModelConfig(mode=mode, sigma=1.0, means=(0.25, 0.75), order=1)
+    assert_paths_take_identical_steps(monkeypatch, img, aff, cfg, pick)
+
+
 @pytest.mark.parametrize("width,height", [(1, 100), (100, 1)])
 @pytest.mark.parametrize("pick", ["uniform", "pixel"])
 def test_vector_path_on_strips_takes_the_scalar_steps(monkeypatch, width,
@@ -486,6 +500,31 @@ def test_vector_cut_sums_equal_the_loop():
         large += len(v0) > 32
         assert (cut_log, cut_count) == sampler._cut_sums(lab, list(v0))
     assert large >= 10
+
+
+def test_large_cluster_deltas_equal_the_loop():
+    """Fixed-means deltas of clusters of 33-900 pixels, which take the
+    gathered path, add each label's likelihood terms in pixel order from
+    0.0, as the loop over smaller clusters does: equal to the bit."""
+    gen = np.random.default_rng(11)
+    img = Image(30, 30, gen.random((30, 30)))
+    # a small sigma spreads the terms over several orders of magnitude,
+    # so any other order of addition changes low bits
+    cfg = RegionModelConfig(mode="fixed_means", sigma=0.01, means=(0.1, 0.45, 0.9))
+    rl = RegionLikelihood(img, 3, cfg)
+    lab = gen.integers(1, 4, img.n_pixels)
+    for size in [33, 34, 64, 100, 257, 512, 899, 900] + gen.integers(
+            33, 901, 40).tolist():
+        v0 = np.sort(gen.choice(img.n_pixels, size, replace=False))
+        l_cur = int(gen.integers(1, 4))
+        sums = [0.0] * 3
+        for v in v0.tolist():
+            for c, term in enumerate(rl._lik_rows[v]):
+                sums[c] += term
+        expect = [s - sums[l_cur - 1] for s in sums]
+        for given in (v0, v0.tolist()):
+            got = rl.cluster_deltas(lab, given, l_cur)
+            assert [x.hex() for x in got] == [x.hex() for x in expect], size
 
 
 class TestSwCutStep:
