@@ -36,6 +36,12 @@ EXPERIMENTS = (
 # about 1 KB per pixel (tracemalloc: 977 B at 32x32, 1016 B at 64x64 with
 # fixed means; 899 B and 940 B with poly_fit), so this is about 1 GiB
 MAX_IMAGE_PIXELS = 2 ** 20
+# Longest segment run, in steps (sweeps * pixels): its log-posterior trace
+# holds one float64 per step, so this is 1 GiB
+MAX_SEGMENT_STEPS = 2 ** 27
+# Most rows a replicate experiment keeps until it writes them. A
+# tv_curves.csv row takes about 136 B (tracemalloc), so this is about 1 GiB
+MAX_KEPT_ROWS = 2 ** 23
 
 
 def _require(cond: bool, path: str, msg: str) -> None:
@@ -407,6 +413,21 @@ class ExperimentConfig:
         _require(self.experiment not in ("q3", "q4", "spectral") or levels >= 2,
                  "ladder.n_levels",
                  f"{self.experiment} needs at least 2 levels, got {levels}")
+        # the rows one replicate keeps, and the leaf that sets them: a curve
+        # of tv_checkpoints rows and a passage row per q1/q2 arm, a row per
+        # q3 ledger size, a row per swcut_vs_gibbs sampler
+        curve = ("tv_checkpoints", 2 * (self.tv_checkpoints + 1))
+        leaf, per = {"q1": curve, "q2": curve,
+                     "q3": ("q3.ledger_sizes", len(self.q3["ledger_sizes"])),
+                     "swcut_vs_gibbs": ("replicates", 2)}.get(self.experiment,
+                                                              (None, 0))
+        if per:
+            _require(per <= MAX_KEPT_ROWS, leaf, f"{self.experiment} would keep "
+                     f"{per} rows per replicate, more than {MAX_KEPT_ROWS}")
+            _require(self.replicates * per <= MAX_KEPT_ROWS, "replicates",
+                     f"must be at most {MAX_KEPT_ROWS // per}: {self.experiment} "
+                     f"keeps {per} rows per replicate, and at most {MAX_KEPT_ROWS} "
+                     f"in all, got {self.replicates}")
         kind = self.segmentation.image.kind
         _require(self.experiment != "swcut_vs_gibbs" or kind == "two_region",
                  "segmentation.image.kind", f"swcut_vs_gibbs needs a synthetic "
@@ -474,6 +495,12 @@ def validate_config(raw: dict, experiment: Optional[str] = None) -> ExperimentCo
                  f"segmentation.image.{leaf}", f"width * height must be at most "
                  f"{MAX_IMAGE_PIXELS} pixels, got {image.width} x {image.height}")
         cfg.segmentation.check_scales(image.width, image.height)
+        sweeps = cfg.segmentation.sweeps
+        _require(exp != "segment" or sweeps * image.width * image.height
+                 <= MAX_SEGMENT_STEPS, "segmentation.sweeps", f"sweeps * width * "
+                 f"height must be at most {MAX_SEGMENT_STEPS} steps, one float64 "
+                 f"of log-posterior trace each, got {sweeps} x {image.width} x "
+                 f"{image.height}")
     levels = cfg.ladder.levels()
     if exp in ("spectral", "q4"):
         # the MIS kernel and the spectra divide by both laws

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .eeladder import (
     ring_table,
     run_ladder,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, EelabError, NumericError
 from .kernels import (
     IndependenceKernel,
     RandomWalkKernel,
@@ -177,6 +178,47 @@ def finish(out: Path, config: ExperimentConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _replicate_map(fn, args):
+    """[fn(a) for a in args], in order: on Linux a fork pool of one worker
+    per usable CPU, at most one per arg, makes the calls, and where that
+    is one worker, or elsewhere, this process makes them.
+
+    fn reaches the workers by fork inheritance, as the pool initializer's
+    argument, and is never pickled; each arg and result is. A failing
+    call raises here as in the loop, the first failure in arg order; a
+    worker that dies is an EelabError; no worker outlives this call. A
+    worker serves several args with what fn closes over, which must give
+    each call the result a fresh copy would: for the segmentation
+    samplers, tests/test_swcut.py::TestSegment::
+    test_reused_sampler_runs_as_fresh_ones holds that."""
+    args = list(args)
+    workers = (min(len(args), len(os.sched_getaffinity(0)))
+               if sys.platform == "linux" else 1)
+    if workers <= 1:
+        return [fn(a) for a in args]
+    import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+    try:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 initializer=_adopt, initargs=(fn,)) as pool:
+            return list(pool.map(_call_adopted, args))
+    except BrokenExecutor as exc:  # a worker was killed, say for memory
+        raise EelabError(f"a replicate worker died: {exc}") from None
+
+
+_adopted = None  # a pool worker's fn
+
+
+def _adopt(fn) -> None:
+    global _adopted
+    _adopted = fn
+
+
+def _call_adopted(arg):
+    return _adopted(arg)
+
+
 def _tv_curve(traceset, level, n_states, pi, checkpoints):
     """(step, tv) pairs at evenly spaced checkpoints over the trace: the
     TV of the post-burn-in visit counts up to each checkpoint, which one
@@ -223,12 +265,12 @@ def _ladder_runs(config, model, variations, out: Path):
     """Run the ladder over (label, overrides) variations x replicates and
     write TV curves, first-passage steps, and a summary.
 
-    Replicates are the outer loop: within one, each variation passes its
-    run to the next, whose run_ladder takes the top level from it when
-    the variations agree on it (they differ only in jump_mode or
-    schedule), and each replicate's runs are dropped before the next.
-    Rows are written variation by variation, as if that were the outer
-    loop."""
+    A replicate runs every variation on its seed, each passing its run
+    to the next, whose run_ladder takes the top level from it when the
+    variations agree on it (they differ only in jump_mode or schedule),
+    and keeps only its rows, so its runs are dropped when it returns.
+    Replicates run through _replicate_map; rows are written variation by
+    variation, then seed by seed."""
     pi = enumerate_distribution(model, config.ladder.levels()[0])
     init, target = _mode_targets(model)
     arms = []
@@ -237,42 +279,45 @@ def _ladder_runs(config, model, variations, out: Path):
         if config.ladder.init_state is None:
             overrides["init_state"] = init
         ladder = config.ladder.build(**overrides)
-        arms.append((label, ladder, ladder.first_record_step(),
-                     {"curves": [], "passages": [], "final_tvs": [],
-                      "fallback_shares": []}))
-    for k in range(config.replicates):
-        seed = config.seed + k
+        arms.append((label, ladder, ladder.first_record_step()))
+
+    def replicate(seed):
+        """Per arm: curve rows, passage row, final TV, fallback share."""
         ts = None
-        for label, ladder, warm, rows in arms:
+        rows = []
+        for label, ladder, warm in arms:
             ts = run_ladder(model, ladder, seed, reuse=ts)
             curve = _tv_curve(ts, 0, model.size, pi, config.tv_checkpoints)
-            rows["curves"].extend((label, seed, s, tv) for s, tv in curve)
             states = ts.levels[0].states
-            rows["passages"].append((label, seed, _first_passage(states, target),
-                                     -1 if warm is None else
-                                     _first_passage(states[warm:], target)))
-            rows["final_tvs"].append(curve[-1][1])
             moves = ts.levels[0].move_types
-            rows["fallback_shares"].append(float((moves == MOVE_JUMP_FALLBACK).mean()))
-    summary = {}
-    for label, _, _, rows in arms:
-        passages = [fp for _, _, fp, _ in rows["passages"] if fp >= 0]
-        warm_passages = [fp for _, _, _, fp in rows["passages"] if fp >= 0]
+            rows.append(([(label, seed, s, tv) for s, tv in curve],
+                         (label, seed, _first_passage(states, target),
+                          -1 if warm is None else _first_passage(states[warm:], target)),
+                         curve[-1][1], float((moves == MOVE_JUMP_FALLBACK).mean())))
+        return rows
+
+    results = _replicate_map(replicate,
+                             [config.seed + k for k in range(config.replicates)])
+    summary, curves, passages = {}, [], []
+    for i, (label, _, _) in enumerate(arms):
+        reps = [r[i] for r in results]
+        curves += [row for curve, *_ in reps for row in curve]
+        rows = [passage for _, passage, _, _ in reps]
+        passages += rows
+        fps = [fp for _, _, fp, _ in rows if fp >= 0]
+        warm_fps = [fp for *_, fp in rows if fp >= 0]
         summary[label] = {
-            "median_final_tv": float(np.median(rows["final_tvs"])),
-            "median_first_passage": (float(np.median(passages)) if passages
-                                     else None),
+            "median_final_tv": float(np.median([tv for _, _, tv, _ in reps])),
+            "median_first_passage": float(np.median(fps)) if fps else None,
             "median_first_passage_after_warmup": (
-                float(np.median(warm_passages)) if warm_passages else None),
-            "reached_second_mode": len(passages),
-            "mean_fallback_share": float(np.mean(rows["fallback_shares"])),
+                float(np.median(warm_fps)) if warm_fps else None),
+            "reached_second_mode": len(fps),
+            "mean_fallback_share": float(np.mean([share for *_, share in reps])),
         }
-    write_csv(out / "tv_curves.csv", ["variant", "seed", "step", "tv"],
-              [row for *_, rows in arms for row in rows["curves"]])
+    write_csv(out / "tv_curves.csv", ["variant", "seed", "step", "tv"], curves)
     write_csv(out / "first_passage.csv",
               ["variant", "seed", "first_passage_step",
-               "first_passage_after_warmup_step"],
-              [row for *_, rows in arms for row in rows["passages"]])
+               "first_passage_after_warmup_step"], passages)
     write_json(out / "summary.json", summary)
 
 
@@ -489,7 +534,7 @@ def exp_segment(config: ExperimentConfig, out: Path) -> None:
     write_label_pgm(out / "labels.pgm", final)
     write_overlay_ppm(out / "overlay.ppm", image, final)
     write_csv(out / "trace.csv", ["step", "log_posterior"],
-              [(t, float(v)) for t, v in enumerate(logposts)])
+              ((t, float(v)) for t, v in enumerate(logposts)))
     summary = {"sampler": seg.sampler, "sweeps": seg.sweeps,
                "final_log_posterior": float(logposts[-1]) if len(logposts) else None}
     if truth is not None:
@@ -519,22 +564,22 @@ def exp_swcut_vs_gibbs(config: ExperimentConfig, out: Path) -> None:
     target = float(config.mixing["target_agreement"])
     check_every = int(config.mixing["check_every"])
 
-    samplers = {name: _sampler(seg, image, name) for name in ("swcut", "gibbs")}
-    rows = []
-    results = {"swcut": [], "gibbs": []}
-    for k in range(config.replicates):
-        seed = config.seed + k
-        for name, sampler in samplers.items():
-            rng = RandomStream.from_seed(seed)
-            sweeps = _sweeps_to_agreement(sampler, image, truth, seg.n_labels,
-                                          rng, max_sweeps, target, check_every)
-            rows.append((name, seed, sweeps))
-            results[name].append(sweeps)
-    write_csv(out / "mixing.csv", ["sampler", "seed", "sweeps_to_target"], rows)
+    samplers = [(name, _sampler(seg, image, name)) for name in ("swcut", "gibbs")]
+
+    def replicate(seed):
+        return [_sweeps_to_agreement(sampler, image, truth, seg.n_labels,
+                                     RandomStream.from_seed(seed), max_sweeps,
+                                     target, check_every)
+                for _, sampler in samplers]
+
+    seeds = [config.seed + k for k in range(config.replicates)]
+    results = _replicate_map(replicate, seeds)
+    write_csv(out / "mixing.csv", ["sampler", "seed", "sweeps_to_target"],
+              [(name, seed, sweeps) for seed, row in zip(seeds, results)
+               for (name, _), sweeps in zip(samplers, row)])
 
     # a median run that never reached the target (inf) is written as null
-    med_sw = float(np.median(results["swcut"]))
-    med_gb = float(np.median(results["gibbs"]))
+    med_sw, med_gb = (float(np.median(col)) for col in zip(*results))
     reached = math.isfinite(med_sw) and math.isfinite(med_gb)
     write_json(out / "summary.json", {
         "median_sweeps_swcut": med_sw if math.isfinite(med_sw) else None,

@@ -261,6 +261,18 @@ EXTREME = [
      "segmentation.image.width"),
     ("swcut_vs_gibbs", {"segmentation": {"image": {"height": 2 ** 63}}},
      "segmentation.image.height"),
+    # a segment run whose log-posterior trace would not fit in memory
+    ("segment", {"segmentation": {"sweeps": 10 ** 12}}, "segmentation.sweeps"),
+    ("segment", {"segmentation": {"sweeps": 2 ** 63}}, "segmentation.sweeps"),
+    # more rows than a replicate experiment may keep until it writes them:
+    # too many replicates, or too many rows in one
+    ("q1", {"replicates": 2 ** 63}, "replicates"),
+    ("q2", {"replicates": 10 ** 12}, "replicates"),
+    ("q1", {"replicates": 10 ** 5, "tv_checkpoints": 100}, "replicates"),
+    ("q1", {"tv_checkpoints": 2 ** 63}, "tv_checkpoints"),
+    ("q2", {"replicates": 1, "tv_checkpoints": 10 ** 12}, "tv_checkpoints"),
+    ("q3", {"replicates": 2 ** 63}, "replicates"),
+    ("swcut_vs_gibbs", {"replicates": 2 ** 63}, "replicates"),
 ]
 
 
@@ -274,7 +286,11 @@ EXTREME = [
                               "q4-law-underflows", "points-1e12", "q3-points-2^63",
                               "spectral-points-1e12", "q4-points-2^63",
                               "potts-width-1e12", "image-width-1e12",
-                              "image-width-2^63", "mixing-image-height-2^63"])
+                              "image-width-2^63", "mixing-image-height-2^63",
+                              "sweeps-1e12", "sweeps-2^63", "q1-replicates-2^63",
+                              "q2-replicates-1e12", "q1-replicates-by-checkpoints",
+                              "q1-checkpoints-2^63", "q2-checkpoints-1e12",
+                              "q3-replicates-2^63", "mixing-replicates-2^63"])
 def test_extreme_values_are_refused_at_load(tmp_path, capsys, experiment, raw,
                                             key_path):
     """A finite config value whose likelihood scale or energy table is not
@@ -285,6 +301,33 @@ def test_extreme_values_are_refused_at_load(tmp_path, capsys, experiment, raw,
     assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"eelab: config error: {key_path}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment,raw,key_path", [
+    ("q1", {"tv_checkpoints": 20}, "replicates"),
+    ("q2", {"tv_checkpoints": 1}, "replicates"),
+    ("q3", {"q3": {"ledger_sizes": [1, 2, 3]}}, "replicates"),
+    ("swcut_vs_gibbs", {}, "replicates"),
+    ("q1", {"replicates": 1}, "tv_checkpoints"),
+    ("segment", {"segmentation": {"image": {"width": 32, "height": 32}}},
+     "segmentation.sweeps")])
+def test_row_and_step_bounds_are_exact(experiment, raw, key_path):
+    """A config at its row or step bound loads, and one more replicate,
+    checkpoint or sweep is refused: the bound is the memory the run
+    keeps, not a round number."""
+    rows = {"q1": 42, "q2": 4, "q3": 3, "swcut_vs_gibbs": 2}.get(experiment)
+    at = {"replicates": config_module.MAX_KEPT_ROWS // (rows or 1),
+          "tv_checkpoints": config_module.MAX_KEPT_ROWS // 2 - 1,
+          "segmentation.sweeps": config_module.MAX_SEGMENT_STEPS // 1024}[key_path]
+
+    def with_value(v):
+        if key_path == "segmentation.sweeps":
+            return {**raw, "segmentation": {**raw["segmentation"], "sweeps": v}}
+        return {**raw, key_path: v}
+
+    validate_config(with_value(at), experiment)
+    with pytest.raises(ConfigError, match=f"^{key_path}: "):
+        validate_config(with_value(at + 1), experiment)
 
 
 def test_unreached_target_writes_strict_json(tmp_path):
