@@ -42,6 +42,13 @@ MAX_SEGMENT_STEPS = 2 ** 27
 # Most rows a replicate experiment keeps until it writes them. A
 # tv_curves.csv row takes about 136 B (tracemalloc), so this is about 1 GiB
 MAX_KEPT_ROWS = 2 ** 23
+# Most bytes a ladder run may keep, and what it keeps: about 26 B per
+# level-step (run_ladder's trace columns and one level's packed codes
+# peaked at 23.9-26.0 B under tracemalloc), plus 4 B per step and jump
+# ring for the visible-record tables (_visible_counts) of a jumping level
+MAX_LADDER_BYTES = 2 ** 30
+LEVEL_STEP_BYTES = 26
+RING_STEP_BYTES = 4
 
 
 def _require(cond: bool, path: str, msg: str) -> None:
@@ -402,13 +409,24 @@ class ExperimentConfig:
                  "ladder.steps_per_level", f"q2 compares the schedules at one "
                  f"step budget, so it must equal ladder.macro_steps ({steps[0]}), "
                  f"got {steps[1]}")
-        if self.experiment in ("q1", "q2"):
+        if self.experiment in ("run", "q1", "q2"):
             # the leaf the schedule reads; q2 runs both at macro_steps
-            serial = self.experiment == "q1" and self.ladder.schedule == "serial"
+            serial = self.experiment != "q2" and self.ladder.schedule == "serial"
             key = "steps_per_level" if serial else "macro_steps"
             n = getattr(self.ladder, key)
-            _require(n > 0, f"ladder.{key}", f"{self.experiment} measures its "
-                     f"chains' steps, so it needs at least 1, got {n}")
+            _require(n > 0 or self.experiment == "run", f"ladder.{key}",
+                     f"{self.experiment} measures its chains' steps, so it needs "
+                     f"at least 1, got {n}")
+            # restricted jumps draw by every boundary, as q1's first arm does
+            b = self.ladder.ring_boundaries
+            rings = (self.ladder.n_levels - 1 if b is None else len(b)) + 1
+            per = self.ladder.n_levels * LEVEL_STEP_BYTES + rings * RING_STEP_BYTES
+            _require(n * per <= MAX_LADDER_BYTES, f"ladder.{key}",
+                     f"must be at most {MAX_LADDER_BYTES // per}: a run keeps about "
+                     f"{per} B per step ({self.ladder.n_levels} levels of "
+                     f"{LEVEL_STEP_BYTES} B and {rings} jump rings of "
+                     f"{RING_STEP_BYTES} B), and at most {MAX_LADDER_BYTES} B, "
+                     f"got {n}")
         levels = self.ladder.n_levels
         _require(self.experiment not in ("q3", "q4", "spectral") or levels >= 2,
                  "ladder.n_levels",

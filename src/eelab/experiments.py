@@ -178,10 +178,11 @@ def finish(out: Path, config: ExperimentConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _replicate_map(fn, args):
+def _replicate_map(fn, args, threads=1):
     """[fn(a) for a in args], in order: on Linux a fork pool of one worker
-    per usable CPU, at most one per arg, makes the calls, and where that
-    is one worker, or elsewhere, this process makes them.
+    per `threads` usable CPUs (the CPUs one call keeps busy), at most one
+    per arg, makes the calls, and where that is one worker, or elsewhere,
+    this process makes them.
 
     fn reaches the workers by fork inheritance, as the pool initializer's
     argument, and is never pickled; each arg and result is. A failing
@@ -190,9 +191,11 @@ def _replicate_map(fn, args):
     worker serves several args with what fn closes over, which must give
     each call the result a fresh copy would: for the segmentation
     samplers, tests/test_swcut.py::TestSegment::
-    test_reused_sampler_runs_as_fresh_ones holds that."""
+    test_reused_sampler_runs_as_fresh_ones holds that. q1, q2 and
+    swcut_vs_gibbs map their seeds here, and spectral and q4 their
+    eigensolves (_kernel_reports)."""
     args = list(args)
-    workers = (min(len(args), len(os.sched_getaffinity(0)))
+    workers = (min(len(args), len(os.sched_getaffinity(0)) // threads)
                if sys.platform == "linux" else 1)
     if workers <= 1:
         return [fn(a) for a in args]
@@ -217,6 +220,12 @@ def _adopt(fn) -> None:
 
 def _call_adopted(arg):
     return _adopted(arg)
+
+
+def _solver_threads() -> int:
+    """The CPUs a dense solve keeps busy: this process's OS threads, as a
+    threaded BLAS (OpenBLAS: one per CPU unless pinned) uses all of them."""
+    return len(os.listdir("/proc/self/task")) if sys.platform == "linux" else 1
 
 
 def _tv_curve(traceset, level, n_states, pi, checkpoints):
@@ -399,42 +408,52 @@ def exp_q3(config: ExperimentConfig, out: Path) -> None:
                 "p_jump": p_jump})
 
 
-def _kernel_reports(local, pi, q, alpha, prefix=""):
-    """Spectral reports of the local kernel, of the independence (MIS)
-    kernel that proposes from q, and of their alpha-mixture, all
-    targeting pi.
+def _kernel_reports(spaces, alpha):
+    """Spectral reports of the local kernel of each (prefix, local, pi, q)
+    space, of the independence (MIS) kernel that proposes from q, and of
+    their alpha-mixture, all targeting pi: prefix + "local", "mis" and
+    "mixture", space by space.
 
-    At most two dense matrices are held at once (not counting the copy
-    LAPACK makes), and each is built once. Alpha times the local matrix
-    on its support is kept before the local matrix is symmetrised in
-    place for its report. The MIS eigenvalues are Liu's closed form,
-    checked against the MIS matrix by row blocks (mis_spectrum). The
-    mixture is then formed in the MIS matrix by adding the kept entries,
-    with MixtureKernel.exact_matrix's arithmetic, and symmetrised in place
-    for its report (both components were checked reversible for pi).
+    Each space is two _replicate_map tasks, whose dense eigensolves
+    overlap where the CPUs outnumber a solve's BLAS threads: one solves
+    the local matrix; the other checks Liu's MIS eigenvalues against the
+    MIS matrix (mis_spectrum), then forms and solves the mixture in it
+    with MixtureKernel.exact_matrix's arithmetic. The mixture needs alpha
+    times the local matrix on its support, so this process builds that
+    matrix once and frees it before the map. Each process then holds one
+    n x n matrix at a time, besides row strips and LAPACK's copy.
     """
-    jump = IndependenceKernel(pi, q)
-    K_local = local.exact_matrix()
-    support = np.flatnonzero(K_local != 0.0)
-    scaled = alpha * K_local.flat[support]
-    reports = {prefix + "local": _owned_spectrum(K_local, pi)}
-    del K_local
-    K = jump.exact_matrix()
-    reports[prefix + "mis"] = with_mis_bounds(mis_spectrum(K, pi, q), pi, q)
-    K *= 1.0 - alpha
-    K.flat[support] += scaled
-    reports[prefix + "mixture"] = _owned_spectrum(K, pi)
-    return reports
+    kept = []
+    for _, local, pi, q in spaces:
+        jump = IndependenceKernel(pi, q)
+        K_local = local.exact_matrix()
+        support = np.flatnonzero(K_local != 0.0)
+        kept.append((local, jump, pi, q, support, alpha * K_local.flat[support]))
+        del K_local
+
+    def task(i):
+        local, jump, pi, q, support, scaled = kept[i // 2]
+        if i % 2 == 0:
+            return [_owned_spectrum(local.exact_matrix(), pi)]
+        K = jump.exact_matrix()
+        mis = with_mis_bounds(mis_spectrum(K, pi, q), pi, q)
+        K *= 1.0 - alpha
+        K.flat[support] += scaled
+        return [mis, _owned_spectrum(K, pi)]
+
+    results = _replicate_map(task, range(2 * len(kept)), _solver_threads())
+    names = [prefix + name for prefix, *_ in spaces
+             for name in ("local", "mis", "mixture")]
+    return dict(zip(names, (rep for reps in results for rep in reps)))
 
 
-def _spectral_reports(config: ExperimentConfig):
+def _fine_space(config: ExperimentConfig):
+    """The configured model's level-0 and level-1 laws and level-0 walk."""
     model = config.build_model()
     levels = config.ladder.levels()
-    pi = enumerate_distribution(model, levels[0])
-    q = enumerate_distribution(model, levels[1])
-    alpha = float(config.q4["alpha"])
-    reports = _kernel_reports(RandomWalkKernel(model, levels[0]), pi, q, alpha)
-    return pi, q, alpha, reports
+    return (enumerate_distribution(model, levels[0]),
+            enumerate_distribution(model, levels[1]),
+            RandomWalkKernel(model, levels[0]))
 
 
 def _write_reports(out: Path, json_name: str, csv_name: str, reports) -> None:
@@ -453,7 +472,8 @@ def _write_reports(out: Path, json_name: str, csv_name: str, reports) -> None:
 
 def exp_spectral(config: ExperimentConfig, out: Path) -> None:
     """Spectral reports for the local, independence, and mixture kernels."""
-    reports = _spectral_reports(config)[-1]
+    pi, q, local = _fine_space(config)
+    reports = _kernel_reports([("", local, pi, q)], float(config.q4["alpha"]))
     _write_reports(out, "spectral.json", "spectral.csv", reports)
 
 
@@ -464,7 +484,8 @@ def exp_q4(config: ExperimentConfig, out: Path) -> None:
     eigenvalue matches; the two candidates generally differ and only one
     of them is exact.
     """
-    pi, q, alpha, reports = _spectral_reports(config)
+    pi, q, local = _fine_space(config)
+    alpha = float(config.q4["alpha"])
     n = len(pi)
     m = min(int(config.q4["coarse_cells"]), n)
     part = Partition((np.arange(n) * m) // n)
@@ -475,8 +496,9 @@ def exp_q4(config: ExperimentConfig, out: Path) -> None:
     # coarsened proposal, and their mixture
     coarse_model = builtin_model("energy_table",
                                  energies=(-np.log(pi_c.probs)).tolist())
-    local = RandomWalkKernel(coarse_model, LadderLevel(0, 1.0, -math.inf))
-    reports.update(_kernel_reports(local, pi_c, q_c, alpha, "coarse_"))
+    coarse_local = RandomWalkKernel(coarse_model, LadderLevel(0, 1.0, -math.inf))
+    reports = _kernel_reports([("", local, pi, q),
+                               ("coarse_", coarse_local, pi_c, q_c)], alpha)
     fine, coarse = reports["mis"], reports["coarse_mis"]
 
     _write_reports(out, "spectral_reports.json", "q4_summary.csv", reports)

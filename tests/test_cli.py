@@ -273,6 +273,19 @@ EXTREME = [
     ("q2", {"replicates": 1, "tv_checkpoints": 10 ** 12}, "tv_checkpoints"),
     ("q3", {"replicates": 2 ** 63}, "replicates"),
     ("swcut_vs_gibbs", {"replicates": 2 ** 63}, "replicates"),
+    # a ladder run whose trace would not fit in memory, on the leaf its
+    # schedule reads; q2 runs both schedules at macro_steps
+    ("run", {"ladder": {"macro_steps": 2 ** 63}}, "ladder.macro_steps"),
+    ("run", {"ladder": {"macro_steps": 10 ** 12}}, "ladder.macro_steps"),
+    ("run", {"ladder": {"schedule": "serial", "steps_per_level": 2 ** 63}},
+     "ladder.steps_per_level"),
+    ("q1", {"ladder": {"schedule": "serial", "steps_per_level": 10 ** 12}},
+     "ladder.steps_per_level"),
+    ("q1", {"ladder": {"macro_steps": 10 ** 12}}, "ladder.macro_steps"),
+    ("q2", {"ladder": {"macro_steps": 2 ** 63, "steps_per_level": 2 ** 63}},
+     "ladder.macro_steps"),
+    ("q2", {"ladder": {"schedule": "serial", "macro_steps": 10 ** 12,
+                       "steps_per_level": 10 ** 12}}, "ladder.macro_steps"),
 ]
 
 
@@ -290,7 +303,11 @@ EXTREME = [
                               "sweeps-1e12", "sweeps-2^63", "q1-replicates-2^63",
                               "q2-replicates-1e12", "q1-replicates-by-checkpoints",
                               "q1-checkpoints-2^63", "q2-checkpoints-1e12",
-                              "q3-replicates-2^63", "mixing-replicates-2^63"])
+                              "q3-replicates-2^63", "mixing-replicates-2^63",
+                              "run-macro-steps-2^63", "run-macro-steps-1e12",
+                              "run-serial-steps-2^63", "q1-serial-steps-1e12",
+                              "q1-macro-steps-1e12", "q2-steps-2^63",
+                              "q2-serial-steps-1e12"])
 def test_extreme_values_are_refused_at_load(tmp_path, capsys, experiment, raw,
                                             key_path):
     """A finite config value whose likelihood scale or energy table is not
@@ -310,19 +327,32 @@ def test_extreme_values_are_refused_at_load(tmp_path, capsys, experiment, raw,
     ("swcut_vs_gibbs", {}, "replicates"),
     ("q1", {"replicates": 1}, "tv_checkpoints"),
     ("segment", {"segmentation": {"image": {"width": 32, "height": 32}}},
-     "segmentation.sweeps")])
+     "segmentation.sweeps"),
+    ("run", {"ladder": {}}, "ladder.macro_steps"),
+    ("q1", {"ladder": {"schedule": "serial", "n_levels": 3}}, "ladder.steps_per_level"),
+    ("q2", {"ladder": {"ring_boundaries": [0.5, 1.0, 2.0]}}, "ladder.macro_steps")])
 def test_row_and_step_bounds_are_exact(experiment, raw, key_path):
     """A config at its row or step bound loads, and one more replicate,
-    checkpoint or sweep is refused: the bound is the memory the run
-    keeps, not a round number."""
+    checkpoint, sweep or ladder step is refused: the bound is the memory
+    the run keeps, not a round number. A ladder step keeps 26 B per level
+    and 4 B per jump ring (the default rings are the levels' truncations)."""
     rows = {"q1": 42, "q2": 4, "q3": 3, "swcut_vs_gibbs": 2}.get(experiment)
+    ladder = raw.get("ladder", {})
+    levels = ladder.get("n_levels", 2)
+    rings = len(ladder.get("ring_boundaries", [None] * (levels - 1))) + 1
+    steps = config_module.MAX_LADDER_BYTES // (26 * levels + 4 * rings)
     at = {"replicates": config_module.MAX_KEPT_ROWS // (rows or 1),
           "tv_checkpoints": config_module.MAX_KEPT_ROWS // 2 - 1,
-          "segmentation.sweeps": config_module.MAX_SEGMENT_STEPS // 1024}[key_path]
+          "segmentation.sweeps": config_module.MAX_SEGMENT_STEPS // 1024,
+          "ladder.macro_steps": steps, "ladder.steps_per_level": steps}[key_path]
 
     def with_value(v):
         if key_path == "segmentation.sweeps":
             return {**raw, "segmentation": {**raw["segmentation"], "sweeps": v}}
+        if key_path.startswith("ladder."):  # q2 needs both step counts equal
+            keys = (("macro_steps", "steps_per_level") if experiment == "q2"
+                    else (key_path[len("ladder."):],))
+            return {**raw, "ladder": {**ladder, **dict.fromkeys(keys, v)}}
         return {**raw, key_path: v}
 
     validate_config(with_value(at), experiment)

@@ -1,11 +1,12 @@
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from eelab import spectral
+from eelab import experiments, spectral
 from eelab.cli import main
 from eelab.config import validate_config
 from eelab.errors import ConfigError, NumericError, ReversibilityError, ShapeError
@@ -161,19 +162,26 @@ class TestEigenSpectrum:
             run()
             assert K.tobytes() == before
 
-    def test_kernel_reports_peak_below_one_and_a_half_dense_arrays(self):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_kernel_reports_peak_below_one_and_a_half_dense_arrays(self, monkeypatch,
+                                                                   cpus):
         """The local, MIS and mixture reports of a 401-point well allocate
         at most 1.5 n x n float64 arrays at their peak (LAPACK's own copy
-        is not traced): the local matrix is built once, and only alpha
-        times its entries on its support outlive it, for the mixture.
-        Rebuilding the local matrix beside the MIS one peaked at 2.06, and
-        building the mixture beside both components and symmetrising out
-        of place took 4."""
+        is not traced): each dense matrix is freed before the next is
+        built, and only alpha times the local matrix's entries on its
+        support outlive it, for the mixture. On two CPUs the solves run in
+        forked workers, and the peak traced here is this process's.
+        Rebuilding the local matrix
+        beside the MIS one peaked at 2.06, and building the mixture beside
+        both components and symmetrising out of place took 4."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(experiments, "_solver_threads", lambda: 1)
         pi, q, kernels = double_well_kernels(401)
         n = len(pi)
         tracemalloc.start()
         try:
-            _kernel_reports(kernels["local"], pi, q, kernels["mixture"].alpha)
+            _kernel_reports([("", kernels["local"], pi, q)], kernels["mixture"].alpha)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
